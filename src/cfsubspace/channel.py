@@ -8,6 +8,7 @@ equals beta * M.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,11 +91,23 @@ def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
                           width=delta, num_antennas=M, padded=padded)
 
 
+@lru_cache(maxsize=8)
+def _dft_matrix(M: int) -> np.ndarray:
+    """DftBasis(M).matrix, built once per M and shared read-only."""
+    matrix = DftBasis(M).matrix
+    matrix.flags.writeable = False
+    return matrix
+
+
 def _support_basis(support: AngularSupport) -> np.ndarray:
-    m = np.arange(support.num_antennas)
-    cols = np.asarray(support.indices, dtype=int)
-    return np.exp(-2j * np.pi * np.outer(m, cols) / support.num_antennas) \
-        / np.sqrt(support.num_antennas)
+    """The support's DFT columns F_S as a fresh C-ordered (M, |S|) array.
+
+    ``take`` returns C order; a fancy-indexed column slice would come out
+    Fortran-ordered, and BLAS may then sum the products made with it in
+    another order, which moves the last bits of most channel draws.
+    """
+    indices = np.asarray(support.indices, dtype=int)
+    return _dft_matrix(support.num_antennas).take(indices, axis=1)
 
 
 def sample_channel(support: AngularSupport, beta: float,

@@ -12,7 +12,8 @@ vectors of H give the subspace; an optional greedy projection snaps the basis
 onto DFT columns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +55,27 @@ class RpcaResult:
     iterations: int
     converged: bool
     residual: float        # ||Y - H_hat - E_hat||_F
-    objective: np.ndarray = field(repr=False, default=None)
-    # objective[i] = ||Y - E_i||_* + lambda*||E_i||_{2,1} on the internally
-    # normalized problem: the exact objective of the feasible pair (Y-E_i, E_i).
-    # Non-increasing on noiseless data; noisy inputs can show small transients.
+    # (Yn, lambda, params): the internally normalized input and the solver
+    # settings, from which ``objective`` replays the iterations.
+    problem: tuple = field(repr=False, compare=False, default=None)
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        """objective[i] = ||Yn - E_i||_* + lambda*||E_i||_{2,1}, i = 0..iterations.
+
+        The exact objective of the feasible pair (Yn - E_i, E_i) on the
+        internally normalized problem, with E_0 = 0. Non-increasing on
+        noiseless data; noisy inputs can show small transients. Computed on
+        first access by replaying the deterministic ADMM steps, so solves
+        whose objective is never read neither pay for it nor keep their
+        iterates in memory.
+        """
+        Yn, lam, params = self.problem
+        outliers = [np.zeros_like(Yn)]
+        if self.iterations:
+            _admm(Yn, lam, params, outliers.append)
+        return np.array([np.linalg.svd(Yn - E, compute_uv=False).sum()
+                         + lam * _col_norms(E).sum() for E in outliers])
 
 
 @dataclass
@@ -100,6 +118,20 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
                           strong=strong, weak=weak)
 
 
+def _fro(x: np.ndarray):
+    """Frobenius norm, bitwise equal to np.linalg.norm(x) without its dispatch."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
+
+
+def _col_norms(x: np.ndarray) -> np.ndarray:
+    """Column l2 norms, bitwise equal to np.linalg.norm(x, axis=0)."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+
+
 def outlier_pursuit(Y: np.ndarray, lam: float,
                     params: RpcaParams | None = None) -> RpcaResult:
     """Low-rank plus column-sparse decomposition of Y.
@@ -116,53 +148,58 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
     if params is None:
         params = RpcaParams()
     M, S = Y.shape
-    scale = np.linalg.norm(Y) / np.sqrt(S)
+    scale = _fro(Y) / np.sqrt(S)
     if scale == 0:
         return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True, 0.0,
-                          objective=np.zeros(1))
+                          problem=(Y, lam, params))
     Yn = Y / scale
+    H, E, iterations, converged = _admm(Yn, lam, params)
+    H = H * scale
+    E = E * scale
+    return RpcaResult(low_rank=H, outliers=E, iterations=iterations,
+                      converged=converged, residual=float(_fro(Y - H - E)),
+                      problem=(Yn, lam, replace(params)))
+
+
+def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
+    """ADMM on the normalized problem, from H = Yn and E = U = 0.
+
+    Returns (H, E, iterations, converged). ``on_step`` is called with each
+    outlier iterate E_1, E_2, ... as it is made; every step makes a fresh E.
+    """
     rho = params.rho
     H = Yn.copy()
     E = np.zeros_like(Yn)
     U = np.zeros_like(Yn)
-
-    def feasible_objective(Ec):
-        sv = np.linalg.svd(Yn - Ec, compute_uv=False)
-        return sv.sum() + lam * np.linalg.norm(Ec, axis=0).sum()
-
-    objective = [feasible_objective(E)]
     converged = False
     iterations = 0
-    norm_y = np.linalg.norm(Yn)
+    norm_y = _fro(Yn)
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
         W, sv, Vh = np.linalg.svd(Yn - E + U, full_matrices=False)
         H = (W * np.maximum(sv - 1.0 / rho, 0.0)) @ Vh
         G = Yn - H + U
-        col = np.linalg.norm(G, axis=0)
+        col = _col_norms(G)
         E = G * np.maximum(1.0 - (lam / rho) / np.maximum(col, 1e-300), 0.0)
         R = Yn - H - E
         U = U + R
-        objective.append(feasible_objective(E))
-        change = max(np.linalg.norm(H - H_prev), np.linalg.norm(E - E_prev))
+        if on_step is not None:
+            on_step(E)
+        e_change = _fro(E - E_prev)
+        change = max(_fro(H - H_prev), e_change)
         if change / max(1.0, norm_y) < params.tol:
             converged = True
             break
         if params.adaptive_rho:
-            r_norm = np.linalg.norm(R)
-            d_norm = rho * np.linalg.norm(E - E_prev)
+            r_norm = _fro(R)
+            d_norm = rho * e_change
             if r_norm > params.residual_ratio * d_norm:
                 rho *= 2.0
                 U /= 2.0
             elif d_norm > params.residual_ratio * r_norm:
                 rho /= 2.0
                 U *= 2.0
-    H = H * scale
-    E = E * scale
-    return RpcaResult(low_rank=H, outliers=E, iterations=iterations,
-                      converged=converged,
-                      residual=float(np.linalg.norm(Y - H - E)),
-                      objective=np.array(objective))
+    return H, E, iterations, converged
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-6) -> int:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cfsubspace.channel import (AngularSupport, DftBasis, NetworkChannelSampler,
-                                angular_support, network_supports, sample_channel,
+                                _dft_matrix, _support_basis, angular_support,
+                                network_supports, sample_channel,
                                 sample_network_channel, true_covariance)
 from cfsubspace.geometry import generate_layout
 
@@ -21,6 +22,30 @@ class TestDftBasis:
     def test_entry_formula(self):
         F = DftBasis(4).matrix
         assert F[1, 1] == pytest.approx(np.exp(-2j * np.pi / 4) / 2)
+
+
+class TestSupportBasis:
+    @pytest.mark.parametrize("M", [4, 8, 16, 29, 64])
+    def test_matches_dft_columns_bitwise(self, M):
+        rng = np.random.default_rng(M)
+        m = np.arange(M)
+        for size in (1, 2, M // 2, M):
+            idx = np.sort(rng.choice(M, size=size, replace=False))
+            basis = _support_basis(make_support(idx, M))
+            assert basis.flags.c_contiguous and basis.flags.writeable
+            assert basis.tobytes() == DftBasis(M).columns(idx).tobytes()
+            # reference: the closed-form entries exp(-2j pi m n / M) / sqrt(M)
+            formula = np.exp(-2j * np.pi * np.outer(m, idx) / M) / np.sqrt(M)
+            assert basis.tobytes() == formula.tobytes()
+
+    def test_cached_matrix_is_read_only(self):
+        F = _dft_matrix(8)
+        assert F is _dft_matrix(8)
+        with pytest.raises(ValueError):
+            F[0, 0] = 0.0
+        basis = _support_basis(make_support([0, 3], 8))
+        basis[:] = 0.0  # a copy: the cached matrix is untouched
+        assert F.tobytes() == DftBasis(8).matrix.tobytes()
 
 
 class TestAngularSupport:

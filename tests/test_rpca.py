@@ -4,10 +4,11 @@ import pytest
 from cfsubspace.channel import AngularSupport, DftBasis, network_supports
 from cfsubspace.geometry import generate_layout
 from cfsubspace.hopping import allocate_squares, build_schedule, mols_family
-from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, collect_srs,
-                             dft_project, estimated_covariance, numerical_rank,
-                             outlier_pursuit, outlier_pursuit_tuned,
-                             power_efficiency, select_rank, subspace_estimates)
+from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
+                             collect_srs, dft_project, estimated_covariance,
+                             numerical_rank, outlier_pursuit,
+                             outlier_pursuit_tuned, power_efficiency,
+                             select_rank, subspace_estimates)
 
 
 def make_support(indices, M):
@@ -178,6 +179,7 @@ class TestOutlierPursuit:
     def test_zero_matrix(self):
         result = outlier_pursuit(np.zeros((4, 6), dtype=complex), lam=0.25)
         assert result.converged and result.residual == 0.0
+        assert result.objective.tolist() == [0.0]
 
     def test_max_iter_reports_not_converged(self):
         rng = np.random.default_rng(5)
@@ -200,6 +202,87 @@ class TestOutlierPursuit:
         Y, out_idx, basis = planted_instance(rng, rank=rank, n_outliers=n_out)
         result = outlier_pursuit(Y, lam=0.35)
         assert np.array_equal(outlier_columns(result, Y), out_idx)
+
+
+class TestNorms:
+    """The solver's norm helpers must match numpy's to the last bit, so that
+    the iterates and the outputs built from them do not move."""
+
+    @pytest.mark.parametrize("shape", [(8, 29), (16, 64), (29, 8), (5,), (1, 1)])
+    def test_fro_matches_numpy_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # transposed, strided and reversed views are not C-contiguous
+        for view in (x, x.T, x[::2], x[..., ::-1], x * 1e-150, x.real):
+            assert _fro(view).tobytes() == np.linalg.norm(view).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 29), (16, 64), (3, 1)])
+    def test_col_norms_match_numpy_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for view in (x, x.T.copy().T):
+            assert _col_norms(view).tobytes() == \
+                np.linalg.norm(view, axis=0).tobytes()
+
+
+class TestLazyObjective:
+    def test_outputs_do_not_depend_on_reading_objective(self):
+        rng = np.random.default_rng(15)
+        Y, _, _ = planted_instance(rng, M=8, S=29)
+        read, unread = outlier_pursuit(Y, 0.25), outlier_pursuit(Y, 0.25)
+        low_rank, outliers = read.low_rank.copy(), read.outliers.copy()
+        assert read.objective.shape == (read.iterations + 1,)
+        for result in (read, unread):
+            assert result.low_rank.tobytes() == low_rank.tobytes()
+            assert result.outliers.tobytes() == outliers.tobytes()
+        assert (read.iterations, read.converged, read.residual) == \
+            (unread.iterations, unread.converged, unread.residual)
+        assert read.objective is read.objective  # computed once
+
+    def test_objective_matches_direct_recomputation(self):
+        # E_i is the outlier iterate after i steps: a solve capped at
+        # max_iter = i returns it in the input's units, times the scale.
+        rng = np.random.default_rng(16)
+        Y, _, _ = planted_instance(rng, M=8, S=24, rank=1, n_outliers=2)
+        lam = 0.25
+        result = outlier_pursuit(Y, lam)
+        scale = np.linalg.norm(Y) / np.sqrt(Y.shape[1])
+        Yn = Y / scale
+        assert result.objective[0] == pytest.approx(
+            np.linalg.svd(Yn, compute_uv=False).sum(), rel=1e-12)
+        for i in range(result.iterations + 1):
+            E = outlier_pursuit(Y, lam, RpcaParams(max_iter=i)).outliers / scale
+            direct = (np.linalg.svd(Yn - E, compute_uv=False).sum()
+                      + lam * np.linalg.norm(E, axis=0).sum())
+            assert result.objective[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    def test_one_svd_per_iteration_unless_objective_read(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(17)
+        Y, _, _ = planted_instance(rng, M=8, S=29)
+        result = outlier_pursuit(Y, 0.25)
+        n = result.iterations
+        assert n > 1
+        assert len(calls) == n
+        # reading it replays the n steps, then takes one SVD per iterate
+        result.objective
+        assert len(calls) == n + n + (n + 1)
+
+    def test_objective_replay_ignores_later_param_edits(self):
+        rng = np.random.default_rng(18)
+        Y, _, _ = planted_instance(rng, M=8, S=29)
+        params = RpcaParams()
+        result = outlier_pursuit(Y, 0.25, params)
+        params.rho, params.max_iter = 50.0, 3
+        expected = outlier_pursuit(Y, 0.25).objective
+        assert result.objective.tobytes() == expected.tobytes()
 
 
 class TestLambdaTuning:
