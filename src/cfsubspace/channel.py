@@ -62,6 +62,33 @@ def _wrap_angle_distance(x):
     return np.abs(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
 
 
+def _ru_supports(ru_pos, ue_positions, area_side: float, delta: float,
+                 M: int) -> list:
+    """Angular supports from one RU towards each row of ``ue_positions``.
+
+    One array pass over the (n, M) grid distances serves every UE; it does the
+    same elementwise arithmetic as a pair at a time, so the supports agree
+    bit for bit with the one-pair form.
+    """
+    if not 0 < delta <= 2.0 * np.pi:
+        raise ValueError("delta must lie in (0, 2*pi]")
+    disp = np.asarray(ue_positions, dtype=float) - np.asarray(ru_pos, dtype=float)
+    # minimal displacement on the torus, per axis
+    disp = (disp + area_side / 2.0) % area_side - area_side / 2.0
+    theta = np.arctan2(disp[:, 1], disp[:, 0]) % (2.0 * np.pi)
+    grid = 2.0 * np.pi * np.arange(M) / M
+    dist = _wrap_angle_distance(grid - theta[:, None])
+    inside = dist <= delta / 2.0 + 1e-12
+    padded = ~inside.any(axis=1)
+    inside[padded, np.argmin(dist[padded], axis=1)] = True
+    cols = np.nonzero(inside)[1]
+    bounds = np.concatenate(([0], np.cumsum(inside.sum(axis=1)))).tolist()
+    return [AngularSupport(indices=cols[bounds[n]:bounds[n + 1]],
+                           center_angle=float(theta[n]), width=delta,
+                           num_antennas=M, padded=bool(padded[n]))
+            for n in range(len(theta))]
+
+
 def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
                     M: int) -> AngularSupport:
     """Angular support for the direction joining an RU-UE pair on the torus.
@@ -72,23 +99,8 @@ def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
     window is narrower than the grid spacing and captures no point, the support
     is padded with the single nearest grid index and flagged.
     """
-    if not 0 < delta <= 2.0 * np.pi:
-        raise ValueError("delta must lie in (0, 2*pi]")
-    ru = np.asarray(ru_pos, dtype=float)
-    ue = np.asarray(ue_pos, dtype=float)
-    disp = ue - ru
-    # minimal displacement on the torus, per axis
-    disp = (disp + area_side / 2.0) % area_side - area_side / 2.0
-    theta = float(np.arctan2(disp[1], disp[0])) % (2.0 * np.pi)
-    grid = 2.0 * np.pi * np.arange(M) / M
-    dist = _wrap_angle_distance(grid - theta)
-    inside = dist <= delta / 2.0 + 1e-12
-    padded = False
-    if not inside.any():
-        inside[np.argmin(dist)] = True
-        padded = True
-    return AngularSupport(indices=np.nonzero(inside)[0], center_angle=theta,
-                          width=delta, num_antennas=M, padded=padded)
+    ue = np.asarray(ue_pos, dtype=float)[None, :]
+    return _ru_supports(ru_pos, ue, area_side, delta, M)[0]
 
 
 @lru_cache(maxsize=8)
@@ -129,38 +141,55 @@ def true_covariance(support: AngularSupport, beta: float) -> np.ndarray:
 
 
 def network_supports(layout, delta: float, M: int) -> list:
-    """Angular supports for every RU-UE pair; supports[l][k]."""
-    return [[angular_support(layout.ru_positions[l], layout.ue_positions[k],
-                             layout.area_side, delta, M)
-             for k in range(layout.num_ues)]
+    """Angular supports for every RU-UE pair; supports[l][k].
+
+    Works one RU at a time, so the largest temporary is (K, M).
+    """
+    return [_ru_supports(layout.ru_positions[l], layout.ue_positions,
+                         layout.area_side, delta, M)
             for l in range(layout.num_rus)]
 
 
 class NetworkChannelSampler:
     """Draws full network channel realizations for a fixed layout.
 
-    Precomputes the scaled per-pair DFT column blocks so repeated fading draws
-    only cost the Gaussian coefficients. A caller-supplied generator keeps the
-    draws reproducible; use independent streams for parallel workers.
+    Precomputes the scaled per-pair DFT column blocks, stacked by support
+    size, so a fading draw costs one Gaussian draw and one batched matmul per
+    distinct size. Pair (l, k) takes its real then its imaginary coefficients
+    from the draw in (l, k) row-major order, exactly as drawing pair by pair
+    would. A caller-supplied generator keeps the draws reproducible; use
+    independent streams for parallel workers.
     """
 
     def __init__(self, layout, supports):
         self.L = layout.num_rus
         self.K = layout.num_ues
         self.M = supports[0][0].num_antennas
-        self._scaled = [[np.sqrt(layout.lsfc[l, k] * self.M / supports[l][k].size)
-                         * _support_basis(supports[l][k])
-                         for k in range(self.K)] for l in range(self.L)]
+        flat = [s for row in supports for s in row]   # pair p = l * K + k
+        sizes = np.array([s.size for s in flat])
+        starts = np.cumsum(2 * sizes) - 2 * sizes
+        self._normals = int(2 * sizes.sum())
+        F = _dft_matrix(self.M)
+        lsfc = np.asarray(layout.lsfc, dtype=float).ravel()
+        self._groups = []
+        for r in np.unique(sizes).tolist():
+            pairs = np.flatnonzero(sizes == r)
+            indices = np.array([flat[p].indices for p in pairs], dtype=int)
+            # (n, M, r) stack; each (M, r) slice is C-ordered like _support_basis
+            scaled = F[np.arange(self.M)[:, None], indices[:, None, :]]
+            scaled *= np.sqrt(lsfc[pairs] * self.M / r)[:, None, None]
+            at = starts[pairs, None] + np.arange(r)
+            self._groups.append((pairs, at, scaled))
 
     def sample(self, rng: np.random.Generator, rb_index: int = 0) -> ChannelRealization:
-        blocks = np.empty((self.L, self.K, self.M), dtype=complex)
-        for l in range(self.L):
-            for k in range(self.K):
-                A = self._scaled[l][k]
-                r = A.shape[1]
-                nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
-                blocks[l, k] = A @ nu
-        return ChannelRealization(blocks=blocks, rb_index=rb_index)
+        z = rng.standard_normal(self._normals)
+        blocks = np.empty((self.L * self.K, self.M), dtype=complex)
+        for pairs, at, scaled in self._groups:
+            r = scaled.shape[2]
+            nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
+            blocks[pairs] = np.matmul(scaled, nu[:, :, None])[:, :, 0]
+        return ChannelRealization(blocks=blocks.reshape(self.L, self.K, self.M),
+                                  rb_index=rb_index)
 
 
 def sample_network_channel(layout, supports, rng: np.random.Generator,

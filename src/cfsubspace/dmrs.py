@@ -8,6 +8,7 @@ suppresses whatever contamination lives outside it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,11 +30,17 @@ class ChannelEstimate:
     pair: tuple | None = None
 
 
+@lru_cache(maxsize=8)
 def pilot_book(tau_p: int, snr: float) -> np.ndarray:
-    """tau_p orthogonal pilots as scaled DFT columns, each with energy tau_p*snr."""
+    """tau_p orthogonal pilots as scaled DFT columns, each with energy tau_p*snr.
+
+    Built once per (tau_p, snr) and shared read-only.
+    """
     t = np.arange(tau_p)
     unitary = np.exp(-2j * np.pi * np.outer(t, t) / tau_p) / np.sqrt(tau_p)
-    return np.sqrt(tau_p * snr) * unitary
+    book = np.sqrt(tau_p * snr) * unitary
+    book.flags.writeable = False
+    return book
 
 
 def dmrs_field(channels: np.ndarray, pilots: np.ndarray, tau_p: int, snr: float,

@@ -11,7 +11,7 @@ import csv
 import dataclasses
 import json
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -212,23 +212,35 @@ def _run_layout(config: ExperimentConfig, layout_id: int):
     return rate_records, edge_records, diag
 
 
+def _progress_line(layout_id: int, n_layouts: int, diag: dict) -> str:
+    note = ""
+    if diag["rpca_not_converged"]:
+        note = f", {diag['rpca_not_converged']} solves not converged"
+    return f"layout {layout_id + 1}/{n_layouts} done ({diag['edges']} edges{note})"
+
+
 def run_experiment(config: ExperimentConfig, progress: bool = False) -> ExperimentResult:
-    """Execute all layouts (optionally in parallel) and gather the records."""
+    """Execute all layouts (optionally in parallel) and gather the records.
+
+    With ``progress`` a line is printed as each layout finishes; on several
+    workers that is completion order, while the records are always merged
+    in layout order.
+    """
     ids = list(range(config.n_layouts))
+    outputs = [None] * len(ids)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outputs = list(pool.map(_run_layout, [config] * len(ids), ids))
+            futures = {pool.submit(_run_layout, config, i): i for i in ids}
+            for future in as_completed(futures):
+                i = futures[future]
+                outputs[i] = future.result()
+                if progress:
+                    print(_progress_line(i, len(ids), outputs[i][2]), flush=True)
     else:
-        outputs = []
         for i in ids:
-            outputs.append(_run_layout(config, i))
+            outputs[i] = _run_layout(config, i)
             if progress:
-                diag = outputs[-1][2]
-                note = ""
-                if diag["rpca_not_converged"]:
-                    note = f", {diag['rpca_not_converged']} solves not converged"
-                print(f"layout {i + 1}/{len(ids)} done "
-                      f"({diag['edges']} edges{note})")
+                print(_progress_line(i, len(ids), outputs[i][2]), flush=True)
     rate_records, edge_records, diags = [], [], []
     for rates, edges, diag in outputs:
         rate_records.extend(rates)

@@ -13,6 +13,35 @@ def make_support(indices, M, width=np.pi / 8):
                           width=width, num_antennas=M)
 
 
+def one_pair_support(ru, ue, area_side, delta, M):
+    """Reference: the support of one RU-UE pair, computed with scalars."""
+    disp = np.asarray(ue, dtype=float) - np.asarray(ru, dtype=float)
+    disp = (disp + area_side / 2.0) % area_side - area_side / 2.0
+    theta = float(np.arctan2(disp[1], disp[0])) % (2.0 * np.pi)
+    grid = 2.0 * np.pi * np.arange(M) / M
+    dist = np.abs(np.mod(grid - theta + np.pi, 2.0 * np.pi) - np.pi)
+    inside = dist <= delta / 2.0 + 1e-12
+    padded = False
+    if not inside.any():
+        inside[np.argmin(dist)] = True
+        padded = True
+    return np.nonzero(inside)[0], theta, padded
+
+
+def per_pair_draw(layout, supports, rng):
+    """Reference: one network draw, pair by pair in (l, k) order."""
+    L, K = layout.num_rus, layout.num_ues
+    M = supports[0][0].num_antennas
+    blocks = np.empty((L, K, M), dtype=complex)
+    for l in range(L):
+        for k in range(K):
+            r = supports[l][k].size
+            scaled = np.sqrt(layout.lsfc[l, k] * M / r) * _support_basis(supports[l][k])
+            nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
+            blocks[l, k] = scaled @ nu
+    return blocks
+
+
 class TestDftBasis:
     @pytest.mark.parametrize("M", [4, 8, 16, 64])
     def test_unitary(self, M):
@@ -89,6 +118,33 @@ class TestAngularSupport:
             angular_support((0, 0), (1, 0), 10.0, 0.0, 8)
         with pytest.raises(ValueError):
             angular_support((0, 0), (1, 0), 10.0, 7.0, 8)
+        layout = generate_layout(2, 3, 500.0, seed=0)
+        with pytest.raises(ValueError):
+            network_supports(layout, 7.0, 8)
+
+
+class TestNetworkSupports:
+    @pytest.mark.parametrize("M", [4, 8, 16, 64])
+    @pytest.mark.parametrize("delta", [0.01, np.pi / 8, np.pi / 3, 2 * np.pi])
+    def test_matches_one_pair_formula(self, M, delta):
+        padded = 0
+        for seed in range(4):
+            layout = generate_layout(5, 12, 800.0, seed=seed)
+            supports = network_supports(layout, delta, M)
+            for l in range(layout.num_rus):
+                for k in range(layout.num_ues):
+                    s = supports[l][k]
+                    indices, theta, pad = one_pair_support(
+                        layout.ru_positions[l], layout.ue_positions[k],
+                        layout.area_side, delta, M)
+                    assert s.indices.dtype == indices.dtype
+                    assert np.array_equal(s.indices, indices)
+                    assert s.center_angle == theta
+                    assert s.padded == pad
+                    assert (s.width, s.num_antennas) == (delta, M)
+                    padded += pad
+        if delta == 0.01:  # far narrower than the grid spacing
+            assert padded > 0
 
 
 class TestSampleChannel:
@@ -170,6 +226,24 @@ class TestNetworkSampling:
         assert real.blocks.shape == (3, 5, 4)
         assert real.matrix.shape == (12, 5)
         assert np.allclose(real.matrix[4:8, 2], real.blocks[1, 2])
+
+    @pytest.mark.parametrize("M", [8, 16, 64])
+    def test_batched_matches_per_pair_loop(self, M):
+        layout = generate_layout(4, 9, 500.0, seed=M)
+        rng = np.random.default_rng(M)
+        sizes = [1, 2, 3, 8]
+        supports = [[make_support(np.sort(rng.choice(M, size=sizes[(l + k) % 4],
+                                                     replace=False)), M)
+                     for k in range(layout.num_ues)]
+                    for l in range(layout.num_rus)]
+        sampler = NetworkChannelSampler(layout, supports)
+        batched, looped = np.random.default_rng(5), np.random.default_rng(5)
+        for d in range(3):
+            real = sampler.sample(batched, rb_index=d)
+            assert real.rb_index == d
+            assert real.blocks.tobytes() == per_pair_draw(layout, supports,
+                                                          looped).tobytes()
+            assert batched.bit_generator.state == looped.bit_generator.state
 
     def test_draws_uncorrelated(self):
         layout = generate_layout(1, 1, 500.0, seed=11)

@@ -27,6 +27,16 @@ class TestPilotBook:
         target = tau_p * snr * np.eye(tau_p)
         assert np.max(np.abs(gram - target)) < 1e-9 * tau_p * snr
 
+    def test_cached_read_only_and_exact(self):
+        tau_p, snr = 5, 12.5
+        book = pilot_book(tau_p, snr)
+        assert book is pilot_book(tau_p, snr)
+        with pytest.raises(ValueError):
+            book[0, 0] = 0.0
+        t = np.arange(tau_p)
+        unitary = np.exp(-2j * np.pi * np.outer(t, t) / tau_p) / np.sqrt(tau_p)
+        assert book.tobytes() == (np.sqrt(tau_p * snr) * unitary).tobytes()
+
 
 class TestDmrsField:
     def test_single_user_noiseless(self):

@@ -107,6 +107,16 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_config(kinds=("ideal", "pm"), workers=2))
         assert serial.rate_records == parallel.rate_records
 
+    def test_parallel_progress_lines(self, capsys):
+        settings = dict(kinds=("ideal",), n_layouts=3)
+        run_experiment(tiny_config(**settings), progress=True)
+        serial = capsys.readouterr().out.splitlines()
+        run_experiment(tiny_config(workers=2, **settings), progress=True)
+        parallel = capsys.readouterr().out.splitlines()
+        assert [line.split(" done")[0] for line in serial] == \
+            ["layout 1/3", "layout 2/3", "layout 3/3"]
+        assert sorted(parallel) == serial
+
 
 class TestWriteResults:
     def test_files_and_consistency(self, tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfsubspace.channel import network_supports
+from cfsubspace.channel import NetworkChannelSampler, _support_basis, network_supports
+from cfsubspace.dmrs import dmrs_field, pm_estimate, sp_estimate
 from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
                                  generate_layout)
 from cfsubspace.receiver import (cluster_combiner, ergodic_rates, local_lmmse,
@@ -99,6 +100,36 @@ class TestClusterCombiner:
         mask[4:8] = mask[12:16] = False
         assert np.all(comb.vector[mask] == 0)
         assert np.linalg.norm(comb.vector) == pytest.approx(1.0)
+
+
+class TestClusterCombinerEdgeCases:
+    def test_singular_system_retried_with_diagonal_load(self):
+        # with 1/snr = 0 and no interferers A = 0, which is singular
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v_local = random_unit_vectors(rng, 3, 4)
+        comb = cluster_combiner(a, np.zeros((3, 4), dtype=complex), np.inf, v_local,
+                                np.arange(3), 3)
+        assert np.allclose(comb.weights, a / np.linalg.norm(a), rtol=1e-12)
+        assert np.linalg.norm(comb.vector) == pytest.approx(1.0)
+
+    def test_weights_normalised_without_assembly(self):
+        # the scale comes from sum |w_l|^2 ||v_l||^2; a zero direction counts 0
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        G = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        v_local = random_unit_vectors(rng, 3, 4)
+        v_local[1] = 0.0
+        comb = cluster_combiner(a, G, 5.0, v_local, np.array([2, 0, 1]), 3)
+        w = np.linalg.solve(G @ G.conj().T + np.eye(3) / 5.0, a)
+        assert np.allclose(comb.weights, w / np.linalg.norm(w[[0, 2]]), rtol=1e-12)
+        assert np.linalg.norm(comb.vector) == pytest.approx(1.0, rel=1e-12)
+
+    def test_all_zero_directions_give_zero_combiner(self):
+        comb = cluster_combiner(np.zeros(2, dtype=complex), np.zeros((2, 3)), 4.0,
+                                np.zeros((2, 4), dtype=complex), np.array([0, 1]), 2)
+        assert np.all(comb.weights == 0) and np.all(comb.vector == 0)
+        assert uplink_sinr(comb.weights, np.ones((2, 3)), 4.0, 0) == 0.0
 
 
 class TestUplinkSinr:
@@ -221,3 +252,90 @@ class TestErgodicRates:
         with pytest.raises(ValueError):
             ergodic_rates(layout, graph, supports, snr, "pp", 1, 3, 200,
                           np.random.default_rng(0))
+
+
+def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
+                  subspaces):
+    """Reference SINRs: one cluster_combiner + uplink_sinr call per UE and draw,
+    on the same fading and pilot-noise streams as ergodic_rates."""
+    L, K = layout.num_rus, layout.num_ues
+    M = supports[0][0].num_antennas
+    sampler = NetworkChannelSampler(layout, supports)
+    sinr = {kind: np.full((n_fading, K), np.nan) for kind in kinds}
+    for d, draw_rng in enumerate(rng.spawn(n_fading)):
+        ch_rng, pilot_rng = draw_rng.spawn(2)
+        real = sampler.sample(ch_rng, rb_index=d)
+        pm = []
+        for l in range(L):
+            field = dmrs_field(real.blocks[l], graph.dmrs_pilot, tau_p, snr, pilot_rng)
+            pm.append([pm_estimate(field, graph.dmrs_pilot[k], pair=(l, k))
+                       for k in graph.user_sets[l]])
+        for kind in kinds:
+            est = []
+            for l, users in enumerate(graph.user_sets):
+                if kind == "ideal":
+                    cols = [real.blocks[l, k] for k in users]
+                elif kind == "pm":
+                    cols = [e.vector for e in pm[l]]
+                else:
+                    cols = [sp_estimate(e, _support_basis(supports[l][k]) if kind == "sp"
+                                        else subspaces[(l, int(k))]).vector
+                            for e, k in zip(pm[l], users)]
+                est.append(np.array(cols, dtype=complex).reshape(len(users), M).T)
+            for k in range(K):
+                cluster = graph.clusters[k]
+                if len(cluster) == 0:
+                    continue
+                G = np.zeros((len(cluster), K), dtype=complex)
+                local = np.empty((len(cluster), M), dtype=complex)
+                for ci, l in enumerate(cluster):
+                    users = graph.user_sets[l]
+                    i = int(np.flatnonzero(users == k)[0])
+                    local[ci] = local_lmmse(est[l].T, snr, i)
+                    G[ci, users] = local[ci].conj() @ est[l]
+                known = np.flatnonzero(np.any(G != 0, axis=0))
+                comb = cluster_combiner(G[:, k], G[:, known[known != k]], snr, local,
+                                        cluster, L)
+                sinr[kind][d, k] = uplink_sinr(comb.vector, real.matrix, snr, k)
+    return sinr
+
+
+class TestBatchedReceiver:
+    def test_matches_per_ue_oracle(self):
+        L, K, M, tau_p = 4, 9, 8, 3
+        layout = generate_layout(L, K, 500.0, seed=4)
+        snr = calibrate_snr(L, M, 500.0)
+        layout.lsfc[:, 2] = 1e-30                      # orphan UE 2
+        lone = int(np.argmax(layout.lsfc[:, 4]))
+        layout.lsfc[np.arange(L) != lone, 4] = 1e-30   # UE 4: one serving RU
+        graph = form_clusters(layout.lsfc, snr, M, Q=3)
+        graph.dmrs_pilot = assign_dmrs(graph, layout.lsfc, tau_p)
+        supports = network_supports(layout, np.pi / 4, M)
+        rng = np.random.default_rng(13)
+        subspaces = {}
+        for l, k in graph.edges:
+            r = 1 + (l + k) % 3
+            q, _ = np.linalg.qr(rng.standard_normal((M, r))
+                                + 1j * rng.standard_normal((M, r)))
+            subspaces[(l, k)] = q
+        blind = 6                                      # UE 6: every pp direction zero
+        for l in graph.clusters[blind]:
+            subspaces[(int(l), blind)] = np.zeros((M, 1), dtype=complex)
+        assert graph.orphan_ues.tolist() == [2]
+        assert len(graph.clusters[4]) == 1
+        assert len(graph.clusters[blind]) > 1
+        assert max(len(c) for c in graph.clusters) == 3
+
+        kinds = ["ideal", "sp", "pp", "pm"]
+        reps = ergodic_rates(layout, graph, supports, snr, kinds, 3, tau_p, 200,
+                             np.random.default_rng(14), subspaces=subspaces)
+        oracle = per_ue_oracle(layout, graph, supports, snr, kinds, 3, tau_p,
+                               np.random.default_rng(14), subspaces)
+        for kind in kinds:
+            got = reps[kind].sinr_samples
+            np.testing.assert_allclose(got, oracle[kind], rtol=1e-10, atol=0)
+            assert np.all(np.isnan(got[:, 2]))
+            assert np.all(np.isfinite(np.delete(got, 2, axis=1)))
+        assert np.all(reps["pp"].sinr_samples[:, blind] == 0.0)
+        assert np.all(reps["ideal"].sinr_samples[:, blind] > 0.0)
+        assert reps["pp"].rate[blind] == 0.0
