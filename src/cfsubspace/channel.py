@@ -7,25 +7,32 @@ combinations of the selected DFT columns, scaled so the expected squared norm
 equals beta * M.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 
-@dataclass
-class DftBasis:
-    """M x M unitary DFT matrix, entries exp(-2j pi m n / M) / sqrt(M)."""
+@lru_cache(maxsize=8)
+def dft_matrix(M: int) -> np.ndarray:
+    """M x M unitary DFT matrix, entries exp(-2j pi m n / M) / sqrt(M).
 
-    M: int
-    matrix: np.ndarray = field(init=False)
+    Built once per M and shared read-only.
+    """
+    m = np.arange(M)
+    matrix = np.exp(-2j * np.pi * np.outer(m, m) / M) / np.sqrt(M)
+    matrix.flags.writeable = False
+    return matrix
 
-    def __post_init__(self):
-        m = np.arange(self.M)
-        self.matrix = np.exp(-2j * np.pi * np.outer(m, m) / self.M) / np.sqrt(self.M)
 
-    def columns(self, indices) -> np.ndarray:
-        return self.matrix[:, np.asarray(indices, dtype=int)]
+def dft_columns(M: int, indices) -> np.ndarray:
+    """Columns ``indices`` of :func:`dft_matrix` as a fresh C-ordered array.
+
+    ``take`` returns C order; a fancy-indexed column slice would come out
+    Fortran-ordered, and BLAS may then sum the products made with it in
+    another order, which moves the last bits of most results.
+    """
+    return dft_matrix(M).take(np.asarray(indices, dtype=int), axis=1)
 
 
 @dataclass
@@ -41,20 +48,6 @@ class AngularSupport:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-
-@dataclass
-class ChannelRealization:
-    """Block-fading channel blocks for one resource block."""
-
-    blocks: np.ndarray  # (L, K, M) complex, h[l, k]
-    rb_index: int = 0
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Stacked (L*M, K) channel matrix."""
-        L, K, M = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1).reshape(L * M, K)
 
 
 def _wrap_angle_distance(x):
@@ -103,25 +96,6 @@ def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
     return _ru_supports(ru_pos, ue, area_side, delta, M)[0]
 
 
-@lru_cache(maxsize=8)
-def _dft_matrix(M: int) -> np.ndarray:
-    """DftBasis(M).matrix, built once per M and shared read-only."""
-    matrix = DftBasis(M).matrix
-    matrix.flags.writeable = False
-    return matrix
-
-
-def _support_basis(support: AngularSupport) -> np.ndarray:
-    """The support's DFT columns F_S as a fresh C-ordered (M, |S|) array.
-
-    ``take`` returns C order; a fancy-indexed column slice would come out
-    Fortran-ordered, and BLAS may then sum the products made with it in
-    another order, which moves the last bits of most channel draws.
-    """
-    indices = np.asarray(support.indices, dtype=int)
-    return _dft_matrix(support.num_antennas).take(indices, axis=1)
-
-
 def sample_channel(support: AngularSupport, beta: float,
                    rng: np.random.Generator) -> np.ndarray:
     """One channel vector draw: sqrt(beta*M/|S|) * F_S @ nu, nu ~ CN(0, I)."""
@@ -130,13 +104,14 @@ def sample_channel(support: AngularSupport, beta: float,
     r = support.size
     if r < 1:
         raise ValueError("support must contain at least one index")
+    M = support.num_antennas
     nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
-    return np.sqrt(beta * support.num_antennas / r) * (_support_basis(support) @ nu)
+    return np.sqrt(beta * M / r) * (dft_columns(M, support.indices) @ nu)
 
 
 def true_covariance(support: AngularSupport, beta: float) -> np.ndarray:
     """Exact channel covariance (beta*M/|S|) F_S F_S^H; trace = beta*M."""
-    Fs = _support_basis(support)
+    Fs = dft_columns(support.num_antennas, support.indices)
     return beta * support.num_antennas / support.size * (Fs @ Fs.conj().T)
 
 
@@ -169,30 +144,24 @@ class NetworkChannelSampler:
         sizes = np.array([s.size for s in flat])
         starts = np.cumsum(2 * sizes) - 2 * sizes
         self._normals = int(2 * sizes.sum())
-        F = _dft_matrix(self.M)
+        F = dft_matrix(self.M)
         lsfc = np.asarray(layout.lsfc, dtype=float).ravel()
         self._groups = []
         for r in np.unique(sizes).tolist():
             pairs = np.flatnonzero(sizes == r)
             indices = np.array([flat[p].indices for p in pairs], dtype=int)
-            # (n, M, r) stack; each (M, r) slice is C-ordered like _support_basis
+            # (n, M, r) stack; each (M, r) slice is C-ordered like dft_columns
             scaled = F[np.arange(self.M)[:, None], indices[:, None, :]]
             scaled *= np.sqrt(lsfc[pairs] * self.M / r)[:, None, None]
             at = starts[pairs, None] + np.arange(r)
             self._groups.append((pairs, at, scaled))
 
-    def sample(self, rng: np.random.Generator, rb_index: int = 0) -> ChannelRealization:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One block-fading draw of every channel: (L, K, M), h[l, k]."""
         z = rng.standard_normal(self._normals)
         blocks = np.empty((self.L * self.K, self.M), dtype=complex)
         for pairs, at, scaled in self._groups:
             r = scaled.shape[2]
             nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
             blocks[pairs] = np.matmul(scaled, nu[:, :, None])[:, :, 0]
-        return ChannelRealization(blocks=blocks.reshape(self.L, self.K, self.M),
-                                  rb_index=rb_index)
-
-
-def sample_network_channel(layout, supports, rng: np.random.Generator,
-                           rb_index: int = 0) -> ChannelRealization:
-    """Independent block-fading draw of every RU-UE channel in the network."""
-    return NetworkChannelSampler(layout, supports).sample(rng, rb_index)
+        return blocks.reshape(self.L, self.K, self.M)

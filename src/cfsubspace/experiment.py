@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import DftBasis, network_supports
+from .channel import network_supports
 from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters, \
     generate_layout
 from .hopping import allocate_squares, build_schedule, mols_family, _is_prime
@@ -45,7 +45,6 @@ class ExperimentConfig:
     S: int | None = None        # SRS sequence length; defaults to N
     lam: float = 0.25
     cell_radius: float | None = None
-    strong_threshold: float = 1.0
     # per-edge empirical lambda adjustment; without it, observations whose
     # columns are all noise-dominated collapse to an empty low-rank part
     tune_lambda: bool = True
@@ -128,12 +127,24 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _section(name: str, value, cls):
+    """A nested config section (``pathloss``, ``solver``) from its dict form."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {name!r} must be an object, "
+                         f"not {type(value).__name__}")
+    unknown = set(value) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys in {name!r}: {sorted(unknown)}")
+    return cls(**value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    if "pathloss" in data and isinstance(data["pathloss"], dict):
-        data["pathloss"] = PathlossParams(**data["pathloss"])
-    if "solver" in data and isinstance(data["solver"], dict):
-        data["solver"] = RpcaParams(**data["solver"])
+    for name, cls in (("pathloss", PathlossParams), ("solver", RpcaParams)):
+        if name in data:
+            data[name] = _section(name, data[name], cls)
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
@@ -172,18 +183,16 @@ def _run_layout(config: ExperimentConfig, layout_id: int):
         family = mols_family(config.N)
         assignment = allocate_squares(layout, family, config.cell_radius)
         schedule = build_schedule(assignment, family, config.S)
-        dft = DftBasis(config.M)
         subspaces = {}
         for l, k in sorted(graph.edges):
             rng = stage_rng(config.seed, "srs", layout_id, l, k)
-            obs = collect_srs(schedule, layout, supports, (l, k), snr, rng,
-                              config.strong_threshold)
+            Y = collect_srs(schedule, layout, supports, (l, k), snr, rng)
             if config.tune_lambda:
-                res = outlier_pursuit_tuned(obs.matrix, config.lam, config.solver)
+                res = outlier_pursuit_tuned(Y, config.lam, config.solver)
             else:
-                res = outlier_pursuit(obs.matrix, config.lam, config.solver)
+                res = outlier_pursuit(Y, config.lam, config.solver)
             not_converged += not res.converged
-            pca, pp = subspace_estimates(res.low_rank, dft)
+            pca, pp = subspace_estimates(res.low_rank)
             beta = layout.lsfc[l, k]
             edge_records.append(EdgeRecord(
                 layout=layout_id, ru=l, ue=k,

@@ -222,17 +222,16 @@ def assign_dmrs(graph: AssociationGraph, lsfc: np.ndarray, tau_p: int) -> np.nda
         member[l, users] = True
     order = np.argsort(-lsfc.max(axis=0), kind="stable")
     pilots = np.full(K, -1, dtype=int)
-    pilot_users: list[list[int]] = [[] for _ in range(tau_p)]
+    load = np.zeros(tau_p, dtype=int)
     for k in order:
         rus = graph.clusters[k]
+        # per pilot: the worst gain its users present at this cluster
+        worst = np.zeros(tau_p)
         if len(rus) > 0:
-            # strongest in-graph gain each other UE presents at this cluster
             seen = (lsfc[rus] * member[rus]).max(axis=0)
-        else:
-            seen = np.zeros(K)
-        t_k = min(range(tau_p),
-                  key=lambda t: (max((seen[i] for i in pilot_users[t]), default=0.0),
-                                 len(pilot_users[t]), t))
+            done = pilots >= 0
+            np.maximum.at(worst, pilots[done], seen[done])
+        t_k = np.lexsort((np.arange(tau_p), load, worst))[0]
         pilots[k] = t_k
-        pilot_users[t_k].append(int(k))
+        load[t_k] += 1
     return pilots

@@ -23,11 +23,10 @@ class LatinSquare:
 
 @dataclass
 class SquareAssignment:
-    """Per-UE (square, symbol) allocation plus the hex cell it came from."""
+    """Per-UE (square, symbol) allocation."""
 
     square_id: np.ndarray  # (K,) index into the MOLS family
     symbol_id: np.ndarray  # (K,) in 1..N
-    cell_axial: np.ndarray  # (K, 2) axial coordinates of the UE's hex cell
 
 
 @dataclass
@@ -154,15 +153,12 @@ def allocate_squares(layout: Layout, family: list,
     cell_of = np.argmin(d, axis=1)
     square_id = np.empty(K, dtype=int)
     symbol_id = np.empty(K, dtype=int)
-    cell_axial = np.empty((K, 2), dtype=int)
     for c in np.unique(cell_of):
         members = np.nonzero(cell_of == c)[0]
         sq = reuse_color(int(axial[c, 0]), int(axial[c, 1]), len(family)) % len(family)
         square_id[members] = sq
         symbol_id[members] = np.arange(len(members)) % N + 1
-        cell_axial[members] = axial[c]
-    return SquareAssignment(square_id=square_id, symbol_id=symbol_id,
-                            cell_axial=cell_axial)
+    return SquareAssignment(square_id=square_id, symbol_id=symbol_id)
 
 
 def build_schedule(assignment: SquareAssignment, family: list, S: int) -> SrsSchedule:

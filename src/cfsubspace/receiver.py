@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import NetworkChannelSampler, _support_basis
+from .channel import NetworkChannelSampler, dft_columns
 from .dmrs import dmrs_field, pilot_book
 
 ESTIMATOR_KINDS = ("ideal", "sp", "pp", "pm")
@@ -160,7 +160,8 @@ def _projection_groups(edges: _EdgeLayout, supports, subspaces, kind):
     for l, i in zip(ru.tolist(), col.tolist()):
         k = int(edges.users[l, i])
         if kind == "sp":
-            bases.append(_support_basis(supports[l][k]))
+            s = supports[l][k]
+            bases.append(dft_columns(s.num_antennas, s.indices))
         else:  # "pp"
             est = subspaces[(l, k)]
             bases.append(est.basis if hasattr(est, "basis") else est)
@@ -255,10 +256,10 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
     sinr = {kind: np.full((n_fading, K), np.nan) for kind in kind_list}
     for d, draw_rng in enumerate(rng.spawn(n_fading)):
         ch_rng, pilot_rng = draw_rng.spawn(2)
-        blocks = sampler.sample(ch_rng, rb_index=d).blocks
+        blocks = sampler.sample(ch_rng)
         if need_dmrs:
             fields = np.array([dmrs_field(blocks[l], graph.dmrs_pilot, tau_p, snr,
-                                          pilot_rng).matrix for l in range(L)])
+                                          pilot_rng) for l in range(L)])
             pm = pm_scale * (fields @ pilots)
         for kind in kind_list:
             if kind == "ideal":

@@ -17,24 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import DftBasis, _support_basis, sample_channel
+from .channel import dft_columns, dft_matrix, sample_channel
 
-
-@dataclass
-class SrsObservation:
-    """Stacked SRS pilot observations for one RU-UE pair.
-
-    Column s holds the desired channel draw plus every collider active in slot
-    s plus noise. The strong/weak collider split (by received power relative
-    to the noise floor) is diagnostic ground truth only; the estimator never
-    sees it.
-    """
-
-    matrix: np.ndarray  # (M, S) complex
-    pair: tuple         # (l, k)
-    colliders: list     # per slot: np.ndarray of colliding UE ids
-    strong: list        # per slot: colliders with beta*M*snr >= threshold
-    weak: list          # per slot: remaining colliders
+# the adaptive penalty doubles or halves rho when one ADMM residual exceeds
+# the other by this factor (primal-dual residual balancing)
+_RESIDUAL_RATIO = 10.0
 
 
 @dataclass
@@ -43,9 +30,7 @@ class RpcaParams:
 
     max_iter: int = 500
     tol: float = 1e-6
-    rho: float = 1.0
-    adaptive_rho: bool = True   # x2 / /2 primal-dual residual balancing
-    residual_ratio: float = 10.0
+    rho: float = 1.0            # initial penalty, then residual-balanced
 
 
 @dataclass
@@ -90,32 +75,24 @@ class SubspaceEstimate:
 
 
 def collect_srs(schedule, layout, supports, pair, snr: float,
-                rng: np.random.Generator, strong_threshold: float = 1.0) -> SrsObservation:
-    """Simulate the SRS measurements an RU collects for one associated UE.
+                rng: np.random.Generator) -> np.ndarray:
+    """Simulate the (M, S) SRS observation an RU collects for one of its UEs.
 
-    Every slot draws fresh channels (slots live in different fading blocks)
-    for the desired UE and all its colliders, plus CN(0, 1/snr) noise per
-    antenna. Colliders are split into strong and weak by
-    beta * M * snr >= strong_threshold, for diagnostics only.
+    Column s holds the desired channel draw plus every collider active in slot
+    s plus CN(0, 1/snr) noise per antenna. Every slot draws fresh channels
+    (slots live in different fading blocks).
     """
     l, k = pair
     M = supports[l][k].num_antennas
     S = schedule.S
     Y = np.empty((M, S), dtype=complex)
-    colliders, strong, weak = [], [], []
     for s in range(S):
         col = sample_channel(supports[l][k], layout.lsfc[l, k], rng)
-        hit = schedule.colliders(k, s)
-        for i in hit:
+        for i in schedule.colliders(k, s):
             col = col + sample_channel(supports[l][i], layout.lsfc[l, i], rng)
         noise = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * snr)
         Y[:, s] = col + noise
-        is_strong = layout.lsfc[l, hit] * M * snr >= strong_threshold
-        colliders.append(hit)
-        strong.append(hit[is_strong])
-        weak.append(hit[~is_strong])
-    return SrsObservation(matrix=Y, pair=(l, k), colliders=colliders,
-                          strong=strong, weak=weak)
+    return Y
 
 
 def _fro(x: np.ndarray):
@@ -190,15 +167,14 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
         if change / max(1.0, norm_y) < params.tol:
             converged = True
             break
-        if params.adaptive_rho:
-            r_norm = _fro(R)
-            d_norm = rho * e_change
-            if r_norm > params.residual_ratio * d_norm:
-                rho *= 2.0
-                U /= 2.0
-            elif d_norm > params.residual_ratio * r_norm:
-                rho /= 2.0
-                U *= 2.0
+        r_norm = _fro(R)
+        d_norm = rho * e_change
+        if r_norm > _RESIDUAL_RATIO * d_norm:
+            rho *= 2.0
+            U /= 2.0
+        elif d_norm > _RESIDUAL_RATIO * r_norm:
+            rho /= 2.0
+            U *= 2.0
     return H, E, iterations, converged
 
 
@@ -254,20 +230,20 @@ def select_rank(singular_values, r_max: int) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def dft_project(basis: np.ndarray, dft: DftBasis) -> np.ndarray:
+def dft_project(basis: np.ndarray) -> np.ndarray:
     """Greedy DFT column selection maximizing f^H (B B^H) f, one per rank.
 
     The scores of distinct columns do not interact, so the greedy loop reduces
     to picking the top-r scores; ties resolve to the lowest column index.
     Returns the sorted index set.
     """
-    r = basis.shape[1]
-    if r > dft.M:
+    M, r = basis.shape
+    if r > M:
         raise ValueError("rank exceeds the number of DFT columns")
-    proj = basis.conj().T @ dft.matrix            # (r, M)
+    proj = basis.conj().T @ dft_matrix(M)         # (r, M)
     scores = np.real(np.sum(np.abs(proj) ** 2, axis=0))
     chosen = []
-    avail = np.ones(dft.M, dtype=bool)
+    avail = np.ones(M, dtype=bool)
     for _ in range(r):
         masked = np.where(avail, scores, -np.inf)
         pick = int(np.argmax(masked))             # argmax takes the first max
@@ -294,14 +270,13 @@ def power_efficiency(support, beta: float, estimate: SubspaceEstimate) -> float:
     ||B^H F_S||_F^2 / r for these projector-type covariances. Always in [0, 1];
     equals 1 exactly when the estimate spans the true support with r = |S|.
     """
-    Fs = _support_basis(support)
+    Fs = dft_columns(support.num_antennas, support.indices)
     cross = estimate.basis.conj().T @ Fs
     pe = np.linalg.norm(cross) ** 2 / estimate.rank
     return float(min(max(pe, 0.0), 1.0))
 
 
-def subspace_estimates(low_rank: np.ndarray, dft: DftBasis,
-                       r_max: int | None = None):
+def subspace_estimates(low_rank: np.ndarray, r_max: int | None = None):
     """Rank-select the recovered low-rank part and build both estimates.
 
     The gap search is confined to the first floor(min(M, S)/2) indices; the
@@ -314,7 +289,7 @@ def subspace_estimates(low_rank: np.ndarray, dft: DftBasis,
     W, sv, _ = np.linalg.svd(low_rank, full_matrices=False)
     r = select_rank(sv, r_max)
     pca = SubspaceEstimate(basis=W[:, :r], rank=r, kind="pca")
-    idx = dft_project(pca.basis, dft)
-    pp = SubspaceEstimate(basis=dft.columns(idx), rank=r, kind="pp",
+    idx = dft_project(pca.basis)
+    pp = SubspaceEstimate(basis=dft_columns(M, idx), rank=r, kind="pp",
                           dft_indices=idx)
     return pca, pp

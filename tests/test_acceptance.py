@@ -10,8 +10,8 @@ import filecmp
 import numpy as np
 import pytest
 
-from cfsubspace.channel import (AngularSupport, DftBasis, sample_channel,
-                                true_covariance)
+from cfsubspace.channel import (AngularSupport, dft_columns, dft_matrix,
+                                sample_channel, true_covariance)
 from cfsubspace.dmrs import contamination_covariance
 from cfsubspace.experiment import ExperimentConfig, run_experiment, write_results
 from cfsubspace.hopping import (LatinSquare, are_orthogonal, build_schedule,
@@ -85,13 +85,13 @@ def test_criterion_02_collision_law():
 
 def test_criterion_03_channel_statistics():
     for M in (8, 16, 64):
-        F = DftBasis(M).matrix
+        F = dft_matrix(M)
         assert np.max(np.abs(F.conj().T @ F - np.eye(M))) < 1e-12
     M, beta, n = 16, 2.6e-9, 100000
     support = make_support([2, 3, 4], M)
     rng = np.random.default_rng(30)
     r = support.size
-    scaled = np.sqrt(beta * M / r) * DftBasis(M).columns(support.indices)
+    scaled = np.sqrt(beta * M / r) * dft_columns(M, support.indices)
     nu = (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))) / np.sqrt(2)
     H = scaled @ nu
     emp = H @ H.conj().T / n
@@ -104,21 +104,20 @@ def test_criterion_03_channel_statistics():
 
 def test_criterion_04_contamination_covariance():
     M = 16
-    dft = DftBasis(M)
     desired = make_support([1, 2, 3], M)
-    basis_k = dft.columns(desired.indices)
+    basis_k = dft_columns(M, desired.indices)
     P = basis_k @ basis_k.conj().T
     copilot_supports = [make_support([2, 3, 4], M), make_support([0, 15], M)]
     betas = [2.0e-9, 0.7e-9]
     target = contamination_covariance(
-        basis_k, [(dft.columns(s.indices), b)
+        basis_k, [(dft_columns(M, s.indices), b)
                   for s, b in zip(copilot_supports, betas)])
     rng = np.random.default_rng(40)
     n = 100000
     draws = np.zeros((M, n), dtype=complex)
     for s, b in zip(copilot_supports, betas):
         r = s.size
-        scaled = np.sqrt(b * M / r) * dft.columns(s.indices)
+        scaled = np.sqrt(b * M / r) * dft_columns(M, s.indices)
         nu = (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))) / np.sqrt(2)
         draws += scaled @ nu
     proj = P @ draws
@@ -127,7 +126,7 @@ def test_criterion_04_contamination_covariance():
     assert rel < 0.05
     # disjoint supports: exact zero, both analytically and per draw
     disjoint = contamination_covariance(
-        basis_k, [(dft.columns([5, 6]), 1.0e-9), (dft.columns([9]), 3.0e-9)])
+        basis_k, [(dft_columns(M, [5, 6]), 1.0e-9), (dft_columns(M, [9]), 3.0e-9)])
     assert np.max(np.abs(disjoint)) < 1e-10
     h = sample_channel(make_support([5, 6], M), 1.0e-9, rng)
     assert np.linalg.norm(P @ h) < 1e-10 * np.linalg.norm(h)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from cfsubspace.channel import (AngularSupport, DftBasis, NetworkChannelSampler,
-                                _dft_matrix, _support_basis, angular_support,
-                                network_supports, sample_channel,
-                                sample_network_channel, true_covariance)
+from cfsubspace.channel import (AngularSupport, NetworkChannelSampler,
+                                angular_support, dft_columns, dft_matrix,
+                                network_supports, sample_channel, true_covariance)
 from cfsubspace.geometry import generate_layout
 
 
@@ -36,7 +35,8 @@ def per_pair_draw(layout, supports, rng):
     for l in range(L):
         for k in range(K):
             r = supports[l][k].size
-            scaled = np.sqrt(layout.lsfc[l, k] * M / r) * _support_basis(supports[l][k])
+            scaled = np.sqrt(layout.lsfc[l, k] * M / r) * dft_columns(
+                M, supports[l][k].indices)
             nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
             blocks[l, k] = scaled @ nu
     return blocks
@@ -45,11 +45,11 @@ def per_pair_draw(layout, supports, rng):
 class TestDftBasis:
     @pytest.mark.parametrize("M", [4, 8, 16, 64])
     def test_unitary(self, M):
-        F = DftBasis(M).matrix
+        F = dft_matrix(M)
         assert np.max(np.abs(F.conj().T @ F - np.eye(M))) < 1e-12
 
     def test_entry_formula(self):
-        F = DftBasis(4).matrix
+        F = dft_matrix(4)
         assert F[1, 1] == pytest.approx(np.exp(-2j * np.pi / 4) / 2)
 
 
@@ -60,21 +60,23 @@ class TestSupportBasis:
         m = np.arange(M)
         for size in (1, 2, M // 2, M):
             idx = np.sort(rng.choice(M, size=size, replace=False))
-            basis = _support_basis(make_support(idx, M))
+            basis = dft_columns(M, idx)
             assert basis.flags.c_contiguous and basis.flags.writeable
-            assert basis.tobytes() == DftBasis(M).columns(idx).tobytes()
+            assert basis.tobytes() == dft_matrix(M).take(idx, axis=1).tobytes()
             # reference: the closed-form entries exp(-2j pi m n / M) / sqrt(M)
             formula = np.exp(-2j * np.pi * np.outer(m, idx) / M) / np.sqrt(M)
             assert basis.tobytes() == formula.tobytes()
 
     def test_cached_matrix_is_read_only(self):
-        F = _dft_matrix(8)
-        assert F is _dft_matrix(8)
+        F = dft_matrix(8)
+        assert F is dft_matrix(8)
         with pytest.raises(ValueError):
             F[0, 0] = 0.0
-        basis = _support_basis(make_support([0, 3], 8))
+        basis = dft_columns(8, [0, 3])
         basis[:] = 0.0  # a copy: the cached matrix is untouched
-        assert F.tobytes() == DftBasis(8).matrix.tobytes()
+        m = np.arange(8)
+        assert F.tobytes() == (np.exp(-2j * np.pi * np.outer(m, m) / 8)
+                               / np.sqrt(8)).tobytes()
 
 
 class TestAngularSupport:
@@ -151,7 +153,7 @@ class TestSampleChannel:
     def test_lies_in_span(self):
         rng = np.random.default_rng(0)
         M = 16
-        F = DftBasis(M).matrix
+        F = dft_matrix(M)
         s = make_support([2, 3, 4], M)
         Fs = F[:, s.indices]
         P_perp = np.eye(M) - Fs @ Fs.conj().T
@@ -215,17 +217,19 @@ class TestNetworkSampling:
         supports = network_supports(layout, np.pi / 8, 8)
         direct = sample_channel(supports[0][0], layout.lsfc[0, 0],
                                 np.random.default_rng(123))
-        network = sample_network_channel(layout, supports,
-                                         np.random.default_rng(123))
-        assert np.allclose(network.blocks[0, 0], direct)
+        blocks = NetworkChannelSampler(layout, supports).sample(
+            np.random.default_rng(123))
+        assert np.allclose(blocks[0, 0], direct)
 
-    def test_flattened_shape(self):
+    def test_sample_returns_blocks(self):
         layout = generate_layout(3, 5, 500.0, seed=10)
         supports = network_supports(layout, np.pi / 8, 4)
-        real = sample_network_channel(layout, supports, np.random.default_rng(0))
-        assert real.blocks.shape == (3, 5, 4)
-        assert real.matrix.shape == (12, 5)
-        assert np.allclose(real.matrix[4:8, 2], real.blocks[1, 2])
+        sampler = NetworkChannelSampler(layout, supports)
+        blocks = sampler.sample(np.random.default_rng(0))
+        assert blocks.shape == (3, 5, 4) and blocks.dtype == complex
+        assert blocks.flags.c_contiguous
+        again = sampler.sample(np.random.default_rng(0))
+        assert again is not blocks and again.tobytes() == blocks.tobytes()
 
     @pytest.mark.parametrize("M", [8, 16, 64])
     def test_batched_matches_per_pair_loop(self, M):
@@ -238,11 +242,10 @@ class TestNetworkSampling:
                     for l in range(layout.num_rus)]
         sampler = NetworkChannelSampler(layout, supports)
         batched, looped = np.random.default_rng(5), np.random.default_rng(5)
-        for d in range(3):
-            real = sampler.sample(batched, rb_index=d)
-            assert real.rb_index == d
-            assert real.blocks.tobytes() == per_pair_draw(layout, supports,
-                                                          looped).tobytes()
+        for _ in range(3):
+            blocks = sampler.sample(batched)
+            assert blocks.tobytes() == per_pair_draw(layout, supports,
+                                                     looped).tobytes()
             assert batched.bit_generator.state == looped.bit_generator.state
 
     def test_draws_uncorrelated(self):
@@ -251,8 +254,7 @@ class TestNetworkSampling:
         sampler = NetworkChannelSampler(layout, supports)
         rng = np.random.default_rng(12)
         n = 10000
-        series = np.array([sampler.sample(rng, rb_index=i).blocks[0, 0, 0]
-                           for i in range(n)])
+        series = np.array([sampler.sample(rng)[0, 0, 0] for _ in range(n)])
         x, y = series.real[:-1], series.real[1:]
         rho = np.corrcoef(x, y)[0, 1]
         assert abs(rho) < 0.05

@@ -8,6 +8,8 @@ from cfsubspace.cli import main as cli_main
 from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
                                    write_results)
+from cfsubspace.geometry import PathlossParams
+from cfsubspace.rpca import RpcaParams
 
 
 def tiny_config(**overrides):
@@ -47,6 +49,12 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"LL": 4})
+
+    def test_nested_sections_from_dicts(self):
+        cfg = config_from_dict({"solver": {"max_iter": 50},
+                                "pathloss": {"shadowing_std_db": 4.0}})
+        assert cfg.solver == RpcaParams(max_iter=50)
+        assert cfg.pathloss == PathlossParams(shadowing_std_db=4.0)
 
     def test_load_config_precedence(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -188,6 +196,27 @@ class TestCli:
         code = cli_main(["--config", str(cfg_path), "--N", "20",
                          "--out", str(tmp_path / "x")])
         assert code == 2  # the override (invalid) took precedence
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"solver": {"bogus": 1}}, "bogus"),
+        ({"pathloss": {"bogus": 1}}, "bogus"),
+        ({"solver": [1]}, "solver"),
+        ({"pathloss": None}, "pathloss"),
+        ({"strong_threshold": 1.0}, "strong_threshold"),
+        ({"solver": {"max_iter": 50, "adaptive_rho": True}}, "adaptive_rho"),
+    ])
+    def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(entry))
+        # reduced flags keep a run short should a bad entry ever get through
+        code = cli_main(["--config", str(cfg_path), "--L", "3", "--M", "4",
+                         "--K", "5", "--N", "5", "--tau-p", "3", "--area", "600",
+                         "--layouts", "1", "--fading", "1", "--kinds", "pp",
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["--config", str(tmp_path / "absent.json")])

@@ -176,6 +176,25 @@ class TestFormClusters:
         assert sum(len(u) for u in graph.user_sets) == n_edges
 
 
+def greedy_dmrs_reference(graph, lsfc, tau_p):
+    """Reference: score every candidate pilot by a scan over its users."""
+    L, K = lsfc.shape
+    member = np.zeros((L, K), dtype=bool)
+    for l, users in enumerate(graph.user_sets):
+        member[l, users] = True
+    pilots = np.full(K, -1, dtype=int)
+    pilot_users = [[] for _ in range(tau_p)]
+    for k in np.argsort(-lsfc.max(axis=0), kind="stable"):
+        rus = graph.clusters[k]
+        seen = (lsfc[rus] * member[rus]).max(axis=0) if len(rus) else np.zeros(K)
+        t_k = min(range(tau_p),
+                  key=lambda t: (max((seen[i] for i in pilot_users[t]), default=0.0),
+                                 len(pilot_users[t]), t))
+        pilots[k] = t_k
+        pilot_users[t_k].append(int(k))
+    return pilots
+
+
 class TestAssignDmrs:
     def _graph_for(self, lsfc, snr, M, Q):
         return form_clusters(lsfc, snr, M, Q, eta=1.0)
@@ -217,6 +236,40 @@ class TestAssignDmrs:
         pilots = assign_dmrs(graph, layout.lsfc, tau_p=15)
         assert np.all(pilots >= 0) and np.all(pilots < 15)
         assert set(pilots.tolist()) == set(range(15))
+
+    @pytest.mark.parametrize("L,K,tau_p", [(6, 12, 3), (10, 25, 5), (20, 50, 7),
+                                           (40, 100, 15)])
+    def test_matches_reference_greedy(self, L, K, tau_p):
+        # a high association threshold leaves some UEs without a cluster
+        orphans = 0
+        for seed in range(4):
+            layout = generate_layout(L, K, 2000.0, seed=seed)
+            snr = calibrate_snr(L, 8, 2000.0)
+            for eta in (1.0, 30.0):
+                graph = form_clusters(layout.lsfc, snr, 8, 4, eta=eta)
+                orphans += len(graph.orphan_ues)
+                got = assign_dmrs(graph, layout.lsfc, tau_p)
+                want = greedy_dmrs_reference(graph, layout.lsfc, tau_p)
+                assert np.array_equal(got, want)
+        assert orphans > 0
+
+    def test_ties_match_reference_greedy(self):
+        # gains on a coarse grid tie often; an all-orphan drop ties everywhere
+        rng = np.random.default_rng(3)
+        M, snr = 4, 10.0
+        thr = 1.0 / (M * snr)
+        for tau_p in (1, 2, 3, 5):
+            lsfc = rng.integers(0, 3, size=(5, 14)) * thr + 0.5 * thr
+            for Q in (1, 2, 5):
+                graph = self._graph_for(lsfc, snr, M, Q)
+                assert np.array_equal(assign_dmrs(graph, lsfc, tau_p),
+                                      greedy_dmrs_reference(graph, lsfc, tau_p))
+        lsfc = np.full((3, 7), 0.5 * thr)
+        graph = self._graph_for(lsfc, snr, M, 2)
+        assert len(graph.orphan_ues) == 7
+        pilots = assign_dmrs(graph, lsfc, tau_p=3)
+        assert pilots.tolist() == [0, 1, 2, 0, 1, 2, 0]
+        assert np.array_equal(pilots, greedy_dmrs_reference(graph, lsfc, 3))
 
     def test_rejects_bad_tau(self):
         graph = AssociationGraph(edges=set(), clusters=[np.array([], dtype=int)],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfsubspace.channel import NetworkChannelSampler, _support_basis, network_supports
+from cfsubspace.channel import NetworkChannelSampler, dft_columns, network_supports
 from cfsubspace.dmrs import dmrs_field, pm_estimate, sp_estimate
 from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
                                  generate_layout)
@@ -264,22 +264,23 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
     sinr = {kind: np.full((n_fading, K), np.nan) for kind in kinds}
     for d, draw_rng in enumerate(rng.spawn(n_fading)):
         ch_rng, pilot_rng = draw_rng.spawn(2)
-        real = sampler.sample(ch_rng, rb_index=d)
+        blocks = sampler.sample(ch_rng)
+        channel_matrix = blocks.transpose(0, 2, 1).reshape(L * M, K)
         pm = []
         for l in range(L):
-            field = dmrs_field(real.blocks[l], graph.dmrs_pilot, tau_p, snr, pilot_rng)
-            pm.append([pm_estimate(field, graph.dmrs_pilot[k], pair=(l, k))
+            field = dmrs_field(blocks[l], graph.dmrs_pilot, tau_p, snr, pilot_rng)
+            pm.append([pm_estimate(field, graph.dmrs_pilot[k], snr)
                        for k in graph.user_sets[l]])
         for kind in kinds:
             est = []
             for l, users in enumerate(graph.user_sets):
                 if kind == "ideal":
-                    cols = [real.blocks[l, k] for k in users]
+                    cols = [blocks[l, k] for k in users]
                 elif kind == "pm":
-                    cols = [e.vector for e in pm[l]]
+                    cols = pm[l]
                 else:
-                    cols = [sp_estimate(e, _support_basis(supports[l][k]) if kind == "sp"
-                                        else subspaces[(l, int(k))]).vector
+                    cols = [sp_estimate(e, dft_columns(M, supports[l][k].indices)
+                                        if kind == "sp" else subspaces[(l, int(k))])
                             for e, k in zip(pm[l], users)]
                 est.append(np.array(cols, dtype=complex).reshape(len(users), M).T)
             for k in range(K):
@@ -296,7 +297,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
                 known = np.flatnonzero(np.any(G != 0, axis=0))
                 comb = cluster_combiner(G[:, k], G[:, known[known != k]], snr, local,
                                         cluster, L)
-                sinr[kind][d, k] = uplink_sinr(comb.vector, real.matrix, snr, k)
+                sinr[kind][d, k] = uplink_sinr(comb.vector, channel_matrix, snr, k)
     return sinr
 
 
