@@ -1,0 +1,34 @@
+"""Type checks for the fields of the configuration dataclasses."""
+
+import dataclasses
+import numbers
+import types
+
+# annotation -> (accepted class, wording for the error message)
+_ACCEPTED = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    tuple: (tuple, "a list"),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first field of ``obj`` whose value has the
+    wrong type for its annotation.
+
+    An ``int`` field takes any integer, a ``float`` field any real number, and
+    ``X | None`` also takes None. True and False count as booleans only, never
+    as numbers. A field annotated with a class takes instances of it.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        allowed = f.type.__args__ if isinstance(f.type, types.UnionType) else (f.type,)
+        if value is None and type(None) in allowed:
+            continue
+        base = allowed[0]
+        cls, wording = _ACCEPTED.get(base, (base, f"a {base.__name__}"))
+        if isinstance(value, bool) != (base is bool) or not isinstance(value, cls):
+            raise ValueError(f"{f.name} must be {wording}, "
+                             f"not {type(value).__name__} {value!r}")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import check_field_types
 from .channel import network_supports
 from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters, \
     generate_layout
@@ -60,14 +61,18 @@ class ExperimentConfig:
     solver: RpcaParams = field(default_factory=RpcaParams)
 
     def __post_init__(self):
-        self.kinds = tuple(self.kinds)
+        if isinstance(self.kinds, list):
+            self.kinds = tuple(self.kinds)
+        check_field_types(self)
         for name in ("L", "M", "K", "tau_p", "N", "Q", "T", "n_layouts",
                      "n_fading", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 < self.delta <= 2 * np.pi:
             raise ValueError("delta must lie in (0, 2*pi]")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lambda must be positive")
         if not _is_prime(self.N):
             raise ValueError("N must be prime")
@@ -77,8 +82,12 @@ class ExperimentConfig:
             raise ValueError("S must be >= 1")
         if self.tau_p >= self.T:
             raise ValueError("tau_p must be smaller than the block size T")
-        if self.area_side <= 0:
+        if not self.area_side > 0:
             raise ValueError("area_side must be positive")
+        if self.cell_radius is not None and not self.cell_radius > 0:
+            raise ValueError("cell_radius must be positive")
+        if self.solver.max_iter < 1:
+            raise ValueError("solver.max_iter must be >= 1")
         bad = [k for k in self.kinds if k not in ESTIMATOR_KINDS]
         if bad:
             raise ValueError(f"unknown estimator kinds {bad}; "
@@ -137,7 +146,10 @@ def _section(name: str, value, cls):
     unknown = set(value) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys in {name!r}: {sorted(unknown)}")
-    return cls(**value)
+    try:
+        return cls(**value)
+    except ValueError as exc:
+        raise ValueError(f"config section {name!r}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -168,6 +180,24 @@ def _layout_seed(config: ExperimentConfig, label: str, layout_id: int) -> int:
 
 
 def _run_layout(config: ExperimentConfig, layout_id: int):
+    """One layout's records and diagnostics.
+
+    Any exception is re-raised as a RuntimeError that names the layout, the
+    master seed and, in the rpca stage, the edge (l, k). The message carries
+    the original error too, since a pool worker passes only the message and
+    a traceback text back to the parent.
+    """
+    where = {}
+    try:
+        return _layout_outputs(config, layout_id, where)
+    except Exception as exc:
+        edge = ", rpca edge ({}, {})".format(*where["edge"]) if where else ""
+        raise RuntimeError(f"layout {layout_id} (master seed {config.seed}"
+                           f"{edge}) failed: {type(exc).__name__}: {exc}") from exc
+
+
+def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
+    """The stages of one layout; ``where["edge"]`` tracks the rpca edge."""
     layout = generate_layout(config.L, config.K, config.area_side,
                              seed=_layout_seed(config, "layout", layout_id),
                              params=config.pathloss)
@@ -185,6 +215,7 @@ def _run_layout(config: ExperimentConfig, layout_id: int):
         schedule = build_schedule(assignment, family, config.S)
         subspaces = {}
         for l, k in sorted(graph.edges):
+            where["edge"] = (l, k)
             rng = stage_rng(config.seed, "srs", layout_id, l, k)
             Y = collect_srs(schedule, layout, supports, (l, k), snr, rng)
             if config.tune_lambda:
@@ -201,6 +232,7 @@ def _run_layout(config: ExperimentConfig, layout_id: int):
                 rank=pca.rank, converged=res.converged,
                 iterations=res.iterations))
             subspaces[(l, k)] = pp
+        where.clear()
 
     reports = ergodic_rates(layout, graph, supports, snr, list(config.kinds),
                             config.n_fading, config.tau_p, config.T,
@@ -240,11 +272,16 @@ def run_experiment(config: ExperimentConfig, progress: bool = False) -> Experime
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = {pool.submit(_run_layout, config, i): i for i in ids}
-            for future in as_completed(futures):
-                i = futures[future]
-                outputs[i] = future.result()
-                if progress:
-                    print(_progress_line(i, len(ids), outputs[i][2]), flush=True)
+            try:
+                for future in as_completed(futures):
+                    i = futures[future]
+                    outputs[i] = future.result()
+                    if progress:
+                        print(_progress_line(i, len(ids), outputs[i][2]), flush=True)
+            except BaseException:
+                # report a failure now, not after every queued layout has run
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         for i in ids:
             outputs[i] = _run_layout(config, i)

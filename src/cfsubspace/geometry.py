@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import check_field_types
+
 
 @dataclass
 class PathlossParams:
@@ -36,10 +38,13 @@ class PathlossParams:
     shadowing_std_db: float = 0.0  # 0 disables the log-normal shadowing term
 
     def __post_init__(self):
+        check_field_types(self)
         if self.carrier_freq_ghz <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.ru_height_m <= 0 or self.ue_height_m <= 0:
             raise ValueError("antenna heights must be positive")
+        if not self.shadowing_std_db >= 0:
+            raise ValueError("shadowing_std_db must be >= 0")
 
 
 @dataclass

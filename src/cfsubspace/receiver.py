@@ -163,8 +163,7 @@ def _projection_groups(edges: _EdgeLayout, supports, subspaces, kind):
             s = supports[l][k]
             bases.append(dft_columns(s.num_antennas, s.indices))
         else:  # "pp"
-            est = subspaces[(l, k)]
-            bases.append(est.basis if hasattr(est, "basis") else est)
+            bases.append(subspaces[(l, k)].basis)
     ranks = np.array([B.shape[1] for B in bases])
     groups = []
     for r in np.unique(ranks).tolist():
@@ -223,8 +222,9 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
 
     All kinds share the same fading and pilot-noise draws (per-draw child
     streams), so reports are directly comparable. ``subspaces`` maps edges
-    (l, k) to estimated bases and is required for kind "pp". Passing a single
-    kind returns its RateReport; a sequence returns {kind: RateReport}.
+    (l, k) to their estimated ``SubspaceEstimate`` and is required for kind
+    "pp". Passing a single kind returns its RateReport; a sequence returns
+    {kind: RateReport}.
     """
     single = isinstance(kinds, str)
     kind_list = [kinds] if single else list(kinds)

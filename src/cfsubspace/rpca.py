@@ -17,11 +17,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import dft_columns, dft_matrix, sample_channel
+from ._fields import check_field_types
+from .channel import dft_columns, dft_matrix
 
 # the adaptive penalty doubles or halves rho when one ADMM residual exceeds
 # the other by this factor (primal-dual residual balancing)
 _RESIDUAL_RATIO = 10.0
+# lambda must sit this far (relative) below the rank-zero threshold before a
+# solve is skipped: close to the threshold ADMM can stop at tol with a tiny
+# nonzero low-rank part
+_RANK_ZERO_MARGIN = 1e-3
 
 
 @dataclass
@@ -31,6 +36,15 @@ class RpcaParams:
     max_iter: int = 500
     tol: float = 1e-6
     rho: float = 1.0            # initial penalty, then residual-balanced
+
+    def __post_init__(self):
+        check_field_types(self)
+        # max_iter = 0 is allowed: the solve then returns its starting point
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        for name in ("tol", "rho"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -81,18 +95,59 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     Column s holds the desired channel draw plus every collider active in slot
     s plus CN(0, 1/snr) noise per antenna. Every slot draws fresh channels
     (slots live in different fading blocks).
+
+    All of it comes from one Gaussian draw, in the order of drawing slot by
+    slot with :func:`sample_channel`: per slot the desired UE, then each
+    collider in ascending index (real then imaginary coefficients each), then
+    the noise (M real, M imaginary). One batched product per support size
+    then makes every channel term, and the terms of a slot are summed in that
+    same order, so the result is bitwise that of the slot-by-slot loop.
     """
     l, k = pair
     M = supports[l][k].num_antennas
     S = schedule.S
-    Y = np.empty((M, S), dtype=complex)
-    for s in range(S):
-        col = sample_channel(supports[l][k], layout.lsfc[l, k], rng)
-        for i in schedule.colliders(k, s):
-            col = col + sample_channel(supports[l][i], layout.lsfc[l, i], rng)
-        noise = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * snr)
-        Y[:, s] = col + noise
-    return Y
+    band = schedule.subcarriers[:, :S]
+    # terms[s, 0] is the desired UE; terms[s, 1 + i] marks collider i
+    terms = np.empty((S, band.shape[0] + 1), dtype=bool)
+    terms[:, 0] = True
+    terms[:, 1:] = (band == band[k]).T
+    terms[:, 1 + k] = False
+    slot, col = np.nonzero(terms)                 # slot-major, desired first
+    ue = np.where(col == 0, k, col - 1)
+    sizes = np.array([supports[l][i].size for i in ue.tolist()])
+    if np.any(sizes < 1):
+        raise ValueError("support must contain at least one index")
+    beta = layout.lsfc[l, ue]
+    if np.any(beta <= 0):
+        raise ValueError("beta must be positive")
+    # term t draws 2 r_t normals after those of the terms and noises before it
+    drawn = np.cumsum(2 * sizes)
+    start = drawn - 2 * sizes + 2 * M * slot
+    last = np.flatnonzero(np.diff(slot, append=S))  # last term of each slot
+    noise_at = (drawn[last] + 2 * M * np.arange(S))[:, None] + np.arange(M)
+    z = rng.standard_normal(int(2 * sizes.sum()) + 2 * M * S)
+
+    F = dft_matrix(M)
+    channels = np.empty((len(ue), M), dtype=complex)
+    for r in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == r)
+        indices = np.array([supports[l][ue[t]].indices for t in group.tolist()])
+        # (n, M, r) stack; each (M, r) slice is C-ordered like dft_columns
+        Fs = F[np.arange(M)[:, None], indices[:, None, :]]
+        at = start[group, None] + np.arange(r)
+        nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
+        scale = np.sqrt(beta[group] * M / r)
+        channels[group] = scale[:, None] * np.matmul(Fs, nu[:, :, None])[:, :, 0]
+
+    # add the colliders to their slot's desired channel one position at a time
+    first = np.flatnonzero(col == 0)
+    position = np.arange(len(ue)) - first[slot]
+    cols = channels[first]
+    for n in range(1, int(position.max(initial=0)) + 1):
+        at = np.flatnonzero(position == n)
+        cols[slot[at]] = cols[slot[at]] + channels[at]
+    noise = (z[noise_at] + 1j * z[noise_at + M]) / np.sqrt(2.0 * snr)
+    return np.ascontiguousarray((cols + noise).T)
 
 
 def _fro(x: np.ndarray):
@@ -185,6 +240,20 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-6) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
+def _rank_zero_lambda(Y: np.ndarray) -> float:
+    """Largest lambda, less a safety margin, at which H = 0 solves outlier pursuit.
+
+    (H, E) = (0, Y) is optimal iff lambda * ||Y~||_2 <= 1, where Y~ is Y with
+    every nonzero column scaled to unit norm: lambda * Y~ is then a dual
+    certificate (Xu, Caramanis & Sanghavi, 2010). Returns
+    (1 - margin) / ||Y~||_2, or inf when Y is zero.
+    """
+    norms = _col_norms(Y)
+    unit = Y / np.where(norms > 0, norms, 1.0)
+    sigma = np.linalg.svd(unit, compute_uv=False)[0]
+    return (1.0 - _RANK_ZERO_MARGIN) / sigma if sigma > 0 else np.inf
+
+
 def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
                           params: RpcaParams | None = None,
                           rank_band: tuple | None = None,
@@ -194,19 +263,34 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
 
     When the recovered low-rank part has rank above the target band, lambda is
     decreased (cheaper to move columns into E); rank zero means lambda was too
-    small and it is increased. At most max_retries solves.
+    small and it is increased. At most max_retries + 1 solves.
+
+    A converged solve at lambda <= :func:`_rank_zero_lambda` returns H = 0,
+    so while a retry is left such a solve is skipped and lambda raised as if
+    it had run and found rank zero. The last allowed solve always runs, and
+    nothing is skipped when the band admits rank zero. A ``max_iter`` too
+    small for the solves to converge can leave a skipped solve's H nonzero;
+    the screen then follows the converged answer instead.
     """
     M = Y.shape[0]
     if rank_band is None:
         rank_band = (1, max(1, M // 2))
     lo, hi = rank_band
-    result = outlier_pursuit(Y, lam, params)
-    for _ in range(max_retries):
+    lam_zero = 0.0
+    if lo > 0 and max_retries > 0 and np.all(np.isfinite(Y)):
+        lam_zero = _rank_zero_lambda(Y)
+    for attempt in range(max_retries + 1):
+        last = attempt == max_retries
+        if lam <= lam_zero and not last:
+            lam = lam * factor          # rank zero without solving
+            continue
+        result = outlier_pursuit(Y, lam, params)
+        if last:
+            break
         rank = numerical_rank(result.low_rank)
         if lo <= rank <= hi:
             break
         lam = lam / factor if rank > hi else lam * factor
-        result = outlier_pursuit(Y, lam, params)
     return result
 
 

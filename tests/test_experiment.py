@@ -1,15 +1,18 @@
 import csv
 import json
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
 
+import cfsubspace.experiment as experiment_mod
 from cfsubspace.cli import main as cli_main
 from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
                                    write_results)
 from cfsubspace.geometry import PathlossParams
-from cfsubspace.rpca import RpcaParams
+from cfsubspace.rpca import RpcaParams, outlier_pursuit
 
 
 def tiny_config(**overrides):
@@ -55,6 +58,37 @@ class TestConfig:
                                 "pathloss": {"shadowing_std_db": 4.0}})
         assert cfg.solver == RpcaParams(max_iter=50)
         assert cfg.pathloss == PathlossParams(shadowing_std_db=4.0)
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"L": "5"}, "L must be an integer"),
+        ({"L": 5.5}, "L must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"lam": "0.25"}, "lam must be a number"),
+        ({"delta": None}, "delta must be a number"),
+        ({"S": 2.0}, "S must be an integer"),
+        ({"cell_radius": 0}, "cell_radius must be positive"),
+        ({"tune_lambda": 1}, "tune_lambda must be true or false"),
+        ({"kinds": "pp"}, "kinds must be a list"),
+        ({"output_dir": 3}, "output_dir must be a string"),
+        ({"solver": {"max_iter": "abc"}}, "'solver': max_iter must be an integer"),
+        ({"solver": {"max_iter": 0}}, "solver.max_iter must be >= 1"),
+        ({"solver": {"tol": 0.0}}, "'solver': tol must be positive"),
+        ({"solver": {"rho": -1}}, "'solver': rho must be positive"),
+        ({"pathloss": {"los_offset": "32"}}, "'pathloss': los_offset must be a number"),
+        ({"pathloss": {"shadowing_std_db": -2.0}}, "shadowing_std_db must be >= 0"),
+    ])
+    def test_wrong_type_or_range_rejected(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(entry)
+
+    def test_numbers_of_any_kind_accepted(self):
+        cfg = config_from_dict({"eta": 1, "area_side": 600, "seed": np.int64(3),
+                                "lam": np.float64(0.3), "kinds": ["ideal"],
+                                "solver": {"tol": 1e-5, "rho": 2}})
+        assert (cfg.eta, cfg.area_side, cfg.seed, cfg.kinds) == \
+            (1, 600, 3, ("ideal",))
+        assert cfg.solver == RpcaParams(tol=1e-5, rho=2)
 
     def test_load_config_precedence(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -124,6 +158,58 @@ class TestRunExperiment:
         assert [line.split(" done")[0] for line in serial] == \
             ["layout 1/3", "layout 2/3", "layout 3/3"]
         assert sorted(parallel) == serial
+
+
+class TestFailureContext:
+    """A failing layout is re-raised naming the layout, seed and rpca edge."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_failure_names_layout_seed_and_edge(self, monkeypatch, workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched solver reaches pool workers only by fork")
+        settings = dict(kinds=("pp",), n_layouts=1, tune_lambda=False)
+        edges = run_experiment(tiny_config(**settings)).edge_records
+        calls = []
+
+        def failing(Y, lam, params=None):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("boom")
+            return outlier_pursuit(Y, lam, params)
+
+        monkeypatch.setattr(experiment_mod, "outlier_pursuit", failing)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(tiny_config(workers=workers, **settings))
+        edge = (edges[2].ru, edges[2].ue)
+        assert str(info.value) == (f"layout 0 (master seed 9, rpca edge {edge}) "
+                                   f"failed: FloatingPointError: boom")
+        assert info.value.__cause__ is not None
+
+    def test_pool_failure_cancels_layouts_not_started(self, monkeypatch, tmp_path):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched layout reaches pool workers only by fork")
+
+        def layout_outputs(config, layout_id, where):
+            (tmp_path / str(layout_id)).touch()
+            if layout_id == 0:
+                raise ValueError("first layout")
+            time.sleep(0.5)
+            raise AssertionError("only layout 0 fails first")
+
+        monkeypatch.setattr(experiment_mod, "_layout_outputs", layout_outputs)
+        with pytest.raises(RuntimeError, match="layout 0 .*first layout"):
+            run_experiment(tiny_config(workers=2, n_layouts=12))
+        # the running and already queued layouts finish; the rest never start
+        assert len(list(tmp_path.iterdir())) < 12
+
+    def test_failure_outside_rpca_names_layout_and_seed(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("no rates")
+
+        monkeypatch.setattr(experiment_mod, "ergodic_rates", failing)
+        with pytest.raises(RuntimeError, match=r"^layout 0 \(master seed 9\) "
+                                               r"failed: ValueError: no rates$"):
+            run_experiment(tiny_config())
 
 
 class TestWriteResults:
@@ -204,6 +290,9 @@ class TestCli:
         ({"pathloss": None}, "pathloss"),
         ({"strong_threshold": 1.0}, "strong_threshold"),
         ({"solver": {"max_iter": 50, "adaptive_rho": True}}, "adaptive_rho"),
+        ({"T": "200"}, "T must be an integer"),
+        ({"seed": True}, "seed"),
+        ({"solver": {"max_iter": "abc"}}, "max_iter"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"

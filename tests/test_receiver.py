@@ -7,6 +7,7 @@ from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
                                  generate_layout)
 from cfsubspace.receiver import (cluster_combiner, ergodic_rates, local_lmmse,
                                  uplink_sinr)
+from cfsubspace.rpca import SubspaceEstimate
 
 
 def random_unit_vectors(rng, n, M):
@@ -280,7 +281,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
                     cols = pm[l]
                 else:
                     cols = [sp_estimate(e, dft_columns(M, supports[l][k].indices)
-                                        if kind == "sp" else subspaces[(l, int(k))])
+                                        if kind == "sp" else subspaces[(l, int(k))].basis)
                             for e, k in zip(pm[l], users)]
                 est.append(np.array(cols, dtype=complex).reshape(len(users), M).T)
             for k in range(K):
@@ -318,10 +319,11 @@ class TestBatchedReceiver:
             r = 1 + (l + k) % 3
             q, _ = np.linalg.qr(rng.standard_normal((M, r))
                                 + 1j * rng.standard_normal((M, r)))
-            subspaces[(l, k)] = q
+            subspaces[(l, k)] = SubspaceEstimate(basis=q, rank=r, kind="pp")
         blind = 6                                      # UE 6: every pp direction zero
         for l in graph.clusters[blind]:
-            subspaces[(int(l), blind)] = np.zeros((M, 1), dtype=complex)
+            subspaces[(int(l), blind)] = SubspaceEstimate(
+                basis=np.zeros((M, 1), dtype=complex), rank=1, kind="pp")
         assert graph.orphan_ues.tolist() == [2]
         assert len(graph.clusters[4]) == 1
         assert len(graph.clusters[blind]) > 1

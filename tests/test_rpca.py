@@ -1,15 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import cfsubspace.rpca as rpca_mod
 from cfsubspace.channel import (AngularSupport, dft_columns, dft_matrix,
-                                network_supports)
+                                network_supports, sample_channel)
 from cfsubspace.geometry import generate_layout
-from cfsubspace.hopping import allocate_squares, build_schedule, mols_family
+from cfsubspace.hopping import (SrsSchedule, allocate_squares, build_schedule,
+                                mols_family)
 from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
-                             collect_srs, dft_project, estimated_covariance,
-                             numerical_rank, outlier_pursuit,
-                             outlier_pursuit_tuned, power_efficiency,
-                             select_rank, subspace_estimates)
+                             _rank_zero_lambda, collect_srs, dft_project,
+                             estimated_covariance, numerical_rank,
+                             outlier_pursuit, outlier_pursuit_tuned,
+                             power_efficiency, select_rank, subspace_estimates)
 
 
 def make_support(indices, M):
@@ -86,6 +90,72 @@ class TestCollectSrs:
         energy = np.mean(np.abs(Y) ** 2) * M
         expected = (layout.lsfc[0, 0] * M + layout.lsfc[0, 1] * M + M / snr)
         assert energy == pytest.approx(expected, rel=0.05)
+
+
+def per_slot_srs(schedule, layout, supports, pair, snr, rng):
+    """Reference: the slot-by-slot SRS synthesis the batched collect_srs
+    replaces, one sample_channel call per desired or colliding channel."""
+    l, k = pair
+    M = supports[l][k].num_antennas
+    Y = np.empty((M, schedule.S), dtype=complex)
+    for s in range(schedule.S):
+        col = sample_channel(supports[l][k], layout.lsfc[l, k], rng)
+        for i in schedule.colliders(k, s):
+            col = col + sample_channel(supports[l][i], layout.lsfc[l, i], rng)
+        noise = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * snr)
+        Y[:, s] = col + noise
+    return Y
+
+
+class TestBatchedCollectSrs:
+    @staticmethod
+    def _network(M, seed):
+        # UE 0 meets nobody in slots 0 and 5, one UE in slots 1 and 3, three
+        # in slot 2 and two in slot 4; support sizes 1..4 are mixed
+        K, S = 7, 6
+        sub = 2 + (np.arange(K)[:, None] + np.arange(S)) % 3
+        sub[0] = 1
+        for s, others in {1: [3], 2: [1, 2, 5], 3: [6], 4: [2, 4]}.items():
+            sub[others, s] = 1
+        schedule = SrsSchedule(N=5, S=S, subcarriers=sub,
+                               square_id=np.zeros(K, dtype=int),
+                               symbol_id=np.ones(K, dtype=int))
+        rng = np.random.default_rng(seed)
+        supports = [[make_support(np.sort(rng.choice(M, 1 + (k + l) % 4,
+                                                     replace=False)), M)
+                     for k in range(K)] for l in range(2)]
+        layout = SimpleNamespace(lsfc=10.0 ** rng.uniform(-12, -8, (2, K)))
+        return schedule, layout, supports
+
+    @pytest.mark.parametrize("M", [8, 16])
+    def test_matches_per_slot_loop(self, M):
+        schedule, layout, supports = self._network(M, seed=M)
+        counts = [len(schedule.colliders(0, s)) for s in range(schedule.S)]
+        assert counts == [0, 1, 3, 1, 2, 0]
+        for l in range(2):
+            for k in range(7):
+                batched, looped = (np.random.default_rng(100 * l + k)
+                                   for _ in range(2))
+                for _ in range(2):   # a second call starts from the moved state
+                    Y = collect_srs(schedule, layout, supports, (l, k), 1e9, batched)
+                    ref = per_slot_srs(schedule, layout, supports, (l, k), 1e9, looped)
+                    assert Y.flags.c_contiguous and Y.shape == (M, 6)
+                    assert Y.tobytes() == ref.tobytes()
+                    assert batched.bit_generator.state == looped.bit_generator.state
+
+    def test_matches_per_slot_loop_on_a_real_schedule(self):
+        layout = generate_layout(3, 60, 800.0, seed=11)
+        supports = network_supports(layout, np.pi / 3, 8)
+        family = mols_family(5)
+        schedule = build_schedule(allocate_squares(layout, family), family, S=8)
+        assert max(len(schedule.colliders(k, s)) for k in range(60)
+                   for s in range(8)) >= 3
+        for l, k in [(0, 0), (1, 17), (2, 59)]:
+            batched, looped = np.random.default_rng(k), np.random.default_rng(k)
+            Y = collect_srs(schedule, layout, supports, (l, k), 50.0, batched)
+            ref = per_slot_srs(schedule, layout, supports, (l, k), 50.0, looped)
+            assert Y.tobytes() == ref.tobytes()
+            assert batched.bit_generator.state == looped.bit_generator.state
 
 
 class TestOutlierPursuit:
@@ -268,6 +338,98 @@ class TestLambdaTuning:
         assert numerical_rank(outlier_pursuit(Y, lam=0.05).low_rank) == 0
         tuned = outlier_pursuit_tuned(Y, lam=0.05)
         assert numerical_rank(tuned.low_rank) >= 1
+
+
+def unscreened_tuned(Y, lam, params=None, rank_band=None, max_retries=5,
+                     factor=1.5):
+    """Reference: the lambda-retune loop with every solve run."""
+    M = Y.shape[0]
+    lo, hi = rank_band if rank_band is not None else (1, max(1, M // 2))
+    result = outlier_pursuit(Y, lam, params)
+    for _ in range(max_retries):
+        rank = numerical_rank(result.low_rank)
+        if lo <= rank <= hi:
+            break
+        lam = lam / factor if rank > hi else lam * factor
+        result = outlier_pursuit(Y, lam, params)
+    return result
+
+
+def noise_matrix(seed, M=8, S=24):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((M, S)) + 1j * rng.standard_normal((M, S))
+
+
+class TestRankZeroScreen:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_below_threshold_has_zero_low_rank(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        planted, _, _ = planted_instance(rng, M=8, S=29, rank=1 + seed % 2)
+        for Y in (noise_matrix(seed), noise_matrix(seed, M=16, S=19), planted):
+            lam_zero = _rank_zero_lambda(Y)
+            for lam in (lam_zero, 0.5 * lam_zero):
+                result = outlier_pursuit(Y, lam)
+                assert result.converged
+                assert not np.any(result.low_rank)
+                # E carries Y up to the stopping tolerance
+                assert np.linalg.norm(result.outliers - Y) < 1e-4 * np.linalg.norm(Y)
+            # the threshold is sharp: a little above it H = 0 is not optimal
+            assert numerical_rank(outlier_pursuit(Y, 1.05 * lam_zero).low_rank) >= 1
+
+    def test_threshold_of_special_inputs(self):
+        assert _rank_zero_lambda(np.zeros((4, 6), dtype=complex)) == np.inf
+        # orthonormal columns: ||Y~||_2 = 1 whatever the column norms
+        Y = dft_matrix(8)[:, :5] * np.arange(1, 6)
+        assert _rank_zero_lambda(Y) == pytest.approx(1.0 - 1e-3)
+
+    @pytest.mark.parametrize("case,Y,lam,band,solves", [
+        ("rank 0, then 1", planted_instance(np.random.default_rng(8), M=8,
+                                            S=29, rank=1)[0], 0.05, None, 1),
+        ("rank 0 throughout", noise_matrix(7), 0.05, None, 1),
+        ("rank above the band", noise_matrix(7), 2.0, None, 5),
+        ("above the band, then below the threshold", noise_matrix(7), 0.55, None, 4),
+        ("rank 0 inside the margin is solved", noise_matrix(7), 0.58, None, 6),
+        ("all-zero input", np.zeros((8, 29), dtype=complex), 0.25, None, 1),
+        ("band admits rank 0", noise_matrix(7), 0.05, (0, 4), 1),
+        ("band admits rank 0, rank above it", noise_matrix(7), 2.0, (0, 4), 5),
+    ])
+    def test_equals_unscreened_loop(self, monkeypatch, case, Y, lam, band, solves):
+        calls = []
+        solve = rpca_mod.outlier_pursuit
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        reference = unscreened_tuned(Y, lam, rank_band=band)
+        monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted)
+        screened = outlier_pursuit_tuned(Y, lam, rank_band=band)
+        assert len(calls) == solves
+        assert screened.problem[1] == reference.problem[1] == calls[-1]
+        for name in ("low_rank", "outliers"):
+            assert getattr(screened, name).tobytes() == \
+                getattr(reference, name).tobytes()
+        assert (screened.iterations, screened.converged, screened.residual) == \
+            (reference.iterations, reference.converged, reference.residual)
+
+    def test_bad_input_still_rejected(self):
+        Y = noise_matrix(7)
+        with pytest.raises(ValueError, match="positive"):
+            outlier_pursuit_tuned(Y, lam=0.0)
+        Y[1, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            outlier_pursuit_tuned(Y, lam=0.25)
+
+    def test_every_edge_makes_a_real_solve(self, monkeypatch):
+        calls = []
+        solve = rpca_mod.outlier_pursuit
+        monkeypatch.setattr(rpca_mod, "outlier_pursuit",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        for retries in (0, 1, 3):
+            calls.clear()
+            result = outlier_pursuit_tuned(noise_matrix(7), 1e-3,
+                                           max_retries=retries)
+            assert len(calls) == 1 and result.iterations >= 1
 
 
 class TestSelectRank:
