@@ -1,9 +1,9 @@
 """Cell-free massive MIMO uplink simulator with Latin-square SRS hopping and
 robust-PCA channel subspace estimation."""
 
-from .channel import (AngularSupport, NetworkChannelSampler, angular_support,
-                      dft_columns, dft_matrix, network_supports, sample_channel,
-                      true_covariance)
+from .channel import (AngularSupport, NetworkChannelSampler, SupportTable,
+                      angular_support, dft_columns, dft_matrix, network_supports,
+                      sample_channel, true_covariance)
 from .dmrs import (contamination_covariance, dmrs_field, pilot_book, pm_estimate,
                    sp_estimate)
 from .experiment import (EdgeRecord, ExperimentConfig, ExperimentResult,

@@ -7,7 +7,7 @@ combinations of the selected DFT columns, scaled so the expected squared norm
 equals beta * M.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +35,14 @@ def dft_columns(M: int, indices) -> np.ndarray:
     return dft_matrix(M).take(np.asarray(indices, dtype=int), axis=1)
 
 
+def dft_column_stack(M: int, indices: np.ndarray) -> np.ndarray:
+    """(n, M, r) stack of column sets: slice i is ``dft_columns(M, indices[i])``.
+
+    Each (M, r) slice is C-ordered with the same entries as dft_columns.
+    """
+    return dft_matrix(M)[np.arange(M)[:, None], indices[:, None, :]]
+
+
 @dataclass
 class AngularSupport:
     """Sorted DFT column indices spanned by one RU-UE channel."""
@@ -50,36 +58,90 @@ class AngularSupport:
         return len(self.indices)
 
 
+@dataclass
+class SupportTable:
+    """Angular supports of every RU-UE pair as flat arrays.
+
+    Pair (l, k) spans ``indices[offsets[l, k]:offsets[l, k] + sizes[l, k]]``;
+    the pairs follow one another in (l, k) row-major order. ``table[l, k]``
+    is the pair's :class:`AngularSupport` view.
+    """
+
+    indices: np.ndarray       # flat sorted DFT indices, pair by pair
+    sizes: np.ndarray         # (L, K) support sizes
+    center_angle: np.ndarray  # (L, K) radians in [0, 2*pi)
+    padded: np.ndarray        # (L, K) True where the window held no grid point
+    width: float
+    num_antennas: int
+    offsets: np.ndarray = field(init=False)   # (L, K) start of each pair
+
+    def __post_init__(self):
+        self.offsets = np.cumsum(self.sizes).reshape(self.sizes.shape) - self.sizes
+
+    @classmethod
+    def from_supports(cls, rows) -> "SupportTable":
+        """The table of per-pair supports given as rows[l][k]; every pair
+        must share one width and one number of antennas."""
+        flat = [s for row in rows for s in row]
+        shape = (len(rows), len(flat) // len(rows))
+        return cls(indices=np.concatenate([s.indices for s in flat]).astype(int),
+                   sizes=np.array([s.size for s in flat]).reshape(shape),
+                   center_angle=np.array([s.center_angle for s in flat],
+                                         dtype=float).reshape(shape),
+                   padded=np.array([s.padded for s in flat]).reshape(shape),
+                   width=flat[0].width, num_antennas=flat[0].num_antennas)
+
+    def __getitem__(self, pair) -> AngularSupport:
+        l, k = pair
+        start = self.offsets[l, k]
+        return AngularSupport(indices=self.indices[start:start + self.sizes[l, k]],
+                              center_angle=float(self.center_angle[l, k]),
+                              width=self.width, num_antennas=self.num_antennas,
+                              padded=bool(self.padded[l, k]))
+
+    def size_groups(self, l=slice(None), k=slice(None)):
+        """The pairs ``(l, k)`` (every pair by default) grouped by support size.
+
+        Yields ``(members, indices)`` per distinct size r in ascending order:
+        ``members`` are positions in the flattened selection and ``indices``
+        is their (n, r) array of DFT indices.
+        """
+        sizes = self.sizes[l, k].ravel()
+        offsets = self.offsets[l, k].ravel()
+        for r in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == r)
+            yield members, self.indices[offsets[members, None] + np.arange(r)]
+
+
 def _wrap_angle_distance(x):
     """Absolute angular distance of x to 0, modulo 2*pi (result in [0, pi])."""
     return np.abs(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
 
 
-def _ru_supports(ru_pos, ue_positions, area_side: float, delta: float,
-                 M: int) -> list:
-    """Angular supports from one RU towards each row of ``ue_positions``.
+def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
+                   M: int) -> SupportTable:
+    """Angular supports from each row of ``ru_positions`` towards each row of
+    ``ue_positions``.
 
-    One array pass over the (n, M) grid distances serves every UE; it does the
-    same elementwise arithmetic as a pair at a time, so the supports agree
+    One array pass over the (L, K, M) grid distances serves every pair; it does
+    the same elementwise arithmetic as a pair at a time, so the supports agree
     bit for bit with the one-pair form.
     """
     if not 0 < delta <= 2.0 * np.pi:
         raise ValueError("delta must lie in (0, 2*pi]")
-    disp = np.asarray(ue_positions, dtype=float) - np.asarray(ru_pos, dtype=float)
+    disp = np.asarray(ue_positions, dtype=float)[None, :, :] \
+        - np.asarray(ru_positions, dtype=float)[:, None, :]
     # minimal displacement on the torus, per axis
     disp = (disp + area_side / 2.0) % area_side - area_side / 2.0
-    theta = np.arctan2(disp[:, 1], disp[:, 0]) % (2.0 * np.pi)
+    theta = np.arctan2(disp[..., 1], disp[..., 0]) % (2.0 * np.pi)
     grid = 2.0 * np.pi * np.arange(M) / M
-    dist = _wrap_angle_distance(grid - theta[:, None])
+    dist = _wrap_angle_distance(grid - theta[..., None])
     inside = dist <= delta / 2.0 + 1e-12
-    padded = ~inside.any(axis=1)
+    padded = ~inside.any(axis=2)
     inside[padded, np.argmin(dist[padded], axis=1)] = True
-    cols = np.nonzero(inside)[1]
-    bounds = np.concatenate(([0], np.cumsum(inside.sum(axis=1)))).tolist()
-    return [AngularSupport(indices=cols[bounds[n]:bounds[n + 1]],
-                           center_angle=float(theta[n]), width=delta,
-                           num_antennas=M, padded=bool(padded[n]))
-            for n in range(len(theta))]
+    return SupportTable(indices=np.nonzero(inside)[2], sizes=inside.sum(axis=2),
+                        center_angle=theta, padded=padded, width=delta,
+                        num_antennas=M)
 
 
 def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
@@ -92,8 +154,9 @@ def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
     window is narrower than the grid spacing and captures no point, the support
     is padded with the single nearest grid index and flagged.
     """
-    ue = np.asarray(ue_pos, dtype=float)[None, :]
-    return _ru_supports(ru_pos, ue, area_side, delta, M)[0]
+    return _support_table(np.asarray(ru_pos, dtype=float)[None, :],
+                          np.asarray(ue_pos, dtype=float)[None, :],
+                          area_side, delta, M)[0, 0]
 
 
 def sample_channel(support: AngularSupport, beta: float,
@@ -115,14 +178,10 @@ def true_covariance(support: AngularSupport, beta: float) -> np.ndarray:
     return beta * support.num_antennas / support.size * (Fs @ Fs.conj().T)
 
 
-def network_supports(layout, delta: float, M: int) -> list:
-    """Angular supports for every RU-UE pair; supports[l][k].
-
-    Works one RU at a time, so the largest temporary is (K, M).
-    """
-    return [_ru_supports(layout.ru_positions[l], layout.ue_positions,
-                         layout.area_side, delta, M)
-            for l in range(layout.num_rus)]
+def network_supports(layout, delta: float, M: int) -> SupportTable:
+    """Angular supports for every RU-UE pair; ``supports[l, k]`` is one pair."""
+    return _support_table(layout.ru_positions, layout.ue_positions,
+                          layout.area_side, delta, M)
 
 
 class NetworkChannelSampler:
@@ -136,22 +195,18 @@ class NetworkChannelSampler:
     independent streams for parallel workers.
     """
 
-    def __init__(self, layout, supports):
+    def __init__(self, layout, supports: SupportTable):
         self.L = layout.num_rus
         self.K = layout.num_ues
-        self.M = supports[0][0].num_antennas
-        flat = [s for row in supports for s in row]   # pair p = l * K + k
-        sizes = np.array([s.size for s in flat])
-        starts = np.cumsum(2 * sizes) - 2 * sizes
-        self._normals = int(2 * sizes.sum())
-        F = dft_matrix(self.M)
+        self.M = supports.num_antennas
+        # pair p = l * K + k draws 2 r normals after those of the pairs before it
+        starts = 2 * supports.offsets.ravel()
+        self._normals = int(2 * supports.sizes.sum())
         lsfc = np.asarray(layout.lsfc, dtype=float).ravel()
         self._groups = []
-        for r in np.unique(sizes).tolist():
-            pairs = np.flatnonzero(sizes == r)
-            indices = np.array([flat[p].indices for p in pairs], dtype=int)
-            # (n, M, r) stack; each (M, r) slice is C-ordered like dft_columns
-            scaled = F[np.arange(self.M)[:, None], indices[:, None, :]]
+        for pairs, indices in supports.size_groups():
+            r = indices.shape[1]
+            scaled = dft_column_stack(self.M, indices)
             scaled *= np.sqrt(lsfc[pairs] * self.M / r)[:, None, None]
             at = starts[pairs, None] + np.arange(r)
             self._groups.append((pairs, at, scaled))

@@ -39,8 +39,8 @@ def dmrs_field(channels: np.ndarray, pilots: np.ndarray, tau_p: int, snr: float,
         raise ValueError("pilot indices must lie in [0, tau_p)")
     book = pilot_book(tau_p, snr)
     K, M = channels.shape
-    noise = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) \
-        / np.sqrt(2.0)
+    z = rng.standard_normal((2, M, tau_p))     # real parts, then imaginary parts
+    noise = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     return channels.T @ book[:, pilots].conj().T + noise
 
 

@@ -7,9 +7,11 @@ deterministic given the master seed: every stage draws from its own labeled
 stream, so enabling extra estimator kinds never perturbs earlier stages.
 """
 
+import contextlib
 import csv
 import dataclasses
 import json
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -227,8 +229,8 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
             beta = layout.lsfc[l, k]
             edge_records.append(EdgeRecord(
                 layout=layout_id, ru=l, ue=k,
-                pe_raw=power_efficiency(supports[l][k], beta, pca),
-                pe_pp=power_efficiency(supports[l][k], beta, pp),
+                pe_raw=power_efficiency(supports[l, k], beta, pca),
+                pe_pp=power_efficiency(supports[l, k], beta, pp),
                 rank=pca.rank, converged=res.converged,
                 iterations=res.iterations))
             subspaces[(l, k)] = pp
@@ -302,14 +304,40 @@ def _fmt(value) -> str:
     return str(float(value))
 
 
-def _write_cdf(path: Path, values) -> None:
+def _write_cdf(fh, values) -> None:
     values = np.sort(np.asarray(values, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "cdf"])
-        n = len(values)
-        for i, v in enumerate(values):
-            writer.writerow([_fmt(v), _fmt((i + 1) / n)])
+    writer = csv.writer(fh)
+    writer.writerow(["value", "cdf"])
+    n = len(values)
+    for i, v in enumerate(values):
+        writer.writerow([_fmt(v), _fmt((i + 1) / n)])
+
+
+@contextlib.contextmanager
+def _replaced_together(out: Path):
+    """Yield ``open_(name, **kwargs)``, which opens ``out/name`` for writing
+    under a temporary name in ``out``.
+
+    When the block completes, every file is moved onto its real name with
+    ``os.replace``; when it raises, the temporary files are removed and the
+    previous files stay as they were. So a crash while writing never leaves a
+    truncated file, nor new files next to old ones.
+    """
+    staged = []
+
+    def open_(name: str, **kwargs):
+        tmp = out / f".{name}.{os.getpid()}.tmp"
+        staged.append((tmp, out / name))
+        return open(tmp, "w", **kwargs)
+
+    try:
+        yield open_
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, final in staged:
+        os.replace(tmp, final)
 
 
 def write_results(result: ExperimentResult, output_dir,
@@ -318,62 +346,69 @@ def write_results(result: ExperimentResult, output_dir,
 
     Returns the summary dictionary. Excluded UEs appear in rates.csv with
     empty rate/se cells; empty record sets produce header-only CSVs and null
-    summary entries.
+    summary entries. Every file is written under a temporary name first and
+    all are renamed once all are written, so a failure part-way leaves the
+    files of the previous run in place.
     """
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
+    with _replaced_together(out) as open_:
+        with open_("rates.csv", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["layout", "ue", "kind", "rate", "se"])
+            for r in result.rate_records:
+                writer.writerow([r.layout, r.ue, r.kind, _fmt(r.rate), _fmt(r.se)])
 
-    with open(out / "rates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layout", "ue", "kind", "rate", "se"])
+        with open_("subspace.csv", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["layout", "ru", "ue", "pe_raw", "pe_pp", "rank",
+                             "converged", "iterations"])
+            for e in result.edge_records:
+                writer.writerow([e.layout, e.ru, e.ue, _fmt(e.pe_raw), _fmt(e.pe_pp),
+                                 e.rank, int(e.converged), e.iterations])
+
+        kinds = []
         for r in result.rate_records:
-            writer.writerow([r.layout, r.ue, r.kind, _fmt(r.rate), _fmt(r.se)])
+            if r.kind not in kinds:
+                kinds.append(r.kind)
+        summary = {"kinds": {}, "subspace": None, "excluded_ue_records": 0}
+        for kind in kinds:
+            ses = [r.se for r in result.rate_records
+                   if r.kind == kind and r.se is not None]
+            summary["kinds"][kind] = {
+                "mean_se": float(np.mean(ses)) if ses else None,
+                "median_se": float(np.median(ses)) if ses else None,
+                "sum_se": float(np.sum(ses)) if ses else None,
+                "n_ues": len(ses),
+            }
+            with open_(f"cdf_se_{kind}.csv", newline="") as fh:
+                _write_cdf(fh, ses)
+        summary["excluded_ue_records"] = sum(1 for r in result.rate_records
+                                             if r.se is None)
+        if result.edge_records:
+            pe_raw = [e.pe_raw for e in result.edge_records]
+            pe_pp = [e.pe_pp for e in result.edge_records]
+            summary["subspace"] = {
+                "mean_pe_raw": float(np.mean(pe_raw)),
+                "mean_pe_pp": float(np.mean(pe_pp)),
+                "frac_converged": float(np.mean([e.converged
+                                                 for e in result.edge_records])),
+                "n_edges": len(result.edge_records),
+            }
+            with open_("cdf_pe_raw.csv", newline="") as fh:
+                _write_cdf(fh, pe_raw)
+            with open_("cdf_pe_pp.csv", newline="") as fh:
+                _write_cdf(fh, pe_pp)
+        summary["diagnostics"] = result.diagnostics
 
-    with open(out / "subspace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layout", "ru", "ue", "pe_raw", "pe_pp", "rank",
-                         "converged", "iterations"])
-        for e in result.edge_records:
-            writer.writerow([e.layout, e.ru, e.ue, _fmt(e.pe_raw), _fmt(e.pe_pp),
-                             e.rank, int(e.converged), e.iterations])
-
-    kinds = []
-    for r in result.rate_records:
-        if r.kind not in kinds:
-            kinds.append(r.kind)
-    summary = {"kinds": {}, "subspace": None, "excluded_ue_records": 0}
-    for kind in kinds:
-        ses = [r.se for r in result.rate_records if r.kind == kind and r.se is not None]
-        summary["kinds"][kind] = {
-            "mean_se": float(np.mean(ses)) if ses else None,
-            "median_se": float(np.median(ses)) if ses else None,
-            "sum_se": float(np.sum(ses)) if ses else None,
-            "n_ues": len(ses),
-        }
-        _write_cdf(out / f"cdf_se_{kind}.csv", ses)
-    summary["excluded_ue_records"] = sum(1 for r in result.rate_records
-                                         if r.se is None)
-    if result.edge_records:
-        pe_raw = [e.pe_raw for e in result.edge_records]
-        pe_pp = [e.pe_pp for e in result.edge_records]
-        summary["subspace"] = {
-            "mean_pe_raw": float(np.mean(pe_raw)),
-            "mean_pe_pp": float(np.mean(pe_pp)),
-            "frac_converged": float(np.mean([e.converged for e in result.edge_records])),
-            "n_edges": len(result.edge_records),
-        }
-        _write_cdf(out / "cdf_pe_raw.csv", pe_raw)
-        _write_cdf(out / "cdf_pe_pp.csv", pe_pp)
-    summary["diagnostics"] = result.diagnostics
-
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if config is not None:
-        with open(out / "config.json", "w") as fh:
-            json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+        with open_("summary.json") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return summary
+        if config is not None:
+            with open_("config.json") as fh:
+                json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        return summary

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import NetworkChannelSampler, dft_columns
+from .channel import NetworkChannelSampler, dft_column_stack
 from .dmrs import dmrs_field, pilot_book
 
 ESTIMATOR_KINDS = ("ideal", "sp", "pp", "pm")
@@ -90,15 +90,17 @@ def cluster_combiner(desired_gains: np.ndarray, interference_gains: np.ndarray,
     The dense vector is assembled only when ``Combiner.vector`` is read.
     """
     a = np.asarray(desired_gains, dtype=complex)
-    eye = np.eye(a.size)
-    A = eye / snr
+    n = a.size
     if interference_gains is not None and interference_gains.size:
         G = np.asarray(interference_gains, dtype=complex)
-        A = G @ G.conj().T + A
+        A = G @ G.conj().T
+    else:
+        A = np.zeros((n, n))
+    A.flat[::n + 1] += 1.0 / snr
     try:
         w = np.linalg.solve(A, a)
     except np.linalg.LinAlgError:
-        w = np.linalg.solve(A + 1e-12 * eye, a)
+        w = np.linalg.solve(A + 1e-12 * np.eye(n), a)
     local_sq_norms = (local_vectors.conj() * local_vectors).real.sum(axis=1)
     nrm = np.sqrt(((w.conj() * w).real * local_sq_norms).sum())
     if nrm > 0:
@@ -156,14 +158,12 @@ def _projection_groups(edges: _EdgeLayout, supports, subspaces, kind):
     estimated basis of each edge.
     """
     ru, col = np.nonzero(edges.filled)
-    bases = []
-    for l, i in zip(ru.tolist(), col.tolist()):
-        k = int(edges.users[l, i])
-        if kind == "sp":
-            s = supports[l][k]
-            bases.append(dft_columns(s.num_antennas, s.indices))
-        else:  # "pp"
-            bases.append(subspaces[(l, k)].basis)
+    ue = edges.users[ru, col]
+    if kind == "sp":
+        return [(ru[members], col[members],
+                 dft_column_stack(supports.num_antennas, indices))
+                for members, indices in supports.size_groups(ru, ue)]
+    bases = [subspaces[(l, k)].basis for l, k in zip(ru.tolist(), ue.tolist())]
     ranks = np.array([B.shape[1] for B in bases])
     groups = []
     for r in np.unique(ranks).tolist():

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from ._fields import check_field_types
-from .channel import dft_columns, dft_matrix
+from .channel import dft_column_stack, dft_columns, dft_matrix
 
 # the adaptive penalty doubles or halves rho when one ADMM residual exceeds
 # the other by this factor (primal-dual residual balancing)
@@ -104,7 +104,7 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     same order, so the result is bitwise that of the slot-by-slot loop.
     """
     l, k = pair
-    M = supports[l][k].num_antennas
+    M = supports.num_antennas
     S = schedule.S
     band = schedule.subcarriers[:, :S]
     # terms[s, 0] is the desired UE; terms[s, 1 + i] marks collider i
@@ -114,7 +114,7 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     terms[:, 1 + k] = False
     slot, col = np.nonzero(terms)                 # slot-major, desired first
     ue = np.where(col == 0, k, col - 1)
-    sizes = np.array([supports[l][i].size for i in ue.tolist()])
+    sizes = supports.sizes[l, ue]
     if np.any(sizes < 1):
         raise ValueError("support must contain at least one index")
     beta = layout.lsfc[l, ue]
@@ -127,13 +127,10 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     noise_at = (drawn[last] + 2 * M * np.arange(S))[:, None] + np.arange(M)
     z = rng.standard_normal(int(2 * sizes.sum()) + 2 * M * S)
 
-    F = dft_matrix(M)
     channels = np.empty((len(ue), M), dtype=complex)
-    for r in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == r)
-        indices = np.array([supports[l][ue[t]].indices for t in group.tolist()])
-        # (n, M, r) stack; each (M, r) slice is C-ordered like dft_columns
-        Fs = F[np.arange(M)[:, None], indices[:, None, :]]
+    for group, indices in supports.size_groups(l, ue):
+        r = indices.shape[1]
+        Fs = dft_column_stack(M, indices)
         at = start[group, None] + np.arange(r)
         nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
         scale = np.sqrt(beta[group] * M / r)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cfsubspace.channel import (AngularSupport, NetworkChannelSampler,
-                                angular_support, dft_columns, dft_matrix,
-                                network_supports, sample_channel, true_covariance)
+                                SupportTable, angular_support, dft_column_stack,
+                                dft_columns, dft_matrix, network_supports,
+                                sample_channel, true_covariance)
 from cfsubspace.geometry import generate_layout
 
 
@@ -30,13 +31,13 @@ def one_pair_support(ru, ue, area_side, delta, M):
 def per_pair_draw(layout, supports, rng):
     """Reference: one network draw, pair by pair in (l, k) order."""
     L, K = layout.num_rus, layout.num_ues
-    M = supports[0][0].num_antennas
+    M = supports.num_antennas
     blocks = np.empty((L, K, M), dtype=complex)
     for l in range(L):
         for k in range(K):
-            r = supports[l][k].size
+            r = supports[l, k].size
             scaled = np.sqrt(layout.lsfc[l, k] * M / r) * dft_columns(
-                M, supports[l][k].indices)
+                M, supports[l, k].indices)
             nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
             blocks[l, k] = scaled @ nu
     return blocks
@@ -63,6 +64,10 @@ class TestSupportBasis:
             basis = dft_columns(M, idx)
             assert basis.flags.c_contiguous and basis.flags.writeable
             assert basis.tobytes() == dft_matrix(M).take(idx, axis=1).tobytes()
+            stack = dft_column_stack(M, np.array([idx, idx[::-1]]))
+            assert stack.flags.c_contiguous and stack.shape == (2, M, size)
+            assert stack[0].tobytes() == basis.tobytes()
+            assert stack[1].tobytes() == dft_columns(M, idx[::-1]).tobytes()
             # reference: the closed-form entries exp(-2j pi m n / M) / sqrt(M)
             formula = np.exp(-2j * np.pi * np.outer(m, idx) / M) / np.sqrt(M)
             assert basis.tobytes() == formula.tobytes()
@@ -123,6 +128,9 @@ class TestAngularSupport:
         layout = generate_layout(2, 3, 500.0, seed=0)
         with pytest.raises(ValueError):
             network_supports(layout, 7.0, 8)
+        for delta in (0.0, -0.5, 2 * np.pi + 1e-9, np.nan):
+            with pytest.raises(ValueError, match="delta"):
+                network_supports(layout, delta, 8)
 
 
 class TestNetworkSupports:
@@ -132,21 +140,68 @@ class TestNetworkSupports:
         padded = 0
         for seed in range(4):
             layout = generate_layout(5, 12, 800.0, seed=seed)
-            supports = network_supports(layout, delta, M)
-            for l in range(layout.num_rus):
-                for k in range(layout.num_ues):
-                    s = supports[l][k]
+            table = network_supports(layout, delta, M)
+            L, K = layout.num_rus, layout.num_ues
+            for array in (table.sizes, table.offsets, table.center_angle,
+                          table.padded):
+                assert array.shape == (L, K)
+            assert (table.width, table.num_antennas) == (delta, M)
+            assert table.indices.size == table.sizes.sum()
+            for l in range(L):
+                for k in range(K):
                     indices, theta, pad = one_pair_support(
                         layout.ru_positions[l], layout.ue_positions[k],
                         layout.area_side, delta, M)
+                    # the one-pair view
+                    s = table[l, k]
                     assert s.indices.dtype == indices.dtype
                     assert np.array_equal(s.indices, indices)
                     assert s.center_angle == theta
                     assert s.padded == pad
                     assert (s.width, s.num_antennas) == (delta, M)
+                    # the raw arrays, pairs stored back to back in (l, k) order
+                    start = table.offsets[l, k]
+                    assert start == (table.sizes.ravel()[:l * K + k].sum())
+                    assert table.sizes[l, k] == indices.size
+                    stored = table.indices[start:start + indices.size]
+                    assert stored.tobytes() == indices.tobytes()
+                    assert table.center_angle[l, k].tobytes() == \
+                        np.float64(theta).tobytes()
+                    assert table.padded[l, k] == pad
                     padded += pad
         if delta == 0.01:  # far narrower than the grid spacing
             assert padded > 0
+
+    def test_from_supports_round_trip(self):
+        layout = generate_layout(3, 7, 800.0, seed=5)
+        table = network_supports(layout, 0.05, 16)
+        assert table.padded.any()
+        rows = [[table[l, k] for k in range(7)] for l in range(3)]
+        again = SupportTable.from_supports(rows)
+        for name in ("indices", "sizes", "offsets", "center_angle", "padded"):
+            a, b = getattr(table, name), getattr(again, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (again.width, again.num_antennas) == (0.05, 16)
+
+    def test_size_groups_cover_the_selection(self):
+        layout = generate_layout(4, 9, 800.0, seed=6)
+        table = network_supports(layout, 0.5, 16)     # sizes 1 and 2
+        l = np.array([0, 3, 1, 1, 2, 0, 2])
+        k = np.array([8, 0, 4, 4, 2, 0, 5])
+        seen, sizes = [], []
+        for members, indices in table.size_groups(l, k):
+            r = indices.shape[1]
+            assert indices.shape == (members.size, r)
+            assert np.all(table.sizes[l[members], k[members]] == r)
+            sizes.append(r)
+            for m, row in zip(members.tolist(), indices):
+                assert row.tobytes() == table[l[m], k[m]].indices.tobytes()
+            seen.extend(members.tolist())
+        assert sorted(seen) == list(range(len(l)))
+        assert sizes == sorted(set(sizes)) and len(sizes) > 1
+        # by default every pair, numbered p = l * K + k
+        pairs = np.concatenate([m for m, _ in table.size_groups()])
+        assert sorted(pairs.tolist()) == list(range(4 * 9))
 
 
 class TestSampleChannel:
@@ -215,7 +270,7 @@ class TestNetworkSampling:
     def test_single_pair_matches_sample_channel(self):
         layout = generate_layout(1, 1, 500.0, seed=9)
         supports = network_supports(layout, np.pi / 8, 8)
-        direct = sample_channel(supports[0][0], layout.lsfc[0, 0],
+        direct = sample_channel(supports[0, 0], layout.lsfc[0, 0],
                                 np.random.default_rng(123))
         blocks = NetworkChannelSampler(layout, supports).sample(
             np.random.default_rng(123))
@@ -236,10 +291,11 @@ class TestNetworkSampling:
         layout = generate_layout(4, 9, 500.0, seed=M)
         rng = np.random.default_rng(M)
         sizes = [1, 2, 3, 8]
-        supports = [[make_support(np.sort(rng.choice(M, size=sizes[(l + k) % 4],
-                                                     replace=False)), M)
-                     for k in range(layout.num_ues)]
-                    for l in range(layout.num_rus)]
+        supports = SupportTable.from_supports(
+            [[make_support(np.sort(rng.choice(M, size=sizes[(l + k) % 4],
+                                              replace=False)), M)
+              for k in range(layout.num_ues)]
+             for l in range(layout.num_rus)])
         sampler = NetworkChannelSampler(layout, supports)
         batched, looped = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(3):

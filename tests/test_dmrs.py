@@ -73,6 +73,40 @@ class TestDmrsField:
                        np.random.default_rng(0))
 
 
+def two_draw_field(channels, pilots, tau_p, snr, rng):
+    """Reference: the pilot field with its noise made by two draws, first
+    the real parts and then the imaginary parts."""
+    book = pilot_book(tau_p, snr)
+    K, M = channels.shape
+    noise = (rng.standard_normal((M, tau_p)) + 1j * rng.standard_normal((M, tau_p))) \
+        / np.sqrt(2.0)
+    return channels.T @ book[:, pilots].conj().T + noise
+
+
+class TestDmrsFieldDraw:
+    @pytest.mark.parametrize("K, M, tau_p", [(1, 4, 3), (7, 8, 5), (30, 16, 15)])
+    def test_one_draw_matches_two_draws(self, K, M, tau_p):
+        rng = np.random.default_rng(K)
+        channels = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
+        pilots = rng.integers(tau_p, size=K)
+        batched, looped = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):   # the second call starts from the moved state
+            field = dmrs_field(channels, pilots, tau_p, 2.5, batched)
+            ref = two_draw_field(channels, pilots, tau_p, 2.5, looped)
+            assert field.shape == (M, tau_p) and field.flags.c_contiguous
+            assert field.tobytes() == ref.tobytes()
+            assert batched.bit_generator.state == looped.bit_generator.state
+
+    @pytest.mark.parametrize("pilots", [[-1], [3], [0, 3]])
+    def test_bad_pilot_rejected_before_any_draw(self, pilots):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="pilot"):
+            dmrs_field(np.zeros((len(pilots), 4), dtype=complex), np.array(pilots),
+                       3, 1.0, rng)
+        assert rng.bit_generator.state == state
+
+
 class TestPmEstimate:
     def test_clean_pilot_recovers_channel(self):
         M, tau_p, snr = 4, 3, 1e16

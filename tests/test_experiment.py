@@ -252,6 +252,40 @@ class TestWriteResults:
                                                      "rate", "se"]]
         assert summary["kinds"] == {} and summary["subspace"] is None
 
+    @staticmethod
+    def _snapshot(path):
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch, error):
+        cfg = tiny_config()
+        write_results(run_experiment(cfg), tmp_path, cfg)
+        before = self._snapshot(tmp_path)
+        assert {"rates.csv", "subspace.csv", "summary.json"} <= set(before)
+        new_cfg = tiny_config(seed=10)
+        result = run_experiment(new_cfg)
+        fmt, calls = experiment_mod._fmt, []
+
+        def failing_fmt(value):     # rates.csv is the first file written
+            calls.append(value)
+            if len(calls) == 7:
+                raise error
+            return fmt(value)
+
+        monkeypatch.setattr(experiment_mod, "_fmt", failing_fmt)
+        with pytest.raises(type(error)):
+            write_results(result, tmp_path, new_cfg)
+        assert len(calls) == 7
+        assert self._snapshot(tmp_path) == before   # no temporary file left either
+
+        monkeypatch.setattr(experiment_mod, "_fmt", fmt)
+        write_results(result, tmp_path, new_cfg)
+        after = self._snapshot(tmp_path)
+        assert set(after) == set(before) and after != before
+        fresh = tmp_path / "fresh"
+        write_results(result, fresh, new_cfg)
+        assert self._snapshot(fresh) == after
+
     def test_excluded_ues_have_empty_cells(self, tmp_path):
         cfg = tiny_config(eta=1e6, kinds=("ideal",))  # impossible threshold
         result = run_experiment(cfg)

@@ -133,6 +133,57 @@ class TestClusterCombinerEdgeCases:
         assert uplink_sinr(comb.weights, np.ones((2, 3)), 4.0, 0) == 0.0
 
 
+def eye_formula_weights(a, G, snr, local_vectors):
+    """Reference: the cluster weights with A = G G^H + I/snr built from an
+    identity matrix, and I * 1e-12 more on a singular system. Also says
+    whether the system was singular."""
+    a = np.asarray(a, dtype=complex)
+    eye = np.eye(a.size)
+    A = eye / snr
+    if G is not None and G.size:
+        G = np.asarray(G, dtype=complex)
+        A = G @ G.conj().T + A
+    singular = False
+    try:
+        w = np.linalg.solve(A, a)
+    except np.linalg.LinAlgError:
+        w = np.linalg.solve(A + 1e-12 * eye, a)
+        singular = True
+    local_sq_norms = (local_vectors.conj() * local_vectors).real.sum(axis=1)
+    nrm = np.sqrt(((w.conj() * w).real * local_sq_norms).sum())
+    return (w / nrm if nrm > 0 else w), singular
+
+
+class TestClusterCombinerGram:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 5, 10):
+            for users in (1, 4, 12):
+                G = rng.standard_normal((n, users)) + 1j * rng.standard_normal((n, users))
+                if n > 1:
+                    G[rng.integers(n)] = 0.0     # an RU that serves no other UE
+                for snr in (1e-3, 0.7, 46.0, 3.2e5):
+                    yield rng.standard_normal(n) + 1j * rng.standard_normal(n), G, snr
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            yield a, None, 2.0                           # no interference at all
+            yield a, np.zeros((n, 0), dtype=complex), 2.0
+            yield a, np.zeros((n, 3), dtype=complex), np.inf   # singular: retried
+
+    def test_weights_bitwise_equal_to_eye_formula(self):
+        rng = np.random.default_rng(22)
+        retried = 0
+        for a, G, snr in self._cases():
+            n = a.size
+            v_local = random_unit_vectors(rng, n, 4)
+            comb = cluster_combiner(a, G, snr, v_local, np.arange(n), n)
+            ref, singular = eye_formula_weights(a, G, snr, v_local)
+            assert comb.weights.dtype == ref.dtype
+            assert comb.weights.tobytes() == ref.tobytes()
+            retried += singular
+        assert retried == 5      # every all-zero system at 1/snr = 0
+
+
 class TestUplinkSinr:
     def test_single_user_aligned(self):
         rng = np.random.default_rng(7)
@@ -234,7 +285,7 @@ class TestErgodicRates:
         rep = ergodic_rates(layout, graph, supports, snr, "ideal", 4000, 3, 200,
                             np.random.default_rng(6))
         beta = layout.lsfc[0, 0]
-        r = supports[0][0].size
+        r = supports[0, 0].size
         M = 4
         rng = np.random.default_rng(60)
         nu = (rng.standard_normal((20000, r)) + 1j * rng.standard_normal((20000, r))) / np.sqrt(2)
@@ -260,7 +311,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
     """Reference SINRs: one cluster_combiner + uplink_sinr call per UE and draw,
     on the same fading and pilot-noise streams as ergodic_rates."""
     L, K = layout.num_rus, layout.num_ues
-    M = supports[0][0].num_antennas
+    M = supports.num_antennas
     sampler = NetworkChannelSampler(layout, supports)
     sinr = {kind: np.full((n_fading, K), np.nan) for kind in kinds}
     for d, draw_rng in enumerate(rng.spawn(n_fading)):
@@ -280,7 +331,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
                 elif kind == "pm":
                     cols = pm[l]
                 else:
-                    cols = [sp_estimate(e, dft_columns(M, supports[l][k].indices)
+                    cols = [sp_estimate(e, dft_columns(M, supports[l, k].indices)
                                         if kind == "sp" else subspaces[(l, int(k))].basis)
                             for e, k in zip(pm[l], users)]
                 est.append(np.array(cols, dtype=complex).reshape(len(users), M).T)

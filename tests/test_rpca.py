@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import cfsubspace.rpca as rpca_mod
-from cfsubspace.channel import (AngularSupport, dft_columns, dft_matrix,
-                                network_supports, sample_channel)
+from cfsubspace.channel import (AngularSupport, SupportTable, dft_columns,
+                                dft_matrix, network_supports, sample_channel)
 from cfsubspace.geometry import generate_layout
 from cfsubspace.hopping import (SrsSchedule, allocate_squares, build_schedule,
                                 mols_family)
@@ -65,7 +65,7 @@ class TestCollectSrs:
     def test_noiseless_single_user_in_span(self):
         supports, schedule, Y = self._single_user_setup(snr=1e30)
         assert Y.shape == (8, 12)
-        Fs = dft_columns(8, supports[0][0].indices)
+        Fs = dft_columns(8, supports[0, 0].indices)
         P_perp = np.eye(8) - Fs @ Fs.conj().T
         for s in range(Y.shape[1]):
             col = Y[:, s]
@@ -96,12 +96,12 @@ def per_slot_srs(schedule, layout, supports, pair, snr, rng):
     """Reference: the slot-by-slot SRS synthesis the batched collect_srs
     replaces, one sample_channel call per desired or colliding channel."""
     l, k = pair
-    M = supports[l][k].num_antennas
+    M = supports.num_antennas
     Y = np.empty((M, schedule.S), dtype=complex)
     for s in range(schedule.S):
-        col = sample_channel(supports[l][k], layout.lsfc[l, k], rng)
+        col = sample_channel(supports[l, k], layout.lsfc[l, k], rng)
         for i in schedule.colliders(k, s):
-            col = col + sample_channel(supports[l][i], layout.lsfc[l, i], rng)
+            col = col + sample_channel(supports[l, i], layout.lsfc[l, i], rng)
         noise = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * snr)
         Y[:, s] = col + noise
     return Y
@@ -121,9 +121,9 @@ class TestBatchedCollectSrs:
                                square_id=np.zeros(K, dtype=int),
                                symbol_id=np.ones(K, dtype=int))
         rng = np.random.default_rng(seed)
-        supports = [[make_support(np.sort(rng.choice(M, 1 + (k + l) % 4,
-                                                     replace=False)), M)
-                     for k in range(K)] for l in range(2)]
+        supports = SupportTable.from_supports(
+            [[make_support(np.sort(rng.choice(M, 1 + (k + l) % 4, replace=False)), M)
+              for k in range(K)] for l in range(2)])
         layout = SimpleNamespace(lsfc=10.0 ** rng.uniform(-12, -8, (2, K)))
         return schedule, layout, supports
 
