@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -272,6 +271,9 @@ def run_experiment(config: ExperimentConfig, progress: bool = False) -> Experime
     ids = list(range(config.n_layouts))
     outputs = [None] * len(ids)
     if config.workers > 1:
+        # imported here: the pool machinery is a noticeable share of the
+        # package's import time and one-worker runs never use it
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = {pool.submit(_run_layout, config, i): i for i in ids}
             try:

@@ -21,8 +21,10 @@ from ._fields import check_field_types
 from .channel import dft_column_stack, dft_columns, dft_matrix
 
 # the adaptive penalty doubles or halves rho when one ADMM residual exceeds
-# the other by this factor (primal-dual residual balancing)
-_RESIDUAL_RATIO = 10.0
+# the other by this factor (primal-dual residual balancing, Boyd et al. 2011,
+# section 3.4.1). 4 rebalances often enough to save about a quarter of the
+# steps; at 3 some collider-heavy solves no longer converge within max_iter
+_RESIDUAL_RATIO = 4.0
 # lambda must sit this far (relative) below the rank-zero threshold before a
 # solve is skipped: close to the threshold ADMM can stop at tol with a tiny
 # nonzero low-rank part
@@ -54,6 +56,9 @@ class RpcaResult:
     iterations: int
     converged: bool
     residual: float        # ||Y - H_hat - E_hat||_F
+    # singular values of H_hat, descending, as the last ADMM step thresholded
+    # them (times the input's scale)
+    singular_values: np.ndarray = field(repr=False)
     # (Yn, lambda, params): the internally normalized input and the solver
     # settings, from which ``objective`` replays the iterations.
     problem: tuple = field(repr=False, compare=False, default=None)
@@ -75,6 +80,12 @@ class RpcaResult:
             _admm(Yn, lam, params, outliers.append)
         return np.array([np.linalg.svd(Yn - E, compute_uv=False).sum()
                          + lam * _col_norms(E).sum() for E in outliers])
+
+    @property
+    def rank(self) -> int:
+        """:func:`numerical_rank` of ``low_rank``, read from the singular
+        values the solve already made instead of a fresh SVD."""
+        return _rank_of(self.singular_values)
 
 
 @dataclass
@@ -180,43 +191,64 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
     scale = _fro(Y) / np.sqrt(S)
     if scale == 0:
         return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True, 0.0,
-                          problem=(Y, lam, params))
+                          np.zeros(min(M, S)), problem=(Y, lam, params))
     Yn = Y / scale
-    H, E, iterations, converged = _admm(Yn, lam, params)
+    H, E, sv, iterations, converged = _admm(Yn, lam, params)
     H = H * scale
     E = E * scale
+    if sv is None:
+        sv = np.linalg.svd(H, compute_uv=False)
+    else:
+        sv = sv * scale
     return RpcaResult(low_rank=H, outliers=E, iterations=iterations,
                       converged=converged, residual=float(_fro(Y - H - E)),
-                      problem=(Yn, lam, replace(params)))
+                      singular_values=sv, problem=(Yn, lam, replace(params)))
 
 
 def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
     """ADMM on the normalized problem, from H = Yn and E = U = 0.
 
-    Returns (H, E, iterations, converged). ``on_step`` is called with each
-    outlier iterate E_1, E_2, ... as it is made; every step makes a fresh E.
+    Returns (H, E, sv, iterations, converged), where sv holds the last step's
+    thresholded singular values of H (None when no step ran). ``on_step`` is
+    called with each outlier iterate E_1, E_2, ... as it is made; every step
+    makes a fresh E.
+
+    Each step reuses its buffers where that gives the same bits as the plain
+    update: D = Yn - H serves both G = D + U and R = D - E, the thresholds are
+    applied in place, and ||H - H_prev|| is only taken once the E-change
+    already meets the tolerance (the test on the larger change is the test on
+    both).
     """
     rho = params.rho
     H = Yn.copy()
     E = np.zeros_like(Yn)
     U = np.zeros_like(Yn)
+    sv = None
     converged = False
     iterations = 0
-    norm_y = _fro(Yn)
+    norm = max(1.0, _fro(Yn))
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
         W, sv, Vh = np.linalg.svd(Yn - E + U, full_matrices=False)
-        H = (W * np.maximum(sv - 1.0 / rho, 0.0)) @ Vh
-        G = Yn - H + U
+        sv -= 1.0 / rho
+        np.maximum(sv, 0.0, out=sv)
+        W *= sv
+        H = W @ Vh
+        D = Yn - H
+        G = D + U
         col = _col_norms(G)
-        E = G * np.maximum(1.0 - (lam / rho) / np.maximum(col, 1e-300), 0.0)
-        R = Yn - H - E
-        U = U + R
+        np.maximum(col, 1e-300, out=col)
+        np.divide(lam / rho, col, out=col)
+        np.subtract(1.0, col, out=col)
+        np.maximum(col, 0.0, out=col)
+        E = np.multiply(G, col, out=G)
+        R = np.subtract(D, E, out=D)
+        U += R
         if on_step is not None:
             on_step(E)
         e_change = _fro(E - E_prev)
-        change = max(_fro(H - H_prev), e_change)
-        if change / max(1.0, norm_y) < params.tol:
+        if e_change / norm < params.tol and \
+                _fro(H - H_prev) / norm < params.tol:
             converged = True
             break
         r_norm = _fro(R)
@@ -227,11 +259,15 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
         elif d_norm > _RESIDUAL_RATIO * r_norm:
             rho /= 2.0
             U *= 2.0
-    return H, E, iterations, converged
+    return H, E, sv, iterations, converged
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-6) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    return _rank_of(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+
+
+def _rank_of(sv: np.ndarray, rel_tol: float = 1e-6) -> int:
+    """How many of the descending singular values sv exceed rel_tol * sv[0]."""
     if sv[0] == 0:
         return 0
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
@@ -284,7 +320,7 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
         result = outlier_pursuit(Y, lam, params)
         if last:
             break
-        rank = numerical_rank(result.low_rank)
+        rank = result.rank
         if lo <= rank <= hi:
             break
         lam = lam / factor if rank > hi else lam * factor

@@ -1,7 +1,11 @@
 import csv
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,16 @@ class TestRunExperiment:
         assert [line.split(" done")[0] for line in serial] == \
             ["layout 1/3", "layout 2/3", "layout 3/3"]
         assert sorted(parallel) == serial
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # one-worker runs never start a pool, so they need not import it
+        src = Path(experiment_mod.__file__).resolve().parents[1]
+        code = ("import sys, cfsubspace; "
+                "print('concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stdout.strip() == "False"
 
 
 class TestFailureContext:

@@ -6,7 +6,7 @@ import pytest
 import cfsubspace.rpca as rpca_mod
 from cfsubspace.channel import (AngularSupport, SupportTable, dft_columns,
                                 dft_matrix, network_supports, sample_channel)
-from cfsubspace.geometry import generate_layout
+from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
 from cfsubspace.hopping import (SrsSchedule, allocate_squares, build_schedule,
                                 mols_family)
 from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
@@ -430,6 +430,181 @@ class TestRankZeroScreen:
             result = outlier_pursuit_tuned(noise_matrix(7), 1e-3,
                                            max_retries=retries)
             assert len(calls) == 1 and result.iterations >= 1
+
+
+def real_observation(K, N, seed=3, L=10, M=8):
+    """The SRS observation, at the edge with the most collider incidences, of
+    a reduced network (2 km side, delta = pi/8, Q = 10) with K UEs on N x N
+    squares."""
+    layout = generate_layout(L, K, 2000.0, seed=seed)
+    snr = calibrate_snr(L, M, 2000.0)
+    graph = form_clusters(layout.lsfc, snr, M, 10)
+    supports = network_supports(layout, np.pi / 8, M)
+    family = mols_family(N)
+    schedule = build_schedule(allocate_squares(layout, family), family, N)
+    hits = {(l, k): sum(len(schedule.colliders(k, s)) for s in range(N))
+            for l, k in sorted(graph.edges)}
+    edge = max(hits, key=hits.get)
+    assert hits[edge] > 0
+    return collect_srs(schedule, layout, supports, edge, snr,
+                       np.random.default_rng(seed))
+
+
+def plain_admm(Yn, lam, params):
+    """Reference: the ADMM loop of ``rpca._admm`` with a fresh array for every
+    operation and the convergence test on the larger change.
+
+    Returns (H, E, thresholded singular values, iterations, converged,
+    E iterates, penalty moves), the moves one '+' (doubled) or '-' (halved)
+    per step that changed rho.
+    """
+    rho = params.rho
+    H, E, U = Yn.copy(), np.zeros_like(Yn), np.zeros_like(Yn)
+    sv, converged, iterations, outliers, moves = None, False, 0, [], ""
+    for iterations in range(1, params.max_iter + 1):
+        H_prev, E_prev = H, E
+        W, s, Vh = np.linalg.svd(Yn - E + U, full_matrices=False)
+        sv = np.maximum(s - 1.0 / rho, 0.0)
+        H = (W * sv) @ Vh
+        G = Yn - H + U
+        shrink = 1.0 - (lam / rho) / np.maximum(np.linalg.norm(G, axis=0), 1e-300)
+        E = G * np.maximum(shrink, 0.0)
+        R = Yn - H - E
+        U = U + R
+        outliers.append(E.copy())
+        e_change = np.linalg.norm(E - E_prev)
+        change = max(np.linalg.norm(H - H_prev), e_change)
+        if change / max(1.0, np.linalg.norm(Yn)) < params.tol:
+            converged = True
+            break
+        r_norm, d_norm = np.linalg.norm(R), rho * e_change
+        if r_norm > rpca_mod._RESIDUAL_RATIO * d_norm:
+            rho, U, moves = rho * 2.0, U / 2.0, moves + "+"
+        elif d_norm > rpca_mod._RESIDUAL_RATIO * r_norm:
+            rho, U, moves = rho / 2.0, U * 2.0, moves + "-"
+    return H, E, sv, iterations, converged, outliers, moves
+
+
+def collider_observations():
+    """SRS observations of a crowded three-RU network, and of the K = 40,
+    N = 7 reduced network, every one with colliders in some slots."""
+    layout = generate_layout(3, 60, 800.0, seed=11)
+    supports = network_supports(layout, np.pi / 3, 8)
+    family = mols_family(5)
+    schedule = build_schedule(allocate_squares(layout, family), family, S=8)
+    return [collect_srs(schedule, layout, supports, (l, k), 50.0,
+                        np.random.default_rng(k))
+            for l, k in [(0, 0), (1, 17), (2, 59)]] + [real_observation(40, 7)]
+
+
+class TestFusedStep:
+    """The solver reuses buffers inside each ADMM step; that must give the
+    bits of the plain step, iterate by iterate."""
+
+    def test_equals_plain_loop(self):
+        rng = np.random.default_rng(60)
+        planted = [planted_instance(rng)[0],
+                   planted_instance(rng, M=8, S=29, rank=2)[0]]
+        noise = [noise_matrix(3), noise_matrix(7), noise_matrix(8, M=16, S=19)]
+        cases = [(Y, lam, RpcaParams()) for Y in planted + noise
+                 + collider_observations() for lam in (0.05, 0.25, 0.58, 2.0)]
+        cases += [(planted[0], 0.25, RpcaParams(rho=0.1, tol=1e-9)),
+                  (noise[0], 0.25, RpcaParams(rho=20.0, max_iter=7))]
+        moves = ""
+        for Y, lam, params in cases:
+            Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
+            steps = []
+            H, E, sv, iterations, converged = rpca_mod._admm(Yn, lam, params,
+                                                             steps.append)
+            ref = plain_admm(Yn, lam, params)
+            for got, want in zip((H, E, sv), ref[:3]):
+                assert got.tobytes() == want.tobytes()
+            assert (iterations, converged) == ref[3:5]
+            assert len(steps) == len(ref[5]) == iterations
+            for got, want in zip(steps, ref[5]):
+                assert got.tobytes() == want.tobytes()
+            moves += ref[6]
+        # the cases double and halve rho, so the rescaled duals are covered
+        assert "+" in moves and "-" in moves
+
+    def test_no_step_returns_the_start(self):
+        Yn = noise_matrix(3)
+        H, E, sv, iterations, converged = rpca_mod._admm(
+            Yn, 0.25, RpcaParams(max_iter=0))
+        assert H.tobytes() == Yn.tobytes() and not np.any(E)
+        assert sv is None and iterations == 0 and not converged
+
+
+def accuracy_cases():
+    """Planted instances at lambda = 0.25 and a K = 40, N = 7 collider
+    observation at the lambda the retune loop settles on."""
+    rng = np.random.default_rng(70)
+    cases = [(planted_instance(rng, rank=r, n_outliers=n)[0], 0.25)
+             for r, n in [(1, 3), (2, 5), (3, 4)]]
+    Y = real_observation(40, 7)
+    return cases + [(Y, outlier_pursuit_tuned(Y, 0.25).problem[1])]
+
+
+class TestSolutionAccuracy:
+    """The balancing ratio moves the iterate path, not the answer: at the
+    solver's ratio and at the former 10, the default solve lands within a
+    fixed distance of a solve run to a ten-thousand times tighter tolerance."""
+
+    @pytest.mark.parametrize("ratio", [rpca_mod._RESIDUAL_RATIO, 10.0])
+    def test_default_solve_near_tight_solve(self, monkeypatch, ratio):
+        monkeypatch.setattr(rpca_mod, "_RESIDUAL_RATIO", ratio)
+        tight = RpcaParams(tol=1e-10, max_iter=20000)
+        for Y, lam in accuracy_cases():
+            default, reference = outlier_pursuit(Y, lam), outlier_pursuit(Y, lam, tight)
+            assert default.converged and reference.converged
+            assert default.rank >= 1
+            distance = np.linalg.norm(default.low_rank - reference.low_rank)
+            assert distance <= 1e-4 * np.linalg.norm(Y)
+
+    def test_ratio_moves_the_path(self, monkeypatch):
+        paths = []
+        for ratio in (rpca_mod._RESIDUAL_RATIO, 10.0):
+            monkeypatch.setattr(rpca_mod, "_RESIDUAL_RATIO", ratio)
+            paths.append([outlier_pursuit(Y, lam).iterations
+                          for Y, lam in accuracy_cases()])
+        assert paths[0] != paths[1]
+
+
+class TestRankFromLastStep:
+    def test_equals_numerical_rank_of_low_rank(self):
+        rng = np.random.default_rng(80)
+        planted = [planted_instance(rng, rank=r, n_outliers=n)[0]
+                   for r, n in [(1, 3), (2, 5), (3, 4), (4, 6)]]
+        inputs = planted + [noise_matrix(7), noise_matrix(8, M=16, S=19),
+                            np.zeros((8, 29), dtype=complex)] + collider_observations()
+        ranks = set()
+        for Y in inputs:
+            for lam in (0.05, 0.25, 0.35, 0.5625, 2.0, 1e6):
+                for params in (RpcaParams(), RpcaParams(max_iter=0),
+                               RpcaParams(max_iter=2)):
+                    result = outlier_pursuit(Y, lam, params)
+                    assert result.rank == numerical_rank(result.low_rank)
+                    ranks.add(result.rank)
+        assert {0, 1, 2, 3, 4} <= ranks
+
+    @pytest.mark.parametrize("lam,band", [(2.0, None), (0.05, None), (0.58, None),
+                                          (0.25, (0, 4))])
+    def test_tuned_loop_takes_no_extra_svd(self, monkeypatch, lam, band):
+        # one SVD for the rank-zero screen (when the band needs one) and one
+        # per ADMM step: the rank of each solve costs none
+        svds, iterations = [], []
+        svd, solve = np.linalg.svd, rpca_mod.outlier_pursuit
+
+        def counted_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+        monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted_solve)
+        outlier_pursuit_tuned(noise_matrix(7), lam, rank_band=band)
+        assert len(svds) == (band is None) + sum(iterations)
 
 
 class TestSelectRank:
