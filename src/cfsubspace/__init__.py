@@ -14,10 +14,9 @@ from .geometry import (AssociationGraph, Layout, PathlossParams, assign_dmrs,
                        lsfc_matrix, torus_distance)
 from .hopping import (LatinSquare, SquareAssignment, SrsSchedule,
                       allocate_squares, are_orthogonal, build_schedule,
-                      default_cell_radius, is_latin, mols_family,
-                      schedule_to_csv)
-from .receiver import (Combiner, RateReport, cluster_combiner, ergodic_rates,
-                       local_lmmse, uplink_sinr)
+                      default_cell_radius, is_latin, mols_family)
+from .receiver import (RateReport, cluster_combiner, ergodic_rates, local_lmmse,
+                       uplink_sinr)
 from .rpca import (RpcaParams, RpcaResult, SubspaceEstimate, collect_srs,
                    dft_project, estimated_covariance, outlier_pursuit,
                    outlier_pursuit_tuned, power_efficiency, select_rank,

@@ -44,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tune-lambda", dest="tune_lambda",
                    action=argparse.BooleanOptionalAction, default=None,
                    help="per-edge empirical lambda retuning loop (default on)")
-    p.add_argument("--natural-log", dest="natural_log",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="rates in nat/s/Hz instead of bit/s/Hz")
     p.add_argument("--out", dest="output_dir", help="output directory")
     return p
 

@@ -55,7 +55,6 @@ class ExperimentConfig:
     n_fading: int = 100
     seed: int = 0
     kinds: tuple = DEFAULT_KINDS
-    natural_log: bool = False
     workers: int = 1
     output_dir: str = "results"
     pathloss: PathlossParams = field(default_factory=PathlossParams)
@@ -75,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 2*pi]")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
+        if not 0 <= self.eta < np.inf:
+            raise ValueError("eta must be finite and >= 0")
         if not _is_prime(self.N):
             raise ValueError("N must be prime")
         if self.S is None:
@@ -93,6 +94,10 @@ class ExperimentConfig:
         if bad:
             raise ValueError(f"unknown estimator kinds {bad}; "
                              f"choose from {list(ESTIMATOR_KINDS)}")
+        if not self.kinds:
+            raise ValueError("kinds must name at least one estimator kind")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError(f"kinds must not repeat a kind: {list(self.kinds)}")
 
 
 @dataclass
@@ -225,11 +230,10 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
                 res = outlier_pursuit(Y, config.lam, config.solver)
             not_converged += not res.converged
             pca, pp = subspace_estimates(res.low_rank)
-            beta = layout.lsfc[l, k]
             edge_records.append(EdgeRecord(
                 layout=layout_id, ru=l, ue=k,
-                pe_raw=power_efficiency(supports[l, k], beta, pca),
-                pe_pp=power_efficiency(supports[l, k], beta, pp),
+                pe_raw=power_efficiency(supports[l, k], pca),
+                pe_pp=power_efficiency(supports[l, k], pp),
                 rank=pca.rank, converged=res.converged,
                 iterations=res.iterations))
             subspaces[(l, k)] = pp
@@ -238,7 +242,7 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
     reports = ergodic_rates(layout, graph, supports, snr, list(config.kinds),
                             config.n_fading, config.tau_p, config.T,
                             stage_rng(config.seed, "fading", layout_id),
-                            subspaces=subspaces, natural_log=config.natural_log)
+                            subspaces=subspaces)
     excluded = set(int(k) for k in graph.orphan_ues)
     rate_records = []
     for kind in config.kinds:

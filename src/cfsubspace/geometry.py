@@ -6,7 +6,7 @@ urban-microcell pathloss model with a Bernoulli LOS/NLOS state per RU-UE pair,
 drawn once per layout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class PathlossParams:
 
     def __post_init__(self):
         check_field_types(self)
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.carrier_freq_ghz <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.ru_height_m <= 0 or self.ue_height_m <= 0:

@@ -7,7 +7,6 @@ N row-hopping sequences of its square round-robin. Two UEs on the same square
 never collide; UEs on distinct squares collide exactly once per N slots.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,6 @@ class SrsSchedule:
     N: int
     S: int
     subcarriers: np.ndarray  # (K, S) int, 1-based
-    square_id: np.ndarray
-    symbol_id: np.ndarray
 
     def collision_slots(self, i: int, k: int) -> np.ndarray:
         """Slots where UEs i and k transmit on the same subcarrier."""
@@ -179,17 +176,4 @@ def build_schedule(assignment: SquareAssignment, family: list, S: int) -> SrsSch
     subcarriers = np.empty((K, S), dtype=int)
     for k in range(K):
         subcarriers[k] = row_of[assignment.square_id[k]][assignment.symbol_id[k] - 1, cols]
-    return SrsSchedule(N=N, S=S, subcarriers=subcarriers,
-                       square_id=assignment.square_id.copy(),
-                       symbol_id=assignment.symbol_id.copy())
-
-
-def schedule_to_csv(schedule: SrsSchedule, path) -> None:
-    """Dump the schedule as rows (ue_id, slot, subcarrier, square_id, symbol_id)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "slot", "subcarrier", "square_id", "symbol_id"])
-        for k in range(schedule.subcarriers.shape[0]):
-            for s in range(schedule.S):
-                writer.writerow([k, s, int(schedule.subcarriers[k, s]),
-                                 int(schedule.square_id[k]), int(schedule.symbol_id[k])])
+    return SrsSchedule(N=N, S=S, subcarriers=subcarriers)

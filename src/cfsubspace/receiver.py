@@ -7,7 +7,6 @@ resulting unit-norm network-wide combiner is scored against the true channels
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -18,38 +17,17 @@ ESTIMATOR_KINDS = ("ideal", "sp", "pp", "pm")
 
 
 @dataclass
-class Combiner:
-    """Per-UE receive combiner: local directions, cluster weights, assembly."""
-
-    cluster: np.ndarray        # (n_c,) serving RU ids
-    local_vectors: np.ndarray  # (n_c, M) per-RU directions (unit norm or zero)
-    weights: np.ndarray        # (n_c,) cluster combining coefficients
-    num_rus: int
-
-    @cached_property
-    def vector(self) -> np.ndarray:
-        """The assembled unit-norm (L*M,) combiner: w_l * v_l in RU block l."""
-        M = self.local_vectors.shape[1]
-        vector = np.zeros(self.num_rus * M, dtype=complex)
-        for ci, l in enumerate(self.cluster):
-            vector[l * M:(l + 1) * M] = self.weights[ci] * self.local_vectors[ci]
-        return vector
-
-
-@dataclass
 class RateReport:
     """Monte-Carlo rate summary for one estimator kind.
 
-    Rates are in bit/s/Hz (base-2 log unless built with natural_log) and
-    spectral efficiency applies the (1 - tau_p/T) pilot overhead factor.
-    UEs with empty clusters are excluded: their entries are NaN.
+    Rates are in bit/s/Hz and spectral efficiency applies the (1 - tau_p/T)
+    pilot overhead factor. UEs with empty clusters are excluded: their
+    entries are NaN.
     """
 
-    kind: str
     sinr_samples: np.ndarray  # (n_fading, K)
     rate: np.ndarray          # (K,)
     se: np.ndarray            # (K,)
-    excluded: np.ndarray      # UE ids without a serving cluster
 
 
 def local_lmmse(estimates: np.ndarray, snr: float, index: int) -> np.ndarray:
@@ -77,8 +55,7 @@ def _lmmse_directions(estimates: np.ndarray, snr: float) -> np.ndarray:
 
 
 def cluster_combiner(desired_gains: np.ndarray, interference_gains: np.ndarray,
-                     snr: float, local_vectors: np.ndarray, cluster: np.ndarray,
-                     num_rus: int) -> Combiner:
+                     snr: float, local_vectors: np.ndarray) -> np.ndarray:
     """Cluster-level weights maximizing the nominal SINR.
 
     With a = desired_gains and B the Gram matrix of the known interference
@@ -87,7 +64,7 @@ def cluster_combiner(desired_gains: np.ndarray, interference_gains: np.ndarray,
     1e-12 added to the diagonal. The weights are scaled so that the combiner
     sum_l w_l v_l has unit norm: its blocks sit at distinct RUs, so its
     squared norm is sum_l |w_l|^2 ||v_l||^2, and a zero combiner stays zero.
-    The dense vector is assembled only when ``Combiner.vector`` is read.
+    Returns the (n_c,) weights; the combiner itself is never assembled.
     """
     a = np.asarray(desired_gains, dtype=complex)
     n = a.size
@@ -105,8 +82,7 @@ def cluster_combiner(desired_gains: np.ndarray, interference_gains: np.ndarray,
     nrm = np.sqrt(((w.conj() * w).real * local_sq_norms).sum())
     if nrm > 0:
         w = w / nrm
-    return Combiner(cluster=np.asarray(cluster, dtype=int),
-                    local_vectors=local_vectors, weights=w, num_rus=num_rus)
+    return w
 
 
 def uplink_sinr(vector: np.ndarray, channel_matrix: np.ndarray, snr: float,
@@ -193,7 +169,7 @@ def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarra
     cluster's rows, so :func:`cluster_combiner` and :func:`uplink_sinr` work
     on (n_c, K) row sets and no dense (L*M,) combiner is ever formed.
     """
-    L, K = blocks.shape[:2]
+    K = blocks.shape[1]
     local = _lmmse_directions(est, snr).swapaxes(1, 2)[edges.filled]   # (edges, M)
     known = np.zeros((len(local), K), dtype=complex)
     true = np.empty((len(local), K), dtype=complex)
@@ -210,24 +186,24 @@ def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarra
         gains = known[rows]
         desired = gains[:, k].copy()
         gains[:, k] = 0.0
-        comb = cluster_combiner(desired, gains, snr, local[rows], graph.clusters[k], L)
-        out[u] = uplink_sinr(comb.weights, true[rows], snr, k)
+        weights = cluster_combiner(desired, gains, snr, local[rows])
+        out[u] = uplink_sinr(weights, true[rows], snr, k)
     return out
 
 
 def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
                   tau_p: int, T: int, rng: np.random.Generator,
-                  subspaces: dict | None = None, natural_log: bool = False):
-    """Monte-Carlo optimistic ergodic rates for one or more estimator kinds.
+                  subspaces: dict | None = None) -> dict:
+    """Monte-Carlo optimistic ergodic rates for a sequence of estimator kinds.
 
     All kinds share the same fading and pilot-noise draws (per-draw child
     streams), so reports are directly comparable. ``subspaces`` maps edges
     (l, k) to their estimated ``SubspaceEstimate`` and is required for kind
-    "pp". Passing a single kind returns its RateReport; a sequence returns
-    {kind: RateReport}.
+    "pp". Returns {kind: RateReport}.
     """
-    single = isinstance(kinds, str)
-    kind_list = [kinds] if single else list(kinds)
+    if isinstance(kinds, str):
+        raise ValueError("kinds must be a sequence of estimator kinds, not a string")
+    kind_list = list(kinds)
     for kind in kind_list:
         if kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {kind!r}")
@@ -241,8 +217,7 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
 
     L, K = layout.num_rus, layout.num_ues
     sampler = NetworkChannelSampler(layout, supports)
-    excluded = graph.orphan_ues
-    active = np.setdiff1d(np.arange(K), excluded)
+    active = np.setdiff1d(np.arange(K), graph.orphan_ues)
     edges = _EdgeLayout.build(graph, active)
     mask = edges.filled[:, None, :]
     proj = {kind: _projection_groups(edges, supports, subspaces, kind)
@@ -272,12 +247,11 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
             sinr[kind][d, active] = _cluster_sinrs(graph, edges, est, blocks,
                                                    active, snr)
 
-    log = np.log if natural_log else np.log2
     factor = 1.0 - tau_p / T
     reports = {}
     for kind in kind_list:
         rate = np.full(K, np.nan)
-        rate[active] = log(1.0 + sinr[kind][:, active]).mean(axis=0)
-        reports[kind] = RateReport(kind=kind, sinr_samples=sinr[kind], rate=rate,
-                                   se=factor * rate, excluded=excluded)
-    return reports[kind_list[0]] if single else reports
+        rate[active] = np.log2(1.0 + sinr[kind][:, active]).mean(axis=0)
+        reports[kind] = RateReport(sinr_samples=sinr[kind], rate=rate,
+                                   se=factor * rate)
+    return reports

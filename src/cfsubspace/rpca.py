@@ -95,7 +95,6 @@ class SubspaceEstimate:
 
     basis: np.ndarray             # (M, r) orthonormal columns
     rank: int
-    kind: str = "pca"             # "pca" | "pp"
     dft_indices: np.ndarray | None = None
 
 
@@ -350,42 +349,31 @@ def select_rank(singular_values, r_max: int) -> int:
 def dft_project(basis: np.ndarray) -> np.ndarray:
     """Greedy DFT column selection maximizing f^H (B B^H) f, one per rank.
 
-    The scores of distinct columns do not interact, so the greedy loop reduces
-    to picking the top-r scores; ties resolve to the lowest column index.
-    Returns the sorted index set.
+    The scores of distinct columns do not interact, so picking the best
+    remaining column r times is picking the top-r scores; ties resolve to the
+    lowest column index. Returns the sorted index set.
     """
     M, r = basis.shape
     if r > M:
         raise ValueError("rank exceeds the number of DFT columns")
     proj = basis.conj().T @ dft_matrix(M)         # (r, M)
     scores = np.real(np.sum(np.abs(proj) ** 2, axis=0))
-    chosen = []
-    avail = np.ones(M, dtype=bool)
-    for _ in range(r):
-        masked = np.where(avail, scores, -np.inf)
-        pick = int(np.argmax(masked))             # argmax takes the first max
-        chosen.append(pick)
-        avail[pick] = False
-    return np.array(sorted(chosen), dtype=int)
+    return np.sort(np.argsort(-scores, kind="stable")[:r])
 
 
-def estimated_covariance(basis: np.ndarray, beta: float,
-                         rank: int | None = None) -> np.ndarray:
+def estimated_covariance(basis: np.ndarray, beta: float) -> np.ndarray:
     """Estimated channel covariance (beta*M/r) B B^H for an orthonormal basis."""
     M, r = basis.shape
-    if rank is None:
-        rank = r
-    if rank != r:
-        raise ValueError("rank must match the number of basis columns")
-    return beta * M / rank * (basis @ basis.conj().T)
+    return beta * M / r * (basis @ basis.conj().T)
 
 
-def power_efficiency(support, beta: float, estimate: SubspaceEstimate) -> float:
+def power_efficiency(support, estimate: SubspaceEstimate) -> float:
     """Fraction of the desired channel power captured by a subspace estimate.
 
     tr(Sigma_true @ Sigma_est) / tr(Sigma_true @ Sigma_true), which reduces to
-    ||B^H F_S||_F^2 / r for these projector-type covariances. Always in [0, 1];
-    equals 1 exactly when the estimate spans the true support with r = |S|.
+    ||B^H F_S||_F^2 / r for these projector-type covariances (their common
+    gain beta cancels). Always in [0, 1]; equals 1 exactly when the estimate
+    spans the true support with r = |S|.
     """
     Fs = dft_columns(support.num_antennas, support.indices)
     cross = estimate.basis.conj().T @ Fs
@@ -405,8 +393,7 @@ def subspace_estimates(low_rank: np.ndarray, r_max: int | None = None):
         r_max = max(1, min(M, S) // 2)
     W, sv, _ = np.linalg.svd(low_rank, full_matrices=False)
     r = select_rank(sv, r_max)
-    pca = SubspaceEstimate(basis=W[:, :r], rank=r, kind="pca")
+    pca = SubspaceEstimate(basis=W[:, :r], rank=r)
     idx = dft_project(pca.basis)
-    pp = SubspaceEstimate(basis=dft_columns(M, idx), rank=r, kind="pp",
-                          dft_indices=idx)
+    pp = SubspaceEstimate(basis=dft_columns(M, idx), rank=r, dft_indices=idx)
     return pca, pp

@@ -81,6 +81,13 @@ class TestConfig:
         ({"solver": {"rho": -1}}, "'solver': rho must be positive"),
         ({"pathloss": {"los_offset": "32"}}, "'pathloss': los_offset must be a number"),
         ({"pathloss": {"shadowing_std_db": -2.0}}, "shadowing_std_db must be >= 0"),
+        ({"kinds": ["ideal", "ideal"]}, "kinds must not repeat a kind"),
+        ({"kinds": []}, "kinds must name at least one"),
+        ({"eta": float("nan")}, "eta must be finite and >= 0"),
+        ({"eta": -1.0}, "eta must be finite and >= 0"),
+        ({"pathloss": {"carrier_freq_ghz": float("nan")}}, "carrier_freq_ghz must be finite"),
+        ({"pathloss": {"ru_height_m": float("nan")}}, "ru_height_m must be finite"),
+        ({"pathloss": {"los_offset": float("inf")}}, "los_offset must be finite"),
     ])
     def test_wrong_type_or_range_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
@@ -341,14 +348,22 @@ class TestCli:
         ({"T": "200"}, "T must be an integer"),
         ({"seed": True}, "seed"),
         ({"solver": {"max_iter": "abc"}}, "max_iter"),
+        ({"natural_log": True}, "natural_log"),
+        ({"kinds": ["ideal", "ideal"]}, "kinds"),
+        ({"kinds": []}, "kinds"),
+        ({"eta": float("nan")}, "eta"),
+        ({"pathloss": {"carrier_freq_ghz": float("nan")}}, "carrier_freq_ghz"),
+        ({"pathloss": {"ru_height_m": float("nan")}}, "ru_height_m"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(entry))
-        # reduced flags keep a run short should a bad entry ever get through
+        # reduced flags keep a run short should a bad entry ever get through;
+        # --kinds would override the entry's own kinds
+        kinds = [] if "kinds" in entry else ["--kinds", "pp"]
         code = cli_main(["--config", str(cfg_path), "--L", "3", "--M", "4",
                          "--K", "5", "--N", "5", "--tau-p", "3", "--area", "600",
-                         "--layouts", "1", "--fading", "1", "--kinds", "pp",
+                         "--layouts", "1", "--fading", "1", *kinds,
                          "--out", str(tmp_path / "x")])
         assert code == 2
         err = capsys.readouterr().err

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from cfsubspace.geometry import generate_layout
 from cfsubspace.hopping import (LatinSquare, allocate_squares, are_orthogonal,
                                 build_schedule, default_cell_radius,
                                 hex_cell_grid, is_latin, mols_family,
-                                reuse_color, schedule_to_csv)
+                                reuse_color)
 
 # reference pair of mutually orthogonal order-5 squares (rows = subcarriers,
 # columns = slots); the first two members of the N=5 family
@@ -174,17 +172,3 @@ class TestAllocation:
         with pytest.raises(ValueError):
             allocate_squares(layout, [], cell_radius=100.0)
 
-
-class TestExport:
-    def test_schedule_csv(self, tmp_path):
-        family = mols_family(5)
-        layout = generate_layout(3, 4, 500.0, seed=3)
-        assignment = allocate_squares(layout, family)
-        sched = build_schedule(assignment, family, S=5)
-        path = tmp_path / "schedule.csv"
-        schedule_to_csv(sched, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["ue_id", "slot", "subcarrier", "square_id", "symbol_id"]
-        assert len(rows) == 1 + 4 * 5
-        assert rows[1][0] == "0" and rows[1][1] == "0"
