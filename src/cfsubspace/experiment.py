@@ -72,8 +72,8 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if not 0 < self.delta <= 2 * np.pi:
             raise ValueError("delta must lie in (0, 2*pi]")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if not 0 <= self.eta < np.inf:
             raise ValueError("eta must be finite and >= 0")
         if not _is_prime(self.N):
@@ -84,10 +84,10 @@ class ExperimentConfig:
             raise ValueError("S must be >= 1")
         if self.tau_p >= self.T:
             raise ValueError("tau_p must be smaller than the block size T")
-        if not self.area_side > 0:
-            raise ValueError("area_side must be positive")
-        if self.cell_radius is not None and not self.cell_radius > 0:
-            raise ValueError("cell_radius must be positive")
+        if not 0 < self.area_side < np.inf:
+            raise ValueError("area_side must be positive and finite")
+        if self.cell_radius is not None and not 0 < self.cell_radius < np.inf:
+            raise ValueError("cell_radius must be positive and finite")
         if self.solver.max_iter < 1:
             raise ValueError("solver.max_iter must be >= 1")
         bad = [k for k in self.kinds if k not in ESTIMATOR_KINDS]
@@ -229,7 +229,7 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
             else:
                 res = outlier_pursuit(Y, config.lam, config.solver)
             not_converged += not res.converged
-            pca, pp = subspace_estimates(res.low_rank)
+            pca, pp = subspace_estimates(res.left_vectors, res.singular_values)
             edge_records.append(EdgeRecord(
                 layout=layout_id, ru=l, ue=k,
                 pe_raw=power_efficiency(supports[l, k], pca),

@@ -164,16 +164,12 @@ def build_schedule(assignment: SquareAssignment, family: list, S: int) -> SrsSch
     if S < 1:
         raise ValueError("S must be >= 1")
     N = family[0].order
-    # row_of[t][n-1, j] = 1-based row of symbol n in column j of square t
-    row_of = []
-    for sq in family:
-        inv = np.empty((N, N), dtype=int)
-        for j in range(N):
-            inv[sq.cells[:, j] - 1, j] = np.arange(1, N + 1)
-        row_of.append(inv)
-    K = len(assignment.square_id)
+    used, square = np.unique(assignment.square_id, return_inverse=True)
+    cells = np.array([family[t].cells for t in used], dtype=int).reshape(-1, N, N)
+    # row_of[u, n-1, j] = 1-based row of symbol n in column j of square used[u]
+    row_of = np.empty(cells.shape, dtype=int)
+    row_of[np.arange(len(used))[:, None, None], cells - 1, np.arange(N)] = \
+        np.arange(1, N + 1)[:, None]
     cols = np.arange(S) % N
-    subcarriers = np.empty((K, S), dtype=int)
-    for k in range(K):
-        subcarriers[k] = row_of[assignment.square_id[k]][assignment.symbol_id[k] - 1, cols]
+    subcarriers = row_of[square[:, None], assignment.symbol_id[:, None] - 1, cols]
     return SrsSchedule(N=N, S=S, subcarriers=subcarriers)

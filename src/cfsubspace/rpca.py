@@ -8,8 +8,8 @@ column-sparse (slots hit by a strong collider) by solving
 
 with ADMM: singular-value soft thresholding for H, column-wise l2 shrinkage
 for E and a running dual update for the coupling. The dominant left singular
-vectors of H give the subspace; an optional greedy projection snaps the basis
-onto DFT columns.
+vectors of H, which the last ADMM step has already computed, give the
+subspace; an optional greedy projection snaps the basis onto DFT columns.
 """
 
 from dataclasses import dataclass, field, replace
@@ -45,8 +45,8 @@ class RpcaParams:
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         for name in ("tol", "rho"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -57,8 +57,10 @@ class RpcaResult:
     converged: bool
     residual: float        # ||Y - H_hat - E_hat||_F
     # singular values of H_hat, descending, as the last ADMM step thresholded
-    # them (times the input's scale)
+    # them (times the input's scale), and the matching left singular vectors,
+    # (M, min(M, S)); the leading identity columns when H_hat = 0
     singular_values: np.ndarray = field(repr=False)
+    left_vectors: np.ndarray = field(repr=False)
     # (Yn, lambda, params): the internally normalized input and the solver
     # settings, from which ``objective`` replays the iterations.
     problem: tuple = field(repr=False, compare=False, default=None)
@@ -171,6 +173,11 @@ def _col_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Row l2 norms, bitwise equal to np.linalg.norm(x, axis=1)."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+
+
 def outlier_pursuit(Y: np.ndarray, lam: float,
                     params: RpcaParams | None = None) -> RpcaResult:
     """Low-rank plus column-sparse decomposition of Y.
@@ -180,8 +187,8 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
     Convergence is declared when the successive-iterate Frobenius change drops
     below tol; hitting max_iter returns converged=False with the last iterate.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
     if params is None:
@@ -190,61 +197,75 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
     scale = _fro(Y) / np.sqrt(S)
     if scale == 0:
         return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True, 0.0,
-                          np.zeros(min(M, S)), problem=(Y, lam, params))
+                          np.zeros(min(M, S)), np.eye(M, min(M, S), dtype=Y.dtype),
+                          problem=(Y, lam, params))
     Yn = Y / scale
-    H, E, sv, iterations, converged = _admm(Yn, lam, params)
+    H, E, sv, left, iterations, converged = _admm(Yn, lam, params)
     H = H * scale
     E = E * scale
     if sv is None:
-        sv = np.linalg.svd(H, compute_uv=False)
+        left, sv, _ = np.linalg.svd(H, full_matrices=False)
     else:
         sv = sv * scale
+        if sv[0] == 0:
+            # H = 0: the last step's vectors belong to Yn - E + U, not to
+            # H; take the identity columns an SVD of a zero matrix returns
+            left = np.eye(M, len(sv), dtype=H.dtype)
     return RpcaResult(low_rank=H, outliers=E, iterations=iterations,
                       converged=converged, residual=float(_fro(Y - H - E)),
-                      singular_values=sv, problem=(Yn, lam, replace(params)))
+                      singular_values=sv, left_vectors=left,
+                      problem=(Yn, lam, replace(params)))
 
 
 def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
     """ADMM on the normalized problem, from H = Yn and E = U = 0.
 
-    Returns (H, E, sv, iterations, converged), where sv holds the last step's
-    thresholded singular values of H (None when no step ran). ``on_step`` is
-    called with each outlier iterate E_1, E_2, ... as it is made; every step
-    makes a fresh E.
+    The iteration runs on X = Yn^H, the (S, M) slot-by-antenna matrix with
+    one SRS slot per row. Conjugate transposition keeps singular values and
+    turns the column shrink on E into a row shrink, so the steps are those
+    of the (M, S) problem; for S >= M the SVD of each step is then taken of
+    a tall matrix, which LAPACK does faster than of the wide one.
+
+    Returns (H, E, sv, left, iterations, converged) with H and E as (M, S),
+    where sv holds the last step's thresholded singular values of H and left
+    the matching left singular vectors (both None when no step ran).
+    ``on_step`` is called with each (M, S) outlier iterate E_1, E_2, ... as
+    it is made; every step makes a fresh E.
 
     Each step reuses its buffers where that gives the same bits as the plain
-    update: D = Yn - H serves both G = D + U and R = D - E, the thresholds are
+    update: D = X - H serves both G = D + U and R = D - E, the thresholds are
     applied in place, and ||H - H_prev|| is only taken once the E-change
     already meets the tolerance (the test on the larger change is the test on
     both).
     """
     rho = params.rho
-    H = Yn.copy()
-    E = np.zeros_like(Yn)
-    U = np.zeros_like(Yn)
-    sv = None
+    X = np.conj(Yn.T, order="C")
+    H = X
+    E = np.zeros_like(X)
+    U = np.zeros_like(X)
+    sv = Vh = None
     converged = False
     iterations = 0
-    norm = max(1.0, _fro(Yn))
+    norm = max(1.0, _fro(X))
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
-        W, sv, Vh = np.linalg.svd(Yn - E + U, full_matrices=False)
+        W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
         sv -= 1.0 / rho
         np.maximum(sv, 0.0, out=sv)
         W *= sv
         H = W @ Vh
-        D = Yn - H
+        D = X - H
         G = D + U
-        col = _col_norms(G)
-        np.maximum(col, 1e-300, out=col)
-        np.divide(lam / rho, col, out=col)
-        np.subtract(1.0, col, out=col)
-        np.maximum(col, 0.0, out=col)
-        E = np.multiply(G, col, out=G)
+        row = _row_norms(G)
+        np.maximum(row, 1e-300, out=row)
+        np.divide(lam / rho, row, out=row)
+        np.subtract(1.0, row, out=row)
+        np.maximum(row, 0.0, out=row)
+        E = np.multiply(G, row[:, None], out=G)
         R = np.subtract(D, E, out=D)
         U += R
         if on_step is not None:
-            on_step(E)
+            on_step(E.conj().T)
         e_change = _fro(E - E_prev)
         if e_change / norm < params.tol and \
                 _fro(H - H_prev) / norm < params.tol:
@@ -258,7 +279,8 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
         elif d_norm > _RESIDUAL_RATIO * r_norm:
             rho /= 2.0
             U *= 2.0
-    return H, E, sv, iterations, converged
+    left = None if Vh is None else Vh.conj().T
+    return H.conj().T, E.conj().T, sv, left, iterations, converged
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-6) -> int:
@@ -381,19 +403,21 @@ def power_efficiency(support, estimate: SubspaceEstimate) -> float:
     return float(min(max(pe, 0.0), 1.0))
 
 
-def subspace_estimates(low_rank: np.ndarray, r_max: int | None = None):
-    """Rank-select the recovered low-rank part and build both estimates.
+def subspace_estimates(left_vectors: np.ndarray, singular_values: np.ndarray,
+                       r_max: int | None = None):
+    """Rank-select a recovered low-rank part and build both estimates.
 
-    The gap search is confined to the first floor(min(M, S)/2) indices; the
+    Takes the low-rank part's left singular vectors (M, n) and its n
+    descending singular values, n = min(M, S), as :class:`RpcaResult` carries
+    them. The gap search is confined to the first floor(n/2) indices; the
     model keeps dominant subspaces well below that. Returns the raw PCA
     estimate and its DFT projection.
     """
-    M, S = low_rank.shape
+    M = left_vectors.shape[0]
     if r_max is None:
-        r_max = max(1, min(M, S) // 2)
-    W, sv, _ = np.linalg.svd(low_rank, full_matrices=False)
-    r = select_rank(sv, r_max)
-    pca = SubspaceEstimate(basis=W[:, :r], rank=r)
+        r_max = max(1, len(singular_values) // 2)
+    r = select_rank(singular_values, r_max)
+    pca = SubspaceEstimate(basis=left_vectors[:, :r], rank=r)
     idx = dft_project(pca.basis)
     pp = SubspaceEstimate(basis=dft_columns(M, idx), rank=r, dft_indices=idx)
     return pca, pp

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cfsubspace.experiment as experiment_mod
+import cfsubspace.rpca as rpca_mod
 from cfsubspace.cli import main as cli_main
 from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
@@ -88,6 +89,11 @@ class TestConfig:
         ({"pathloss": {"carrier_freq_ghz": float("nan")}}, "carrier_freq_ghz must be finite"),
         ({"pathloss": {"ru_height_m": float("nan")}}, "ru_height_m must be finite"),
         ({"pathloss": {"los_offset": float("inf")}}, "los_offset must be finite"),
+        ({"area_side": float("inf")}, "area_side must be positive and finite"),
+        ({"lam": float("inf")}, "lam must be positive and finite"),
+        ({"cell_radius": float("inf")}, "cell_radius must be positive and finite"),
+        ({"solver": {"tol": float("inf")}}, "'solver': tol must be positive and finite"),
+        ({"solver": {"rho": float("inf")}}, "'solver': rho must be positive and finite"),
     ])
     def test_wrong_type_or_range_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
@@ -169,6 +175,50 @@ class TestRunExperiment:
         assert [line.split(" done")[0] for line in serial] == \
             ["layout 1/3", "layout 2/3", "layout 3/3"]
         assert sorted(parallel) == serial
+
+    def test_svds_per_edge_are_the_screen_and_the_steps(self, monkeypatch):
+        # per edge, the rank-zero screen takes one SVD and every ADMM step
+        # one; the ranks and the subspace estimates reuse the last step's
+        edges = []          # per edge: [SVDs, ADMM steps, solves, open]
+        svd, solve = np.linalg.svd, rpca_mod.outlier_pursuit
+        collect, estimates = experiment_mod.collect_srs, experiment_mod.subspace_estimates
+
+        def counted_svd(*args, **kwargs):
+            if edges and edges[-1][3]:
+                edges[-1][0] += 1
+            return svd(*args, **kwargs)
+
+        def opening_collect(*args, **kwargs):
+            edges.append([0, 0, 0, True])
+            return collect(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            edges[-1][1] += result.iterations
+            edges[-1][2] += 1
+            return result
+
+        def closing_estimates(*args, **kwargs):
+            result = estimates(*args, **kwargs)
+            edges[-1][3] = False
+            return result
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(experiment_mod, "collect_srs", opening_collect)
+        monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted_solve)
+        monkeypatch.setattr(experiment_mod, "subspace_estimates", closing_estimates)
+        # reduced networks: K = 40 UEs on N = 7 squares collide, and the
+        # noise-only K = 25, N = 29 edges retune lambda
+        for K, N in [(40, 7), (25, 29)]:
+            edges.clear()
+            cfg = ExperimentConfig(L=10, M=8, K=K, tau_p=5, N=N, n_layouts=1,
+                                   n_fading=1, seed=3, kinds=("pp",))
+            result = run_experiment(cfg)
+            assert len(edges) == len(result.edge_records) > 0
+            assert [svds for svds, *_ in edges] == \
+                [1 + steps for _, steps, *_ in edges]
+        # so some edges' steps span several solves
+        assert sum(solves for _, _, solves, _ in edges) > len(edges)
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # one-worker runs never start a pool, so they need not import it
@@ -354,15 +404,21 @@ class TestCli:
         ({"eta": float("nan")}, "eta"),
         ({"pathloss": {"carrier_freq_ghz": float("nan")}}, "carrier_freq_ghz"),
         ({"pathloss": {"ru_height_m": float("nan")}}, "ru_height_m"),
+        ({"area_side": float("inf")}, "area_side"),
+        ({"lam": float("inf")}, "lam"),
+        ({"cell_radius": float("inf")}, "cell_radius"),
+        ({"solver": {"tol": float("inf")}}, "tol"),
+        ({"solver": {"rho": float("inf")}}, "rho"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(entry))
         # reduced flags keep a run short should a bad entry ever get through;
-        # --kinds would override the entry's own kinds
+        # --kinds and --area would override the entry's own kinds and area
         kinds = [] if "kinds" in entry else ["--kinds", "pp"]
+        area = [] if "area_side" in entry else ["--area", "600"]
         code = cli_main(["--config", str(cfg_path), "--L", "3", "--M", "4",
-                         "--K", "5", "--N", "5", "--tau-p", "3", "--area", "600",
+                         "--K", "5", "--N", "5", "--tau-p", "3", *area,
                          "--layouts", "1", "--fading", "1", *kinds,
                          "--out", str(tmp_path / "x")])
         assert code == 2

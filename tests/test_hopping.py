@@ -116,6 +116,49 @@ class TestBuildSchedule:
                 assert via_colliders == via_slots
 
 
+def per_symbol_schedule(assignment, family, S):
+    """Reference: invert every column of every square, then one row per UE."""
+    N = family[0].order
+    row_of = []
+    for sq in family:
+        inv = np.empty((N, N), dtype=int)
+        for j in range(N):
+            inv[sq.cells[:, j] - 1, j] = np.arange(1, N + 1)
+        row_of.append(inv)
+    cols = np.arange(S) % N
+    subcarriers = np.empty((len(assignment.square_id), S), dtype=int)
+    for k in range(len(assignment.square_id)):
+        subcarriers[k] = row_of[assignment.square_id[k]][assignment.symbol_id[k] - 1, cols]
+    return subcarriers
+
+
+class TestBuildScheduleBatched:
+    @pytest.mark.parametrize("N,K,L", [(5, 60, 10), (7, 40, 10), (19, 100, 40),
+                                       (29, 25, 10)])
+    def test_equals_per_symbol_loop_on_real_drops(self, N, K, L):
+        family = mols_family(N)
+        squares = set()
+        for seed in range(3):
+            layout = generate_layout(L, K, 2000.0, seed=seed)
+            # the default radius and small cells, which use many squares
+            for radius in (None, 150.0):
+                assignment = allocate_squares(layout, family, radius)
+                squares.add(len(np.unique(assignment.square_id)))
+                for S in (1, N - 1, N, 2 * N + 3):
+                    got = build_schedule(assignment, family, S).subcarriers
+                    want = per_symbol_schedule(assignment, family, S)
+                    assert got.dtype == want.dtype and got.shape == (K, S)
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes()
+        assert max(squares) > 1
+
+    def test_no_ues(self):
+        family = mols_family(5)
+        empty = np.zeros(0, dtype=int)
+        sched = build_schedule(_FixedAssignment(empty, empty), family, S=7)
+        assert sched.subcarriers.shape == (0, 7)
+
+
 class TestAllocation:
     def test_single_cell_all_same_square(self):
         layout = generate_layout(2, 7, 400.0, seed=0)

@@ -10,7 +10,7 @@ from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
 from cfsubspace.hopping import (SrsSchedule, allocate_squares, build_schedule,
                                 mols_family)
 from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
-                             _rank_zero_lambda, collect_srs, dft_project,
+                             _rank_zero_lambda, _row_norms, collect_srs, dft_project,
                              estimated_covariance, numerical_rank,
                              outlier_pursuit, outlier_pursuit_tuned,
                              power_efficiency, select_rank, subspace_estimates)
@@ -206,8 +206,9 @@ class TestOutlierPursuit:
 
     def test_rejects_bad_input(self):
         Y = np.ones((4, 6), dtype=complex)
-        with pytest.raises(ValueError):
-            outlier_pursuit(Y, lam=0.0)
+        for lam in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                outlier_pursuit(Y, lam=lam)
         Y[1, 2] = np.nan
         with pytest.raises(ValueError):
             outlier_pursuit(Y, lam=0.25)
@@ -259,6 +260,14 @@ class TestNorms:
         for view in (x, x.T.copy().T):
             assert _col_norms(view).tobytes() == \
                 np.linalg.norm(view, axis=0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(29, 8), (19, 16), (64, 16), (1, 3)])
+    def test_row_norms_match_numpy_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[1])
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for view in (x, x.T.copy().T):
+            assert _row_norms(view).tobytes() == \
+                np.linalg.norm(view, axis=1).tobytes()
 
 
 class TestLazyObjective:
@@ -449,30 +458,33 @@ def real_observation(K, N, seed=3, L=10, M=8):
 
 
 def plain_admm(Yn, lam, params):
-    """Reference: the ADMM loop of ``rpca._admm`` with a fresh array for every
-    operation and the convergence test on the larger change.
+    """Reference: the ADMM loop of ``rpca._admm`` on X = Yn^H, the (S, M)
+    slot-by-antenna matrix, with a fresh array for every operation and the
+    convergence test on the larger change.
 
-    Returns (H, E, thresholded singular values, iterations, converged,
-    E iterates, penalty moves), the moves one '+' (doubled) or '-' (halved)
-    per step that changed rho.
+    Returns (H, E, thresholded singular values, left singular vectors of H,
+    iterations, converged, E iterates, penalty moves), with H, E and the
+    iterates as (M, S) and the moves one '+' (doubled) or '-' (halved) per
+    step that changed rho.
     """
+    X = np.ascontiguousarray(Yn.conj().T)
     rho = params.rho
-    H, E, U = Yn.copy(), np.zeros_like(Yn), np.zeros_like(Yn)
-    sv, converged, iterations, outliers, moves = None, False, 0, [], ""
+    H, E, U = X.copy(), np.zeros_like(X), np.zeros_like(X)
+    sv, Vh, converged, iterations, outliers, moves = None, None, False, 0, [], ""
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
-        W, s, Vh = np.linalg.svd(Yn - E + U, full_matrices=False)
+        W, s, Vh = np.linalg.svd(X - E + U, full_matrices=False)
         sv = np.maximum(s - 1.0 / rho, 0.0)
         H = (W * sv) @ Vh
-        G = Yn - H + U
-        shrink = 1.0 - (lam / rho) / np.maximum(np.linalg.norm(G, axis=0), 1e-300)
-        E = G * np.maximum(shrink, 0.0)
-        R = Yn - H - E
+        G = X - H + U
+        shrink = 1.0 - (lam / rho) / np.maximum(np.linalg.norm(G, axis=1), 1e-300)
+        E = G * np.maximum(shrink, 0.0)[:, None]
+        R = X - H - E
         U = U + R
-        outliers.append(E.copy())
+        outliers.append(E.conj().T.copy())
         e_change = np.linalg.norm(E - E_prev)
         change = max(np.linalg.norm(H - H_prev), e_change)
-        if change / max(1.0, np.linalg.norm(Yn)) < params.tol:
+        if change / max(1.0, np.linalg.norm(X)) < params.tol:
             converged = True
             break
         r_norm, d_norm = np.linalg.norm(R), rho * e_change
@@ -480,7 +492,8 @@ def plain_admm(Yn, lam, params):
             rho, U, moves = rho * 2.0, U / 2.0, moves + "+"
         elif d_norm > rpca_mod._RESIDUAL_RATIO * r_norm:
             rho, U, moves = rho / 2.0, U * 2.0, moves + "-"
-    return H, E, sv, iterations, converged, outliers, moves
+    left = None if Vh is None else Vh.conj().T
+    return H.conj().T, E.conj().T, sv, left, iterations, converged, outliers, moves
 
 
 def collider_observations():
@@ -512,25 +525,30 @@ class TestFusedStep:
         for Y, lam, params in cases:
             Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
             steps = []
-            H, E, sv, iterations, converged = rpca_mod._admm(Yn, lam, params,
-                                                             steps.append)
+            H, E, sv, left, iterations, converged = rpca_mod._admm(
+                Yn, lam, params, steps.append)
             ref = plain_admm(Yn, lam, params)
-            for got, want in zip((H, E, sv), ref[:3]):
+            for got, want in zip((H, E, sv, left), ref[:4]):
+                assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-            assert (iterations, converged) == ref[3:5]
-            assert len(steps) == len(ref[5]) == iterations
-            for got, want in zip(steps, ref[5]):
+            assert H.shape == E.shape == Y.shape
+            assert (iterations, converged) == ref[4:6]
+            assert len(steps) == len(ref[6]) == iterations
+            for got, want in zip(steps, ref[6]):
+                assert got.shape == Y.shape
                 assert got.tobytes() == want.tobytes()
-            moves += ref[6]
+            moves += ref[7]
         # the cases double and halve rho, so the rescaled duals are covered
         assert "+" in moves and "-" in moves
 
     def test_no_step_returns_the_start(self):
         Yn = noise_matrix(3)
-        H, E, sv, iterations, converged = rpca_mod._admm(
+        H, E, sv, left, iterations, converged = rpca_mod._admm(
             Yn, 0.25, RpcaParams(max_iter=0))
+        assert H.shape == E.shape == Yn.shape
         assert H.tobytes() == Yn.tobytes() and not np.any(E)
-        assert sv is None and iterations == 0 and not converged
+        assert sv is None and left is None
+        assert iterations == 0 and not converged
 
 
 def accuracy_cases():
@@ -603,6 +621,53 @@ class TestRankFromLastStep:
         monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted_solve)
         outlier_pursuit_tuned(noise_matrix(7), lam, rank_band=band)
         assert len(svds) == (band is None) + sum(iterations)
+
+
+def largest_angle_sine(basis_a, basis_b):
+    """sin of the largest principal angle between two orthonormal bases of
+    equal rank, accurate also for tiny angles (unlike an arccos of the
+    cosines)."""
+    return np.linalg.norm(basis_b - basis_a @ (basis_a.conj().T @ basis_b), 2)
+
+
+class TestLeftVectorsFromLastStep:
+    """``subspace_estimates`` takes the left singular vectors the last ADMM
+    step factored instead of an SVD of ``low_rank``; both must give the same
+    estimates."""
+
+    def test_same_estimates_as_an_svd_of_low_rank(self):
+        rng = np.random.default_rng(90)
+        planted = [planted_instance(rng, rank=r, n_outliers=n)[0]
+                   for r, n in [(1, 3), (2, 5), (3, 4)]]
+        planted.append(planted_instance(rng, M=8, S=29, rank=2)[0])
+        wide_and_tall = [noise_matrix(7), noise_matrix(8, M=16, S=19),
+                         noise_matrix(9, M=16, S=8), noise_matrix(10, M=29, S=8),
+                         planted_instance(rng, M=16, S=12, rank=2, n_outliers=2)[0]]
+        inputs = planted + wide_and_tall + collider_observations() + \
+            [np.zeros((8, 29), dtype=complex), np.zeros((16, 8), dtype=complex)]
+        seen = set()
+        for Y in inputs:
+            M, S = Y.shape
+            for lam in (0.05, 0.25, 0.58, 2.0):
+                for params in (RpcaParams(), RpcaParams(max_iter=1),
+                               RpcaParams(max_iter=2)):
+                    result = outlier_pursuit(Y, lam, params)
+                    left = result.left_vectors
+                    assert left.shape == (M, min(M, S))
+                    assert np.allclose(left.conj().T @ left, np.eye(min(M, S)),
+                                       atol=1e-12)
+                    pca, pp = subspace_estimates(left, result.singular_values)
+                    W, sv, _ = np.linalg.svd(result.low_rank, full_matrices=False)
+                    ref_pca, ref_pp = subspace_estimates(W, sv)
+                    assert pca.rank == ref_pca.rank == pp.rank
+                    assert pp.dft_indices.tolist() == ref_pp.dft_indices.tolist()
+                    assert largest_angle_sine(pca.basis, ref_pca.basis) <= 1e-10
+                    if result.rank == 0:
+                        # the identity columns an SVD of a zero matrix gives
+                        assert left.tobytes() == W.tobytes()
+                    seen.add((result.rank > 0, S < M))
+        # nonzero and zero low-rank parts, on wide and tall inputs
+        assert seen == {(True, False), (False, False), (True, True), (False, True)}
 
 
 class TestSelectRank:
@@ -749,7 +814,7 @@ class TestSubspacePipeline:
         coeff = np.exp(2j * np.pi * rng.random((2, 64))) / np.sqrt(2)
         Y = basis @ coeff
         result = outlier_pursuit(Y, lam=0.25)
-        pca, pp = subspace_estimates(result.low_rank)
+        pca, pp = subspace_estimates(result.left_vectors, result.singular_values)
         assert pca.rank == 2 and pp.rank == 2
         assert pp.dft_indices.tolist() == support_idx
         support = make_support(support_idx, M)
@@ -765,7 +830,8 @@ class TestSubspacePipeline:
             support_idx = np.sort(rng.choice(M, size=r, replace=False))
             coeff = np.exp(2j * np.pi * rng.random((r, 40))) / np.sqrt(r)
             low_rank = dft_columns(M, support_idx) @ coeff
-            _, pp = subspace_estimates(low_rank)
+            W, sv, _ = np.linalg.svd(low_rank, full_matrices=False)
+            _, pp = subspace_estimates(W, sv)
             assert pp.basis.flags.c_contiguous
             expected = dft_matrix(M).take(pp.dft_indices, axis=1)
             assert pp.basis.tobytes() == expected.tobytes()
