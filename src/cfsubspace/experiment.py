@@ -22,7 +22,8 @@ from ._fields import check_field_types
 from .channel import network_supports
 from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters, \
     generate_layout
-from .hopping import allocate_squares, build_schedule, mols_family, _is_prime
+from .hopping import _is_prime, allocate_squares, build_schedule, check_cell_count, \
+    default_cell_radius, mols_family
 from .receiver import ESTIMATOR_KINDS, ergodic_rates
 from .rpca import RpcaParams, collect_srs, outlier_pursuit, outlier_pursuit_tuned, \
     power_efficiency, subspace_estimates
@@ -98,6 +99,11 @@ class ExperimentConfig:
             raise ValueError("kinds must name at least one estimator kind")
         if len(set(self.kinds)) < len(self.kinds):
             raise ValueError(f"kinds must not repeat a kind: {list(self.kinds)}")
+        if "pp" in self.kinds:
+            radius = self.cell_radius
+            if radius is None:
+                radius = default_cell_radius(self.area_side, self.K, self.N)
+            check_cell_count(self.K, self.area_side, radius)
 
 
 @dataclass

@@ -7,11 +7,17 @@ N row-hopping sequences of its square round-robin. Two UEs on the same square
 never collide; UEs on distinct squares collide exactly once per N slots.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Layout, torus_distance
+
+# allocate_squares holds the distance of every UE to every hex cell: 16 bytes
+# a pair before temporaries, so a cell radius that makes more pairs than this
+# is refused rather than left to exhaust memory
+MAX_UE_CELL_PAIRS = 10 ** 7
 
 
 @dataclass
@@ -96,25 +102,50 @@ def default_cell_radius(area_side: float, K: int, N: int) -> float:
     return float(np.sqrt(2.0 * area_side ** 2 / (3.0 * np.sqrt(3.0) * n_cells)))
 
 
+def hex_grid_shape(area_side: float, radius: float) -> tuple:
+    """Rows and columns of the hex lattice :func:`hex_cell_grid` lays over
+    the torus: the nearest whole counts to side / (1.5*radius) and
+    side / (sqrt(3)*radius), at least 1 each.
+
+    Returned as floats, so that a radius too small for any grid to be built
+    still gives a count (up to inf) that can be checked first.
+    """
+    n_rows = max(1.0, float(np.rint(area_side / (1.5 * radius))))
+    # math.sqrt, bitwise np.sqrt, keeps the quotient a Python float, which
+    # overflows to inf without a numpy warning
+    n_cols = max(1.0, float(np.rint(area_side / (math.sqrt(3.0) * radius))))
+    return n_rows, n_cols
+
+
+def check_cell_count(K: int, area_side: float, radius: float) -> None:
+    """Raise ValueError when K UEs and the hex cells of this radius make
+    more than MAX_UE_CELL_PAIRS pairs, the UE-to-cell distances
+    :func:`allocate_squares` computes."""
+    n_rows, n_cols = hex_grid_shape(area_side, radius)
+    pairs = K * n_rows * n_cols
+    if pairs > MAX_UE_CELL_PAIRS:
+        raise ValueError(f"cell_radius {radius:g} m gives {n_rows * n_cols:.3g} hex "
+                         f"cells on a {area_side:g} m side; K x cells = {pairs:.3g} "
+                         f"must not exceed {MAX_UE_CELL_PAIRS:.0e}")
+
+
 def hex_cell_grid(area_side: float, radius: float):
     """Hex lattice covering the torus: centers (n, 2) and axial coords (n, 2).
 
     Pointy-top rows at spacing 1.5*radius, columns at sqrt(3)*radius, both
-    stretched so an integer number of cells tiles the torus seamlessly. Odd
-    rows are offset by half a column; axial coordinates use the odd-r
-    convention so lattice neighbors differ by the usual axial steps.
+    stretched so an integer number of cells tiles the torus seamlessly
+    (:func:`hex_grid_shape`). Odd rows are offset by half a column; axial
+    coordinates use the odd-r convention so lattice neighbors differ by the
+    usual axial steps.
     """
-    n_rows = max(1, round(area_side / (1.5 * radius)))
-    n_cols = max(1, round(area_side / (np.sqrt(3.0) * radius)))
+    n_rows, n_cols = map(int, hex_grid_shape(area_side, radius))
     dy = area_side / n_rows
     dx = area_side / n_cols
-    centers, axial = [], []
-    for row in range(n_rows):
-        for col in range(n_cols):
-            x = (col + 0.5 * (row % 2)) * dx % area_side
-            centers.append((x, row * dy))
-            axial.append((col - (row - (row % 2)) // 2, row))
-    return np.array(centers, dtype=float), np.array(axial, dtype=int)
+    row, col = np.divmod(np.arange(n_rows * n_cols), n_cols)   # row-major
+    odd = row % 2
+    centers = np.column_stack([(col + 0.5 * odd) * dx % area_side, row * dy])
+    axial = np.column_stack([col - (row - odd) // 2, row])
+    return centers, axial
 
 
 def reuse_color(q: int, r: int, n_squares: int) -> int:
@@ -136,7 +167,9 @@ def allocate_squares(layout: Layout, family: list,
 
     Each cell uses the square given by its reuse color; inside a cell the N
     symbols are assigned round-robin in UE-index order, wrapping when a cell
-    holds more than N UEs (those UEs share a full hopping sequence).
+    holds more than N UEs (those UEs share a full hopping sequence). A
+    radius that makes more than MAX_UE_CELL_PAIRS (UE, cell) pairs raises
+    ValueError (:func:`check_cell_count`).
     """
     if not family:
         raise ValueError("MOLS family must be non-empty")
@@ -144,6 +177,7 @@ def allocate_squares(layout: Layout, family: list,
     K = layout.num_ues
     if cell_radius is None:
         cell_radius = default_cell_radius(layout.area_side, K, N)
+    check_cell_count(K, layout.area_side, cell_radius)
     centers, axial = hex_cell_grid(layout.area_side, cell_radius)
     d = torus_distance(layout.ue_positions[:, None, :], centers[None, :, :],
                        layout.area_side)

@@ -33,10 +33,20 @@ _RANK_ZERO_MARGIN = 1e-3
 
 @dataclass
 class RpcaParams:
-    """Solver knobs for :func:`outlier_pursuit`."""
+    """Solver knobs for :func:`outlier_pursuit`.
+
+    ``tol`` bounds the change of both E and H over one ADMM step, relative
+    to max(1, ||Y||_F) of the normalized input; the solve stops at the first
+    step where both changes fall below it. The estimates read only the rank
+    and the top-r DFT columns of H, which settle long before the iterate
+    does. 1e-4 is the loosest tolerance found that keeps mean power
+    efficiencies within 0.005 and median SE per kind within 0.5 % of the
+    1e-6 solve on the reduced, collider-bearing and paper-config inputs;
+    at 3e-4 the K=40, N=7 median pp SE drops 3.1 %.
+    """
 
     max_iter: int = 500
-    tol: float = 1e-6
+    tol: float = 1e-4
     rho: float = 1.0            # initial penalty, then residual-balanced
 
     def __post_init__(self):

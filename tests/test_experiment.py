@@ -94,10 +94,18 @@ class TestConfig:
         ({"cell_radius": float("inf")}, "cell_radius must be positive and finite"),
         ({"solver": {"tol": float("inf")}}, "'solver': tol must be positive and finite"),
         ({"solver": {"rho": float("inf")}}, "'solver': rho must be positive and finite"),
+        ({"cell_radius": 0.001, "area_side": 400.0}, "hex cells on a 400 m side"),
+        ({"cell_radius": 1e-310}, "gives inf hex cells"),
+        ({"K": 10000, "N": 2}, "K x cells = 5.02e[+]07 must not exceed 1e[+]07"),
     ])
     def test_wrong_type_or_range_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
             config_from_dict(entry)
+
+    def test_cell_count_checked_only_when_pp_runs(self):
+        # without pp no hopping schedule, and so no hex grid, is built
+        cfg = config_from_dict({"cell_radius": 0.001, "kinds": ["ideal", "sp"]})
+        assert cfg.cell_radius == 0.001
 
     def test_numbers_of_any_kind_accepted(self):
         cfg = config_from_dict({"eta": 1, "area_side": 600, "seed": np.int64(3),
@@ -219,6 +227,20 @@ class TestRunExperiment:
                 [1 + steps for _, steps, *_ in edges]
         # so some edges' steps span several solves
         assert sum(solves for _, _, solves, _ in edges) > len(edges)
+
+    @pytest.mark.parametrize("K,N", [(25, 29), (40, 7)])
+    def test_default_tol_takes_fewer_steps(self, K, N):
+        # the last solve of an edge takes at most 0.7 times the ADMM steps it
+        # took at the former default tolerance 1e-6, and still converges
+        steps = []
+        for solver in (RpcaParams(), RpcaParams(tol=1e-6)):
+            cfg = ExperimentConfig(L=10, M=8, K=K, tau_p=5, N=N, n_layouts=1,
+                                   n_fading=1, seed=3, kinds=("pp",),
+                                   solver=solver)
+            edges = run_experiment(cfg).edge_records
+            assert edges and all(e.converged for e in edges)
+            steps.append(np.mean([e.iterations for e in edges]))
+        assert steps[0] <= 0.7 * steps[1]
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # one-worker runs never start a pool, so they need not import it
@@ -409,6 +431,8 @@ class TestCli:
         ({"cell_radius": float("inf")}, "cell_radius"),
         ({"solver": {"tol": float("inf")}}, "tol"),
         ({"solver": {"rho": float("inf")}}, "rho"),
+        ({"cell_radius": 0.001}, "cell_radius"),
+        ({"cell_radius": 0.001, "area_side": 400.0}, "cell_radius"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cfsubspace.geometry import generate_layout
-from cfsubspace.hopping import (LatinSquare, allocate_squares, are_orthogonal,
-                                build_schedule, default_cell_radius,
-                                hex_cell_grid, is_latin, mols_family,
+from cfsubspace.hopping import (MAX_UE_CELL_PAIRS, LatinSquare, allocate_squares,
+                                are_orthogonal, build_schedule,
+                                default_cell_radius, hex_cell_grid,
+                                hex_grid_shape, is_latin, mols_family,
                                 reuse_color)
 
 # reference pair of mutually orthogonal order-5 squares (rows = subcarriers,
@@ -159,6 +160,18 @@ class TestBuildScheduleBatched:
         assert sched.subcarriers.shape == (0, 7)
 
 
+def loop_hex_cell_grid(area_side, radius):
+    """Reference: the hex lattice built one cell at a time."""
+    n_rows, n_cols = map(int, hex_grid_shape(area_side, radius))
+    dy, dx = area_side / n_rows, area_side / n_cols
+    centers, axial = [], []
+    for row in range(n_rows):
+        for col in range(n_cols):
+            centers.append(((col + 0.5 * (row % 2)) * dx % area_side, row * dy))
+            axial.append((col - (row - (row % 2)) // 2, row))
+    return np.array(centers, dtype=float), np.array(axial, dtype=int)
+
+
 class TestAllocation:
     def test_single_cell_all_same_square(self):
         layout = generate_layout(2, 7, 400.0, seed=0)
@@ -209,6 +222,33 @@ class TestAllocation:
         centers, axial = hex_cell_grid(900.0, 200.0)
         assert centers.shape[0] == axial.shape[0] > 1
         assert np.all(centers >= 0) and np.all(centers < 900.0)
+
+    @pytest.mark.parametrize("area,radius", [(900.0, 200.0), (2000.0, 217.0),
+                                             (400.0, 5000.0), (600, 7.0),
+                                             (2000.0, default_cell_radius(2000.0, 100, 19))])
+    def test_grid_equals_cell_by_cell_loop(self, area, radius):
+        n_rows, n_cols = hex_grid_shape(area, radius)
+        centers, axial = hex_cell_grid(area, radius)
+        ref_centers, ref_axial = loop_hex_cell_grid(area, radius)
+        assert len(centers) == n_rows * n_cols
+        for got, want in [(centers, ref_centers), (axial, ref_axial)]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_too_many_ue_cell_pairs(self):
+        # a 1 mm radius on a 400 m side would make ~6e10 cells; refused
+        # before any cell is built, and so are 20 cm cells (~1.5e6 of them)
+        layout = generate_layout(2, 10, 400.0, seed=1)
+        family = mols_family(5)
+        with pytest.raises(ValueError, match="hex cells"):
+            allocate_squares(layout, family, cell_radius=0.001)
+        n_rows, n_cols = hex_grid_shape(400.0, 0.2)
+        assert 10 * n_rows * n_cols > MAX_UE_CELL_PAIRS
+        with pytest.raises(ValueError, match="must not exceed 1e[+]07"):
+            allocate_squares(layout, family, cell_radius=0.2)
+        n_rows, n_cols = hex_grid_shape(400.0, 2.0)
+        assert 10 * n_rows * n_cols <= MAX_UE_CELL_PAIRS
+        assert len(allocate_squares(layout, family, cell_radius=2.0).square_id) == 10
 
     def test_rejects_empty_family(self):
         layout = generate_layout(2, 3, 400.0, seed=1)

@@ -372,16 +372,20 @@ class TestRankZeroScreen:
     def test_solve_below_threshold_has_zero_low_rank(self, seed):
         rng = np.random.default_rng(30 + seed)
         planted, _, _ = planted_instance(rng, M=8, S=29, rank=1 + seed % 2)
+        # at the former default tolerance, to which the 1e-4 bound on E - Y
+        # was set
+        params = RpcaParams(tol=1e-6)
         for Y in (noise_matrix(seed), noise_matrix(seed, M=16, S=19), planted):
             lam_zero = _rank_zero_lambda(Y)
             for lam in (lam_zero, 0.5 * lam_zero):
-                result = outlier_pursuit(Y, lam)
+                result = outlier_pursuit(Y, lam, params)
                 assert result.converged
                 assert not np.any(result.low_rank)
                 # E carries Y up to the stopping tolerance
                 assert np.linalg.norm(result.outliers - Y) < 1e-4 * np.linalg.norm(Y)
             # the threshold is sharp: a little above it H = 0 is not optimal
-            assert numerical_rank(outlier_pursuit(Y, 1.05 * lam_zero).low_rank) >= 1
+            above = outlier_pursuit(Y, 1.05 * lam_zero, params)
+            assert numerical_rank(above.low_rank) >= 1
 
     def test_threshold_of_special_inputs(self):
         assert _rank_zero_lambda(np.zeros((4, 6), dtype=complex)) == np.inf
@@ -563,15 +567,17 @@ def accuracy_cases():
 
 class TestSolutionAccuracy:
     """The balancing ratio moves the iterate path, not the answer: at the
-    solver's ratio and at the former 10, the default solve lands within a
-    fixed distance of a solve run to a ten-thousand times tighter tolerance."""
+    solver's ratio and at the former 10, a solve at the former default
+    tolerance 1e-6 lands within a fixed distance of a solve run to a
+    ten-thousand times tighter tolerance."""
 
     @pytest.mark.parametrize("ratio", [rpca_mod._RESIDUAL_RATIO, 10.0])
     def test_default_solve_near_tight_solve(self, monkeypatch, ratio):
         monkeypatch.setattr(rpca_mod, "_RESIDUAL_RATIO", ratio)
         tight = RpcaParams(tol=1e-10, max_iter=20000)
         for Y, lam in accuracy_cases():
-            default, reference = outlier_pursuit(Y, lam), outlier_pursuit(Y, lam, tight)
+            default = outlier_pursuit(Y, lam, RpcaParams(tol=1e-6))
+            reference = outlier_pursuit(Y, lam, tight)
             assert default.converged and reference.converged
             assert default.rank >= 1
             distance = np.linalg.norm(default.low_rank - reference.low_rank)
@@ -584,6 +590,37 @@ class TestSolutionAccuracy:
             paths.append([outlier_pursuit(Y, lam).iterations
                           for Y, lam in accuracy_cases()])
         assert paths[0] != paths[1]
+
+
+class TestDefaultTolerance:
+    """The default tolerance stops the ADMM well before the iterate settles,
+    but not before what the estimates read from it has: the rank and the
+    DFT columns of the pp estimate."""
+
+    def test_same_estimates_as_tight_solve(self):
+        rng = np.random.default_rng(70)
+        planted = [planted_instance(rng, rank=r, n_outliers=n)[0]
+                   for r, n in [(1, 3), (2, 5), (3, 4)]]
+        planted.append(planted_instance(rng, M=8, S=29, rank=2)[0])
+        noise = [noise_matrix(7), noise_matrix(8, M=16, S=19),
+                 noise_matrix(9, M=8, S=29)]
+        tight = RpcaParams(tol=1e-10, max_iter=20000)
+        ranks = set()
+        for Y in planted + collider_observations() + noise:
+            settled = outlier_pursuit_tuned(Y, 0.25).problem[1]
+            for lam in (0.05, 0.25, 0.58, 2.0, settled):
+                default, reference = outlier_pursuit(Y, lam), \
+                    outlier_pursuit(Y, lam, tight)
+                assert default.converged and reference.converged
+                assert default.rank == reference.rank
+                pca, pp = subspace_estimates(default.left_vectors,
+                                             default.singular_values)
+                ref_pca, ref_pp = subspace_estimates(reference.left_vectors,
+                                                     reference.singular_values)
+                assert pca.rank == ref_pca.rank
+                assert pp.dft_indices.tolist() == ref_pp.dft_indices.tolist()
+                ranks.add(pca.rank)
+        assert {1, 2, 3} <= ranks
 
 
 class TestRankFromLastStep:
