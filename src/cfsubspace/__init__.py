@@ -3,23 +3,20 @@ robust-PCA channel subspace estimation."""
 
 from .channel import (AngularSupport, NetworkChannelSampler, SupportTable,
                       angular_support, dft_columns, dft_matrix, network_supports,
-                      sample_channel, true_covariance)
-from .dmrs import (contamination_covariance, dmrs_field, pilot_book, pm_estimate,
-                   sp_estimate)
+                      sample_channel)
+from .dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
 from .experiment import (EdgeRecord, ExperimentConfig, ExperimentResult,
                          RateRecord, load_config, run_experiment, stage_rng,
                          write_results)
 from .geometry import (AssociationGraph, Layout, PathlossParams, assign_dmrs,
                        calibrate_snr, form_clusters, generate_layout,
                        lsfc_matrix, torus_distance)
-from .hopping import (LatinSquare, SquareAssignment, SrsSchedule,
-                      allocate_squares, are_orthogonal, build_schedule,
-                      default_cell_radius, is_latin, mols_family)
+from .hopping import (SquareAssignment, SrsSchedule, allocate_squares,
+                      build_schedule, default_cell_radius, mols_family)
 from .receiver import (RateReport, cluster_combiner, ergodic_rates, local_lmmse,
                        uplink_sinr)
 from .rpca import (RpcaParams, RpcaResult, SubspaceEstimate, collect_srs,
-                   dft_project, estimated_covariance, outlier_pursuit,
-                   outlier_pursuit_tuned, power_efficiency, select_rank,
-                   subspace_estimates)
+                   dft_project, outlier_pursuit, outlier_pursuit_tuned,
+                   power_efficiency, select_rank, subspace_estimates)
 
 __version__ = "0.1.0"

@@ -78,19 +78,6 @@ class SupportTable:
     def __post_init__(self):
         self.offsets = np.cumsum(self.sizes).reshape(self.sizes.shape) - self.sizes
 
-    @classmethod
-    def from_supports(cls, rows) -> "SupportTable":
-        """The table of per-pair supports given as rows[l][k]; every pair
-        must share one width and one number of antennas."""
-        flat = [s for row in rows for s in row]
-        shape = (len(rows), len(flat) // len(rows))
-        return cls(indices=np.concatenate([s.indices for s in flat]).astype(int),
-                   sizes=np.array([s.size for s in flat]).reshape(shape),
-                   center_angle=np.array([s.center_angle for s in flat],
-                                         dtype=float).reshape(shape),
-                   padded=np.array([s.padded for s in flat]).reshape(shape),
-                   width=flat[0].width, num_antennas=flat[0].num_antennas)
-
     def __getitem__(self, pair) -> AngularSupport:
         l, k = pair
         start = self.offsets[l, k]
@@ -170,12 +157,6 @@ def sample_channel(support: AngularSupport, beta: float,
     M = support.num_antennas
     nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
     return np.sqrt(beta * M / r) * (dft_columns(M, support.indices) @ nu)
-
-
-def true_covariance(support: AngularSupport, beta: float) -> np.ndarray:
-    """Exact channel covariance (beta*M/|S|) F_S F_S^H; trace = beta*M."""
-    Fs = dft_columns(support.num_antennas, support.indices)
-    return beta * support.num_antennas / support.size * (Fs @ Fs.conj().T)
 
 
 def network_supports(layout, delta: float, M: int) -> SupportTable:

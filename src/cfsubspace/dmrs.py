@@ -59,20 +59,3 @@ def pm_estimate(field: np.ndarray, t_k: int, snr: float) -> np.ndarray:
 def sp_estimate(estimate: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a PM estimate onto a subspace basis."""
     return basis @ (basis.conj().T @ estimate)
-
-
-def contamination_covariance(basis_k: np.ndarray, copilots) -> np.ndarray:
-    """Covariance of the co-pilot contamination after subspace projection.
-
-    ``copilots`` is a sequence of (basis_i, beta_i) for the co-pilot users;
-    with P = B_k B_k^H the result is sum_i (beta_i*M/r_i) P B_i B_i^H P.
-    Vanishes when every cross-Gramian B_k^H B_i is zero.
-    """
-    M = basis_k.shape[0]
-    P = basis_k @ basis_k.conj().T
-    sigma = np.zeros((M, M), dtype=complex)
-    for basis_i, beta_i in copilots:
-        r_i = basis_i.shape[1]
-        PB = P @ basis_i
-        sigma += beta_i * M / r_i * (PB @ PB.conj().T)
-    return sigma

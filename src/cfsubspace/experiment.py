@@ -28,7 +28,11 @@ from .receiver import ESTIMATOR_KINDS, ergodic_rates
 from .rpca import RpcaParams, collect_srs, outlier_pursuit, outlier_pursuit_tuned, \
     power_efficiency, subspace_estimates
 
-DEFAULT_KINDS = ("ideal", "sp", "pp", "pm")
+# every file write_results can write; a run removes those it did not write
+# this time, so that no file of an earlier run is left beside the new ones
+_OUTPUT_FILES = frozenset({"rates.csv", "subspace.csv", "summary.json", "config.json",
+                          "cdf_pe_raw.csv", "cdf_pe_pp.csv",
+                          *(f"cdf_se_{kind}.csv" for kind in ESTIMATOR_KINDS)})
 
 
 @dataclass
@@ -55,7 +59,7 @@ class ExperimentConfig:
     n_layouts: int = 100
     n_fading: int = 100
     seed: int = 0
-    kinds: tuple = DEFAULT_KINDS
+    kinds: tuple = ESTIMATOR_KINDS
     workers: int = 1
     output_dir: str = "results"
     pathloss: PathlossParams = field(default_factory=PathlossParams)
@@ -89,8 +93,6 @@ class ExperimentConfig:
             raise ValueError("area_side must be positive and finite")
         if self.cell_radius is not None and not 0 < self.cell_radius < np.inf:
             raise ValueError("cell_radius must be positive and finite")
-        if self.solver.max_iter < 1:
-            raise ValueError("solver.max_iter must be >= 1")
         bad = [k for k in self.kinds if k not in ESTIMATOR_KINDS]
         if bad:
             raise ValueError(f"unknown estimator kinds {bad}; "
@@ -142,10 +144,6 @@ def stage_seed_sequence(seed: int, label: str, *indices: int) -> np.random.SeedS
 
 def stage_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     return np.random.default_rng(stage_seed_sequence(seed, label, *indices))
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config)
 
 
 def _section(name: str, value, cls):
@@ -331,8 +329,9 @@ def _replaced_together(out: Path):
     under a temporary name in ``out``.
 
     When the block completes, every file is moved onto its real name with
-    ``os.replace``; when it raises, the temporary files are removed and the
-    previous files stay as they were. So a crash while writing never leaves a
+    ``os.replace``, then each file of ``_OUTPUT_FILES`` it did not open is
+    deleted; when it raises, the temporary files are removed and the previous
+    files stay as they were. So a crash while writing never leaves a
     truncated file, nor new files next to old ones.
     """
     staged = []
@@ -350,6 +349,8 @@ def _replaced_together(out: Path):
         raise
     for tmp, final in staged:
         os.replace(tmp, final)
+    for name in _OUTPUT_FILES - {final.name for _, final in staged}:
+        (out / name).unlink(missing_ok=True)
 
 
 def write_results(result: ExperimentResult, output_dir,
@@ -360,7 +361,8 @@ def write_results(result: ExperimentResult, output_dir,
     empty rate/se cells; empty record sets produce header-only CSVs and null
     summary entries. Every file is written under a temporary name first and
     all are renamed once all are written, so a failure part-way leaves the
-    files of the previous run in place.
+    files of the previous run in place; a completed run deletes the output
+    files of an earlier run that it did not write itself.
     """
     out = Path(output_dir)
     try:
@@ -421,6 +423,6 @@ def write_results(result: ExperimentResult, output_dir,
             fh.write("\n")
         if config is not None:
             with open_("config.json") as fh:
-                json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+                json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         return summary

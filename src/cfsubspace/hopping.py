@@ -21,16 +21,10 @@ MAX_UE_CELL_PAIRS = 10 ** 7
 
 
 @dataclass
-class LatinSquare:
-    order: int
-    cells: np.ndarray  # (N, N) with entries in 1..N
-
-
-@dataclass
 class SquareAssignment:
     """Per-UE (square, symbol) allocation."""
 
-    square_id: np.ndarray  # (K,) index into the MOLS family
+    square_id: np.ndarray  # (K,) index into the MOLS family's first axis
     symbol_id: np.ndarray  # (K,) in 1..N
 
 
@@ -46,27 +40,10 @@ class SrsSchedule:
     S: int
     subcarriers: np.ndarray  # (K, S) int, 1-based
 
-    def collision_slots(self, i: int, k: int) -> np.ndarray:
-        """Slots where UEs i and k transmit on the same subcarrier."""
-        return np.nonzero(self.subcarriers[i] == self.subcarriers[k])[0]
-
     def colliders(self, k: int, s: int) -> np.ndarray:
         """UEs other than k sharing UE k's subcarrier in slot s."""
         hits = np.nonzero(self.subcarriers[:, s] == self.subcarriers[k, s])[0]
         return hits[hits != k]
-
-
-def is_latin(square: LatinSquare) -> bool:
-    """Every row and every column is a permutation of 1..N."""
-    want = set(range(1, square.order + 1))
-    return all(set(row) == want for row in square.cells) and \
-        all(set(col) == want for col in square.cells.T)
-
-
-def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
-    """All N^2 elementwise pairs (a_ij, b_ij) are distinct."""
-    pairs = {(int(x), int(y)) for x, y in zip(a.cells.ravel(), b.cells.ravel())}
-    return len(pairs) == a.order ** 2
 
 
 def _is_prime(n: int) -> bool:
@@ -84,16 +61,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def mols_family(N: int) -> list:
-    """The N-1 mutually orthogonal Latin squares A_t(i,j) = (t*i + j mod N) + 1.
+def mols_family(N: int) -> np.ndarray:
+    """The N-1 mutually orthogonal Latin squares A_t(i,j) = (t*i + j mod N) + 1
+    as one (N-1, N, N) int array: family[t-1, i, j] = A_t(i, j), entries in 1..N.
 
     Only prime N is supported; prime powers would need finite-field arithmetic.
     """
     if not _is_prime(N):
         raise ValueError(f"N must be prime for the MOLS construction, got {N}")
-    i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    return [LatinSquare(order=N, cells=((t * i + j) % N + 1).astype(int))
-            for t in range(1, N)]
+    t, i, j = np.ix_(np.arange(1, N), np.arange(N), np.arange(N))
+    return (t * i + j) % N + 1
 
 
 def default_cell_radius(area_side: float, K: int, N: int) -> float:
@@ -161,7 +138,7 @@ def reuse_color(q: int, r: int, n_squares: int) -> int:
     return (q % a) + a * (r % b)
 
 
-def allocate_squares(layout: Layout, family: list,
+def allocate_squares(layout: Layout, family: np.ndarray,
                      cell_radius: float | None = None) -> SquareAssignment:
     """Bin UEs into hex cells and hand out (square, symbol) pairs.
 
@@ -171,9 +148,9 @@ def allocate_squares(layout: Layout, family: list,
     radius that makes more than MAX_UE_CELL_PAIRS (UE, cell) pairs raises
     ValueError (:func:`check_cell_count`).
     """
-    if not family:
+    if len(family) == 0:
         raise ValueError("MOLS family must be non-empty")
-    N = family[0].order
+    N = family.shape[1]
     K = layout.num_ues
     if cell_radius is None:
         cell_radius = default_cell_radius(layout.area_side, K, N)
@@ -186,20 +163,20 @@ def allocate_squares(layout: Layout, family: list,
     symbol_id = np.empty(K, dtype=int)
     for c in np.unique(cell_of):
         members = np.nonzero(cell_of == c)[0]
-        sq = reuse_color(int(axial[c, 0]), int(axial[c, 1]), len(family)) % len(family)
-        square_id[members] = sq
+        square_id[members] = reuse_color(int(axial[c, 0]), int(axial[c, 1]), len(family))
         symbol_id[members] = np.arange(len(members)) % N + 1
     return SquareAssignment(square_id=square_id, symbol_id=symbol_id)
 
 
-def build_schedule(assignment: SquareAssignment, family: list, S: int) -> SrsSchedule:
+def build_schedule(assignment: SquareAssignment, family: np.ndarray,
+                   S: int) -> SrsSchedule:
     """Hopping sequences: UE with (square, symbol n) sends on the subcarrier
     (row) holding n in the current slot's column, repeating with period N."""
     if S < 1:
         raise ValueError("S must be >= 1")
-    N = family[0].order
+    N = family.shape[1]
     used, square = np.unique(assignment.square_id, return_inverse=True)
-    cells = np.array([family[t].cells for t in used], dtype=int).reshape(-1, N, N)
+    cells = family[used]
     # row_of[u, n-1, j] = 1-based row of symbol n in column j of square used[u]
     row_of = np.empty(cells.shape, dtype=int)
     row_of[np.arange(len(used))[:, None, None], cells - 1, np.arange(N)] = \

@@ -12,8 +12,7 @@ vectors of H, which the last ADMM step has already computed, give the
 subspace; an optional greedy projection snaps the basis onto DFT columns.
 """
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,11 +28,16 @@ _RESIDUAL_RATIO = 4.0
 # solve is skipped: close to the threshold ADMM can stop at tol with a tiny
 # nonzero low-rank part
 _RANK_ZERO_MARGIN = 1e-3
+# the lambda retune loop runs at most _MAX_RETRIES + 1 solves and scales
+# lambda by _RETUNE_FACTOR between them
+_MAX_RETRIES = 5
+_RETUNE_FACTOR = 1.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class RpcaParams:
-    """Solver knobs for :func:`outlier_pursuit`.
+    """Solver knobs for :func:`outlier_pursuit`, checked once when made
+    (the ADMM loop relies on ``max_iter >= 1``) and immutable after.
 
     ``tol`` bounds the change of both E and H over one ADMM step, relative
     to max(1, ||Y||_F) of the normalized input; the solve stops at the first
@@ -51,9 +55,8 @@ class RpcaParams:
 
     def __post_init__(self):
         check_field_types(self)
-        # max_iter = 0 is allowed: the solve then returns its starting point
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         for name in ("tol", "rho"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -65,38 +68,17 @@ class RpcaResult:
     outliers: np.ndarray   # E_hat, (M, S)
     iterations: int
     converged: bool
-    residual: float        # ||Y - H_hat - E_hat||_F
     # singular values of H_hat, descending, as the last ADMM step thresholded
     # them (times the input's scale), and the matching left singular vectors,
     # (M, min(M, S)); the leading identity columns when H_hat = 0
     singular_values: np.ndarray = field(repr=False)
     left_vectors: np.ndarray = field(repr=False)
-    # (Yn, lambda, params): the internally normalized input and the solver
-    # settings, from which ``objective`` replays the iterations.
-    problem: tuple = field(repr=False, compare=False, default=None)
-
-    @cached_property
-    def objective(self) -> np.ndarray:
-        """objective[i] = ||Yn - E_i||_* + lambda*||E_i||_{2,1}, i = 0..iterations.
-
-        The exact objective of the feasible pair (Yn - E_i, E_i) on the
-        internally normalized problem, with E_0 = 0. Non-increasing on
-        noiseless data; noisy inputs can show small transients. Computed on
-        first access by replaying the deterministic ADMM steps, so solves
-        whose objective is never read neither pay for it nor keep their
-        iterates in memory.
-        """
-        Yn, lam, params = self.problem
-        outliers = [np.zeros_like(Yn)]
-        if self.iterations:
-            _admm(Yn, lam, params, outliers.append)
-        return np.array([np.linalg.svd(Yn - E, compute_uv=False).sum()
-                         + lam * _col_norms(E).sum() for E in outliers])
 
     @property
     def rank(self) -> int:
-        """:func:`numerical_rank` of ``low_rank``, read from the singular
-        values the solve already made instead of a fresh SVD."""
+        """Numerical rank of ``low_rank`` (singular values above 1e-6 of the
+        largest), read from the singular values the solve already made
+        instead of a fresh SVD."""
         return _rank_of(self.singular_values)
 
 
@@ -170,12 +152,11 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
 
 
 def _fro(x: np.ndarray):
-    """Frobenius norm, bitwise equal to np.linalg.norm(x) without its dispatch."""
+    """Frobenius norm, bitwise equal to np.linalg.norm(x) without its dispatch
+    (for real x the imaginary part adds an exact 0)."""
     x = x.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return np.sqrt(re.dot(re) + im.dot(im))
-    return np.sqrt(x.dot(x))
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
 
 
 def _col_norms(x: np.ndarray) -> np.ndarray:
@@ -206,25 +187,16 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
     M, S = Y.shape
     scale = _fro(Y) / np.sqrt(S)
     if scale == 0:
-        return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True, 0.0,
-                          np.zeros(min(M, S)), np.eye(M, min(M, S), dtype=Y.dtype),
-                          problem=(Y, lam, params))
-    Yn = Y / scale
-    H, E, sv, left, iterations, converged = _admm(Yn, lam, params)
-    H = H * scale
-    E = E * scale
-    if sv is None:
-        left, sv, _ = np.linalg.svd(H, full_matrices=False)
-    else:
-        sv = sv * scale
-        if sv[0] == 0:
-            # H = 0: the last step's vectors belong to Yn - E + U, not to
-            # H; take the identity columns an SVD of a zero matrix returns
-            left = np.eye(M, len(sv), dtype=H.dtype)
-    return RpcaResult(low_rank=H, outliers=E, iterations=iterations,
-                      converged=converged, residual=float(_fro(Y - H - E)),
-                      singular_values=sv, left_vectors=left,
-                      problem=(Yn, lam, replace(params)))
+        return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True,
+                          np.zeros(min(M, S)), np.eye(M, min(M, S), dtype=Y.dtype))
+    H, E, sv, left, iterations, converged = _admm(Y / scale, lam, params)
+    sv = sv * scale
+    if sv[0] == 0:
+        # H = 0: the last step's vectors belong to Yn - E + U, not to H;
+        # take the identity columns an SVD of a zero matrix returns
+        left = np.eye(M, len(sv), dtype=H.dtype)
+    return RpcaResult(low_rank=H * scale, outliers=E * scale, iterations=iterations,
+                      converged=converged, singular_values=sv, left_vectors=left)
 
 
 def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
@@ -238,7 +210,7 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
 
     Returns (H, E, sv, left, iterations, converged) with H and E as (M, S),
     where sv holds the last step's thresholded singular values of H and left
-    the matching left singular vectors (both None when no step ran).
+    the matching left singular vectors.
     ``on_step`` is called with each (M, S) outlier iterate E_1, E_2, ... as
     it is made; every step makes a fresh E.
 
@@ -253,9 +225,7 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
     H = X
     E = np.zeros_like(X)
     U = np.zeros_like(X)
-    sv = Vh = None
     converged = False
-    iterations = 0
     norm = max(1.0, _fro(X))
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
@@ -289,12 +259,7 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
         elif d_norm > _RESIDUAL_RATIO * r_norm:
             rho /= 2.0
             U *= 2.0
-    left = None if Vh is None else Vh.conj().T
-    return H.conj().T, E.conj().T, sv, left, iterations, converged
-
-
-def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-6) -> int:
-    return _rank_of(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
 
 
 def _rank_of(sv: np.ndarray, rel_tol: float = 1e-6) -> int:
@@ -319,42 +284,35 @@ def _rank_zero_lambda(Y: np.ndarray) -> float:
 
 
 def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
-                          params: RpcaParams | None = None,
-                          rank_band: tuple | None = None,
-                          max_retries: int = 5,
-                          factor: float = 1.5) -> RpcaResult:
+                          params: RpcaParams | None = None) -> RpcaResult:
     """Outlier pursuit with an empirical lambda adjustment loop.
 
-    When the recovered low-rank part has rank above the target band, lambda is
-    decreased (cheaper to move columns into E); rank zero means lambda was too
-    small and it is increased. At most max_retries + 1 solves.
+    The target rank band is [1, max(1, M // 2)]. When the recovered low-rank
+    part has rank above it, lambda is divided by ``_RETUNE_FACTOR`` (cheaper
+    to move columns into E); rank zero means lambda was too small and it is
+    multiplied by it. At most ``_MAX_RETRIES + 1`` solves.
 
     A converged solve at lambda <= :func:`_rank_zero_lambda` returns H = 0,
     so while a retry is left such a solve is skipped and lambda raised as if
-    it had run and found rank zero. The last allowed solve always runs, and
-    nothing is skipped when the band admits rank zero. A ``max_iter`` too
-    small for the solves to converge can leave a skipped solve's H nonzero;
-    the screen then follows the converged answer instead.
+    it had run and found rank zero. The last allowed solve always runs. A
+    ``max_iter`` too small for the solves to converge can leave a skipped
+    solve's H nonzero; the screen then follows the converged answer instead.
+    Non-finite input is not screened, so that the solve rejects it.
     """
-    M = Y.shape[0]
-    if rank_band is None:
-        rank_band = (1, max(1, M // 2))
-    lo, hi = rank_band
-    lam_zero = 0.0
-    if lo > 0 and max_retries > 0 and np.all(np.isfinite(Y)):
-        lam_zero = _rank_zero_lambda(Y)
-    for attempt in range(max_retries + 1):
-        last = attempt == max_retries
+    hi = max(1, Y.shape[0] // 2)
+    lam_zero = _rank_zero_lambda(Y) if np.all(np.isfinite(Y)) else 0.0
+    for attempt in range(_MAX_RETRIES + 1):
+        last = attempt == _MAX_RETRIES
         if lam <= lam_zero and not last:
-            lam = lam * factor          # rank zero without solving
+            lam = lam * _RETUNE_FACTOR  # rank zero without solving
             continue
         result = outlier_pursuit(Y, lam, params)
         if last:
             break
         rank = result.rank
-        if lo <= rank <= hi:
+        if 1 <= rank <= hi:
             break
-        lam = lam / factor if rank > hi else lam * factor
+        lam = lam / _RETUNE_FACTOR if rank > hi else lam * _RETUNE_FACTOR
     return result
 
 
@@ -369,8 +327,6 @@ def select_rank(singular_values, r_max: int) -> int:
         raise ValueError("need at least one singular value")
     if np.any(sv < 0) or np.any(np.diff(sv) > 0):
         raise ValueError("singular values must be non-negative and descending")
-    if sv.size == 1:
-        return 1
     upper = min(r_max, sv.size - 1)
     if upper < 1:
         return 1
@@ -393,12 +349,6 @@ def dft_project(basis: np.ndarray) -> np.ndarray:
     return np.sort(np.argsort(-scores, kind="stable")[:r])
 
 
-def estimated_covariance(basis: np.ndarray, beta: float) -> np.ndarray:
-    """Estimated channel covariance (beta*M/r) B B^H for an orthonormal basis."""
-    M, r = basis.shape
-    return beta * M / r * (basis @ basis.conj().T)
-
-
 def power_efficiency(support, estimate: SubspaceEstimate) -> float:
     """Fraction of the desired channel power captured by a subspace estimate.
 
@@ -413,8 +363,7 @@ def power_efficiency(support, estimate: SubspaceEstimate) -> float:
     return float(min(max(pe, 0.0), 1.0))
 
 
-def subspace_estimates(left_vectors: np.ndarray, singular_values: np.ndarray,
-                       r_max: int | None = None):
+def subspace_estimates(left_vectors: np.ndarray, singular_values: np.ndarray):
     """Rank-select a recovered low-rank part and build both estimates.
 
     Takes the low-rank part's left singular vectors (M, n) and its n
@@ -424,9 +373,7 @@ def subspace_estimates(left_vectors: np.ndarray, singular_values: np.ndarray,
     estimate and its DFT projection.
     """
     M = left_vectors.shape[0]
-    if r_max is None:
-        r_max = max(1, len(singular_values) // 2)
-    r = select_rank(singular_values, r_max)
+    r = select_rank(singular_values, max(1, len(singular_values) // 2))
     pca = SubspaceEstimate(basis=left_vectors[:, :r], rank=r)
     idx = dft_project(pca.basis)
     pp = SubspaceEstimate(basis=dft_columns(M, idx), rank=r, dft_indices=idx)

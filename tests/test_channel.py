@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from cfsubspace.channel import (AngularSupport, NetworkChannelSampler,
-                                SupportTable, angular_support, dft_column_stack,
-                                dft_columns, dft_matrix, network_supports,
-                                sample_channel, true_covariance)
+from cfsubspace.channel import (NetworkChannelSampler, angular_support,
+                                dft_column_stack, dft_columns, dft_matrix,
+                                network_supports, sample_channel)
 from cfsubspace.geometry import generate_layout
-
-
-def make_support(indices, M, width=np.pi / 8):
-    return AngularSupport(indices=np.asarray(indices, dtype=int), center_angle=0.0,
-                          width=width, num_antennas=M)
+from oracles import from_supports, make_support, true_covariance
 
 
 def one_pair_support(ru, ue, area_side, delta, M):
@@ -177,7 +172,7 @@ class TestNetworkSupports:
         table = network_supports(layout, 0.05, 16)
         assert table.padded.any()
         rows = [[table[l, k] for k in range(7)] for l in range(3)]
-        again = SupportTable.from_supports(rows)
+        again = from_supports(rows)
         for name in ("indices", "sizes", "offsets", "center_angle", "padded"):
             a, b = getattr(table, name), getattr(again, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -291,7 +286,7 @@ class TestNetworkSampling:
         layout = generate_layout(4, 9, 500.0, seed=M)
         rng = np.random.default_rng(M)
         sizes = [1, 2, 3, 8]
-        supports = SupportTable.from_supports(
+        supports = from_supports(
             [[make_support(np.sort(rng.choice(M, size=sizes[(l + k) % 4],
                                               replace=False)), M)
               for k in range(layout.num_ues)]

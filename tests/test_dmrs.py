@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cfsubspace.channel import AngularSupport, dft_columns, sample_channel
-from cfsubspace.dmrs import (contamination_covariance, dmrs_field, pilot_book,
-                             pm_estimate, sp_estimate)
+from cfsubspace.channel import dft_columns, sample_channel
+from cfsubspace.dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
+from oracles import contamination_covariance, make_support
 
 
 class _ZeroNoise:
@@ -12,11 +12,6 @@ class _ZeroNoise:
     @staticmethod
     def standard_normal(size=None):
         return np.zeros(size) if size is not None else 0.0
-
-
-def make_support(indices, M):
-    return AngularSupport(indices=np.asarray(indices, dtype=int), center_angle=0.0,
-                          width=np.pi / 8, num_antennas=M)
 
 
 class TestPilotBook:

@@ -77,7 +77,7 @@ class TestConfig:
         ({"kinds": "pp"}, "kinds must be a list"),
         ({"output_dir": 3}, "output_dir must be a string"),
         ({"solver": {"max_iter": "abc"}}, "'solver': max_iter must be an integer"),
-        ({"solver": {"max_iter": 0}}, "solver.max_iter must be >= 1"),
+        ({"solver": {"max_iter": 0}}, "config section 'solver': max_iter must be >= 1"),
         ({"solver": {"tol": 0.0}}, "'solver': tol must be positive"),
         ({"solver": {"rho": -1}}, "'solver': rho must be positive"),
         ({"pathloss": {"los_offset": "32"}}, "'pathloss': los_offset must be a number"),
@@ -379,6 +379,23 @@ class TestWriteResults:
         write_results(result, fresh, new_cfg)
         assert self._snapshot(fresh) == after
 
+    def test_second_run_leaves_only_its_own_files(self, tmp_path):
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        first = tiny_config(kinds=("pp", "sp"))
+        write_results(run_experiment(first), out, first)
+        assert len(self._snapshot(out)) == 8     # CDFs of pp, sp and PE; config
+        # files the package never writes are left alone, whatever their name
+        others = {name: b"kept" for name in ("notes.txt", "cdf_se_x.csv", "rates.csv~")}
+        for name, data in others.items():
+            (out / name).write_bytes(data)
+        result = run_experiment(tiny_config(kinds=("ideal",)))
+        write_results(result, out)
+        write_results(result, fresh)
+        expected = self._snapshot(fresh)
+        assert set(expected) == {"rates.csv", "subspace.csv", "summary.json",
+                                 "cdf_se_ideal.csv"}
+        assert self._snapshot(out) == {**expected, **others}
+
     def test_excluded_ues_have_empty_cells(self, tmp_path):
         cfg = tiny_config(eta=1e6, kinds=("ideal",))  # impossible threshold
         result = run_experiment(cfg)
@@ -433,6 +450,7 @@ class TestCli:
         ({"solver": {"rho": float("inf")}}, "rho"),
         ({"cell_radius": 0.001}, "cell_radius"),
         ({"cell_radius": 0.001, "area_side": 400.0}, "cell_radius"),
+        ({"solver": {"max_iter": 0}}, "max_iter"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"

@@ -1,24 +1,21 @@
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cfsubspace.rpca as rpca_mod
-from cfsubspace.channel import (AngularSupport, SupportTable, dft_columns,
-                                dft_matrix, network_supports, sample_channel)
+from cfsubspace.channel import dft_columns, dft_matrix, network_supports, \
+    sample_channel
 from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
 from cfsubspace.hopping import (SrsSchedule, allocate_squares, build_schedule,
                                 mols_family)
 from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
                              _rank_zero_lambda, _row_norms, collect_srs, dft_project,
-                             estimated_covariance, numerical_rank,
                              outlier_pursuit, outlier_pursuit_tuned,
                              power_efficiency, select_rank, subspace_estimates)
-
-
-def make_support(indices, M):
-    return AngularSupport(indices=np.asarray(indices, dtype=int), center_angle=0.0,
-                          width=np.pi / 8, num_antennas=M)
+from oracles import (estimated_covariance, from_supports, make_support,
+                     numerical_rank, objective_trace, true_covariance)
 
 
 def planted_instance(rng, M=16, S=64, rank=2, n_outliers=3, outlier_norm=5.0):
@@ -119,7 +116,7 @@ class TestBatchedCollectSrs:
             sub[others, s] = 1
         schedule = SrsSchedule(N=5, S=S, subcarriers=sub)
         rng = np.random.default_rng(seed)
-        supports = SupportTable.from_supports(
+        supports = from_supports(
             [[make_support(np.sort(rng.choice(M, 1 + (k + l) % 4, replace=False)), M)
               for k in range(K)] for l in range(2)])
         layout = SimpleNamespace(lsfc=10.0 ** rng.uniform(-12, -8, (2, K)))
@@ -186,9 +183,9 @@ class TestOutlierPursuit:
         params = RpcaParams()
         for _ in range(5):
             Y, _, _ = planted_instance(rng)
-            result = outlier_pursuit(Y, lam=0.25, params=params)
-            slack = params.tol * result.objective[0]
-            assert np.all(np.diff(result.objective) <= slack)
+            objective = objective_trace(Y, 0.25, params)
+            slack = params.tol * objective[0]
+            assert np.all(np.diff(objective) <= slack)
 
     def test_huge_lambda_disables_outliers(self):
         rng = np.random.default_rng(3)
@@ -215,21 +212,14 @@ class TestOutlierPursuit:
 
     def test_zero_matrix(self):
         result = outlier_pursuit(np.zeros((4, 6), dtype=complex), lam=0.25)
-        assert result.converged and result.residual == 0.0
-        assert result.objective.tolist() == [0.0]
+        assert result.converged and result.iterations == 0
+        assert not np.any(result.low_rank) and not np.any(result.outliers)
 
     def test_max_iter_reports_not_converged(self):
         rng = np.random.default_rng(5)
         Y, _, _ = planted_instance(rng)
         result = outlier_pursuit(Y, lam=0.25, params=RpcaParams(max_iter=2))
         assert not result.converged and result.iterations == 2
-
-    def test_residual_reported(self):
-        rng = np.random.default_rng(6)
-        Y, _, _ = planted_instance(rng)
-        result = outlier_pursuit(Y, lam=0.25)
-        direct = np.linalg.norm(Y - result.low_rank - result.outliers)
-        assert result.residual == pytest.approx(direct)
 
     @pytest.mark.parametrize("rank,n_out", [(1, 3), (2, 5), (3, 4), (4, 6)])
     def test_recovery_property_family(self, rank, n_out):
@@ -271,18 +261,8 @@ class TestNorms:
 
 
 class TestLazyObjective:
-    def test_outputs_do_not_depend_on_reading_objective(self):
-        rng = np.random.default_rng(15)
-        Y, _, _ = planted_instance(rng, M=8, S=29)
-        read, unread = outlier_pursuit(Y, 0.25), outlier_pursuit(Y, 0.25)
-        low_rank, outliers = read.low_rank.copy(), read.outliers.copy()
-        assert read.objective.shape == (read.iterations + 1,)
-        for result in (read, unread):
-            assert result.low_rank.tobytes() == low_rank.tobytes()
-            assert result.outliers.tobytes() == outliers.tobytes()
-        assert (read.iterations, read.converged, read.residual) == \
-            (unread.iterations, unread.converged, unread.residual)
-        assert read.objective is read.objective  # computed once
+    """The solve never computes its objective; the ``objective_trace``
+    oracle replays the solve's ADMM steps when a test asks for it."""
 
     def test_objective_matches_direct_recomputation(self):
         # E_i is the outlier iterate after i steps: a solve capped at
@@ -291,15 +271,17 @@ class TestLazyObjective:
         Y, _, _ = planted_instance(rng, M=8, S=24, rank=1, n_outliers=2)
         lam = 0.25
         result = outlier_pursuit(Y, lam)
+        objective = objective_trace(Y, lam, RpcaParams())
+        assert objective.shape == (result.iterations + 1,)
         scale = np.linalg.norm(Y) / np.sqrt(Y.shape[1])
         Yn = Y / scale
-        assert result.objective[0] == pytest.approx(
+        assert objective[0] == pytest.approx(
             np.linalg.svd(Yn, compute_uv=False).sum(), rel=1e-12)
-        for i in range(result.iterations + 1):
+        for i in range(1, result.iterations + 1):
             E = outlier_pursuit(Y, lam, RpcaParams(max_iter=i)).outliers / scale
             direct = (np.linalg.svd(Yn - E, compute_uv=False).sum()
                       + lam * np.linalg.norm(E, axis=0).sum())
-            assert result.objective[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert objective[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_one_svd_per_iteration_unless_objective_read(self, monkeypatch):
         calls = []
@@ -317,17 +299,8 @@ class TestLazyObjective:
         assert n > 1
         assert len(calls) == n
         # reading it replays the n steps, then takes one SVD per iterate
-        result.objective
+        objective_trace(Y, 0.25, RpcaParams())
         assert len(calls) == n + n + (n + 1)
-
-    def test_objective_replay_ignores_later_param_edits(self):
-        rng = np.random.default_rng(18)
-        Y, _, _ = planted_instance(rng, M=8, S=29)
-        params = RpcaParams()
-        result = outlier_pursuit(Y, 0.25, params)
-        params.rho, params.max_iter = 50.0, 3
-        expected = outlier_pursuit(Y, 0.25).objective
-        assert result.objective.tobytes() == expected.tobytes()
 
 
 class TestLambdaTuning:
@@ -347,19 +320,38 @@ class TestLambdaTuning:
         assert numerical_rank(tuned.low_rank) >= 1
 
 
-def unscreened_tuned(Y, lam, params=None, rank_band=None, max_retries=5,
-                     factor=1.5):
-    """Reference: the lambda-retune loop with every solve run."""
-    M = Y.shape[0]
-    lo, hi = rank_band if rank_band is not None else (1, max(1, M // 2))
+def unscreened_tuned(Y, lam, params=None):
+    """Reference: the lambda-retune loop with every solve run, rank band
+    [1, max(1, M // 2)], 5 retries and factor 1.5. Returns the last solve's
+    result and lambda."""
+    hi = max(1, Y.shape[0] // 2)
     result = outlier_pursuit(Y, lam, params)
-    for _ in range(max_retries):
+    for _ in range(5):
         rank = numerical_rank(result.low_rank)
-        if lo <= rank <= hi:
+        if 1 <= rank <= hi:
             break
-        lam = lam / factor if rank > hi else lam * factor
+        lam = lam / 1.5 if rank > hi else lam * 1.5
         result = outlier_pursuit(Y, lam, params)
-    return result
+    return result, lam
+
+
+@contextlib.contextmanager
+def recorded_lambdas():
+    """Yield the list of lambdas ``outlier_pursuit_tuned`` calls
+    ``outlier_pursuit`` with inside the block, in call order."""
+    calls, solve = [], rpca_mod.outlier_pursuit
+    rpca_mod.outlier_pursuit = lambda *args: calls.append(args[1]) or solve(*args)
+    try:
+        yield calls
+    finally:
+        rpca_mod.outlier_pursuit = solve
+
+
+def settled_lambda(Y, lam):
+    """The lambda of the last solve the retune loop runs."""
+    with recorded_lambdas() as calls:
+        outlier_pursuit_tuned(Y, lam)
+    return calls[-1]
 
 
 def noise_matrix(seed, M=8, S=24):
@@ -393,7 +385,7 @@ class TestRankZeroScreen:
         Y = dft_matrix(8)[:, :5] * np.arange(1, 6)
         assert _rank_zero_lambda(Y) == pytest.approx(1.0 - 1e-3)
 
-    @pytest.mark.parametrize("case,Y,lam,band,solves", [
+    @pytest.mark.parametrize("case,Y,lam,params,solves", [
         ("rank 0, then 1", planted_instance(np.random.default_rng(8), M=8,
                                             S=29, rank=1)[0], 0.05, None, 1),
         ("rank 0 throughout", noise_matrix(7), 0.05, None, 1),
@@ -401,27 +393,20 @@ class TestRankZeroScreen:
         ("above the band, then below the threshold", noise_matrix(7), 0.55, None, 4),
         ("rank 0 inside the margin is solved", noise_matrix(7), 0.58, None, 6),
         ("all-zero input", np.zeros((8, 29), dtype=complex), 0.25, None, 1),
-        ("band admits rank 0", noise_matrix(7), 0.05, (0, 4), 1),
-        ("band admits rank 0, rank above it", noise_matrix(7), 2.0, (0, 4), 5),
+        ("rank 0 inside the margin, former tolerance", noise_matrix(7), 0.58,
+         RpcaParams(tol=1e-6), 6),
     ])
-    def test_equals_unscreened_loop(self, monkeypatch, case, Y, lam, band, solves):
-        calls = []
-        solve = rpca_mod.outlier_pursuit
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return solve(*args, **kwargs)
-
-        reference = unscreened_tuned(Y, lam, rank_band=band)
-        monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted)
-        screened = outlier_pursuit_tuned(Y, lam, rank_band=band)
+    def test_equals_unscreened_loop(self, case, Y, lam, params, solves):
+        reference, reference_lam = unscreened_tuned(Y, lam, params)
+        with recorded_lambdas() as calls:
+            screened = outlier_pursuit_tuned(Y, lam, params)
         assert len(calls) == solves
-        assert screened.problem[1] == reference.problem[1] == calls[-1]
+        assert reference_lam == calls[-1]
         for name in ("low_rank", "outliers"):
             assert getattr(screened, name).tobytes() == \
                 getattr(reference, name).tobytes()
-        assert (screened.iterations, screened.converged, screened.residual) == \
-            (reference.iterations, reference.converged, reference.residual)
+        assert (screened.iterations, screened.converged) == \
+            (reference.iterations, reference.converged)
 
     def test_bad_input_still_rejected(self):
         Y = noise_matrix(7)
@@ -431,16 +416,11 @@ class TestRankZeroScreen:
         with pytest.raises(ValueError, match="non-finite"):
             outlier_pursuit_tuned(Y, lam=0.25)
 
-    def test_every_edge_makes_a_real_solve(self, monkeypatch):
-        calls = []
-        solve = rpca_mod.outlier_pursuit
-        monkeypatch.setattr(rpca_mod, "outlier_pursuit",
-                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
-        for retries in (0, 1, 3):
-            calls.clear()
-            result = outlier_pursuit_tuned(noise_matrix(7), 1e-3,
-                                           max_retries=retries)
-            assert len(calls) == 1 and result.iterations >= 1
+    def test_every_edge_makes_a_real_solve(self):
+        # every retry is screened, and the last allowed solve still runs
+        with recorded_lambdas() as calls:
+            result = outlier_pursuit_tuned(noise_matrix(7), 1e-3)
+        assert len(calls) == 1 and result.iterations >= 1
 
 
 def real_observation(K, N, seed=3, L=10, M=8):
@@ -474,7 +454,7 @@ def plain_admm(Yn, lam, params):
     X = np.ascontiguousarray(Yn.conj().T)
     rho = params.rho
     H, E, U = X.copy(), np.zeros_like(X), np.zeros_like(X)
-    sv, Vh, converged, iterations, outliers, moves = None, None, False, 0, [], ""
+    converged, outliers, moves = False, [], ""
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
         W, s, Vh = np.linalg.svd(X - E + U, full_matrices=False)
@@ -496,8 +476,7 @@ def plain_admm(Yn, lam, params):
             rho, U, moves = rho * 2.0, U / 2.0, moves + "+"
         elif d_norm > rpca_mod._RESIDUAL_RATIO * r_norm:
             rho, U, moves = rho / 2.0, U * 2.0, moves + "-"
-    left = None if Vh is None else Vh.conj().T
-    return H.conj().T, E.conj().T, sv, left, iterations, converged, outliers, moves
+    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged, outliers, moves
 
 
 def collider_observations():
@@ -545,15 +524,6 @@ class TestFusedStep:
         # the cases double and halve rho, so the rescaled duals are covered
         assert "+" in moves and "-" in moves
 
-    def test_no_step_returns_the_start(self):
-        Yn = noise_matrix(3)
-        H, E, sv, left, iterations, converged = rpca_mod._admm(
-            Yn, 0.25, RpcaParams(max_iter=0))
-        assert H.shape == E.shape == Yn.shape
-        assert H.tobytes() == Yn.tobytes() and not np.any(E)
-        assert sv is None and left is None
-        assert iterations == 0 and not converged
-
 
 def accuracy_cases():
     """Planted instances at lambda = 0.25 and a K = 40, N = 7 collider
@@ -562,7 +532,7 @@ def accuracy_cases():
     cases = [(planted_instance(rng, rank=r, n_outliers=n)[0], 0.25)
              for r, n in [(1, 3), (2, 5), (3, 4)]]
     Y = real_observation(40, 7)
-    return cases + [(Y, outlier_pursuit_tuned(Y, 0.25).problem[1])]
+    return cases + [(Y, settled_lambda(Y, 0.25))]
 
 
 class TestSolutionAccuracy:
@@ -607,7 +577,7 @@ class TestDefaultTolerance:
         tight = RpcaParams(tol=1e-10, max_iter=20000)
         ranks = set()
         for Y in planted + collider_observations() + noise:
-            settled = outlier_pursuit_tuned(Y, 0.25).problem[1]
+            settled = settled_lambda(Y, 0.25)
             for lam in (0.05, 0.25, 0.58, 2.0, settled):
                 default, reference = outlier_pursuit(Y, lam), \
                     outlier_pursuit(Y, lam, tight)
@@ -633,18 +603,18 @@ class TestRankFromLastStep:
         ranks = set()
         for Y in inputs:
             for lam in (0.05, 0.25, 0.35, 0.5625, 2.0, 1e6):
-                for params in (RpcaParams(), RpcaParams(max_iter=0),
+                for params in (RpcaParams(), RpcaParams(max_iter=1),
                                RpcaParams(max_iter=2)):
                     result = outlier_pursuit(Y, lam, params)
                     assert result.rank == numerical_rank(result.low_rank)
                     ranks.add(result.rank)
         assert {0, 1, 2, 3, 4} <= ranks
 
-    @pytest.mark.parametrize("lam,band", [(2.0, None), (0.05, None), (0.58, None),
-                                          (0.25, (0, 4))])
-    def test_tuned_loop_takes_no_extra_svd(self, monkeypatch, lam, band):
-        # one SVD for the rank-zero screen (when the band needs one) and one
-        # per ADMM step: the rank of each solve costs none
+    @pytest.mark.parametrize("lam,params", [(2.0, None), (0.05, None), (0.58, None),
+                                            (0.58, RpcaParams(tol=1e-6))])
+    def test_tuned_loop_takes_no_extra_svd(self, monkeypatch, lam, params):
+        # one SVD for the rank-zero screen and one per ADMM step: the rank
+        # of each solve costs none
         svds, iterations = [], []
         svd, solve = np.linalg.svd, rpca_mod.outlier_pursuit
 
@@ -656,8 +626,8 @@ class TestRankFromLastStep:
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **kw: svds.append(1) or svd(*a, **kw))
         monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted_solve)
-        outlier_pursuit_tuned(noise_matrix(7), lam, rank_band=band)
-        assert len(svds) == (band is None) + sum(iterations)
+        outlier_pursuit_tuned(noise_matrix(7), lam, params)
+        assert len(svds) == 1 + sum(iterations)
 
 
 def largest_angle_sine(basis_a, basis_b):
@@ -824,7 +794,6 @@ class TestPowerEfficiency:
         pe = power_efficiency(support, est)
         assert pe == pytest.approx(0.5)
         # cross-check against the covariance trace-ratio definition
-        from cfsubspace.channel import true_covariance
         sigma = true_covariance(support, 2.5e-9)
         sigma_hat = estimated_covariance(est.basis, 2.5e-9)
         ratio = np.trace(sigma @ sigma_hat).real / np.trace(sigma @ sigma).real
