@@ -95,8 +95,8 @@ class SupportTable:
         """
         sizes = self.sizes[l, k].ravel()
         offsets = self.offsets[l, k].ravel()
-        for r in np.unique(sizes).tolist():
-            members = np.flatnonzero(sizes == r)
+        for r in np.bincount(sizes).nonzero()[0].tolist():
+            members = (sizes == r).nonzero()[0]
             yield members, self.indices[offsets[members, None] + np.arange(r)]
 
 

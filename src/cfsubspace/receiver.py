@@ -54,31 +54,25 @@ def _lmmse_directions(estimates: np.ndarray, snr: float) -> np.ndarray:
     return V / np.where(norms > 0, norms, 1.0)
 
 
-def cluster_combiner(desired_gains: np.ndarray, interference_gains: np.ndarray,
-                     snr: float, local_vectors: np.ndarray) -> np.ndarray:
+def cluster_combiner(desired_gains: np.ndarray, system: np.ndarray,
+                     local_sq_norms: np.ndarray) -> np.ndarray:
     """Cluster-level weights maximizing the nominal SINR.
 
     With a = desired_gains and B the Gram matrix of the known interference
-    gains, the weights solve (B + I/snr) w = a, i.e. the dominant generalized
-    eigenvector of (a a^H, B + I/snr); a singular system is solved again with
-    1e-12 added to the diagonal. The weights are scaled so that the combiner
-    sum_l w_l v_l has unit norm: its blocks sit at distinct RUs, so its
-    squared norm is sum_l |w_l|^2 ||v_l||^2, and a zero combiner stays zero.
-    Returns the (n_c,) weights; the combiner itself is never assembled.
+    gains, ``system`` is B + I/snr as :func:`_cluster_systems` builds it; the
+    weights solve (B + I/snr) w = a, i.e. the dominant generalized
+    eigenvector of (a a^H, B + I/snr), and a singular system is solved again
+    with 1e-12 added to the diagonal. The weights are scaled so that the
+    combiner sum_l w_l v_l has unit norm: its blocks sit at distinct RUs, so
+    its squared norm is sum_l |w_l|^2 ||v_l||^2 (``local_sq_norms`` holds
+    the ||v_l||^2), and a zero combiner stays zero. Returns the (n_c,)
+    weights; the combiner itself is never assembled.
     """
-    a = np.asarray(desired_gains, dtype=complex)
-    n = a.size
-    if interference_gains is not None and interference_gains.size:
-        G = np.asarray(interference_gains, dtype=complex)
-        A = G @ G.conj().T
-    else:
-        A = np.zeros((n, n))
-    A.flat[::n + 1] += 1.0 / snr
     try:
-        w = np.linalg.solve(A, a)
+        w = np.linalg.solve(system, desired_gains)
     except np.linalg.LinAlgError:
-        w = np.linalg.solve(A + 1e-12 * np.eye(n), a)
-    local_sq_norms = (local_vectors.conj() * local_vectors).real.sum(axis=1)
+        w = np.linalg.solve(system + 1e-12 * np.eye(len(desired_gains)),
+                            desired_gains)
     nrm = np.sqrt(((w.conj() * w).real * local_sq_norms).sum())
     if nrm > 0:
         w = w / nrm
@@ -105,12 +99,14 @@ class _EdgeLayout:
 
     Per-RU stacks are (L, M, n_max) with RU l's users in its first n_l
     columns and zeros after them. The per-edge tables have one row per edge,
-    RU by RU and within an RU in user-set order.
+    RU by RU and within an RU in user-set order. The served UEs are grouped
+    by cluster size n, ascending: per group their ids (U,) and the table rows
+    (U, n) of their serving edges, in cluster order.
     """
 
     users: np.ndarray    # (L, n_max) user id per stack column, 0 where unused
     filled: np.ndarray   # (L, n_max) True where the column holds a user
-    rows: list           # per UE: table rows of its serving edges, cluster order
+    groups: list         # [(UE ids (U,), table rows (U, n))] per cluster size
 
     @classmethod
     def build(cls, graph, ues):
@@ -122,9 +118,14 @@ class _EdgeLayout:
         first = np.cumsum(counts) - counts
         row = {(l, k): first[l] + i for l, members in enumerate(graph.user_sets)
                for i, k in enumerate(members.tolist())}
-        rows = [np.array([row[(l, k)] for l in graph.clusters[k].tolist()])
-                for k in ues.tolist()]
-        return cls(users=users, filled=filled, rows=rows)
+        by_size = {}
+        for k in ues.tolist():
+            rows = [row[(l, k)] for l in graph.clusters[k].tolist()]
+            by_size.setdefault(len(rows), []).append((k, rows))
+        groups = [(np.array([k for k, _ in members]),
+                   np.array([rows for _, rows in members]))
+                  for _, members in sorted(by_size.items())]
+        return cls(users=users, filled=filled, groups=groups)
 
 
 def _projection_groups(edges: _EdgeLayout, supports, subspaces, kind):
@@ -158,16 +159,14 @@ def _project(pm: np.ndarray, groups) -> np.ndarray:
     return est
 
 
-def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
-                   ues: np.ndarray, snr: float) -> np.ndarray:
-    """Exact SINR of each UE in ``ues`` under its cluster combiner.
+def _gain_tables(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
+                 snr: float):
+    """Per-edge tables of one estimate stack and draw, one product per RU.
 
     ``est`` is the (L, M, n_max) stack of per-RU channel estimates. Per edge
-    (l, j) the tables hold v_lj^H est_l (the gains the cluster knows) and
-    v_lj^H H_l (the true gains), v_lj being the local LMMSE direction, all
-    filled with one product per RU. Each UE's combiner is a weighting of its
-    cluster's rows, so :func:`cluster_combiner` and :func:`uplink_sinr` work
-    on (n_c, K) row sets and no dense (L*M,) combiner is ever formed.
+    (l, j), v_lj being its local LMMSE direction, returns ||v_lj||^2, the
+    gains the cluster knows, v_lj^H est_l (zero for UEs RU l does not serve),
+    and the true gains v_lj^H H_l: (edges,), (edges, K) and (edges, K).
     """
     K = blocks.shape[1]
     local = _lmmse_directions(est, snr).swapaxes(1, 2)[edges.filled]   # (edges, M)
@@ -180,14 +179,46 @@ def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarra
         known[start:stop, users] = V_h @ est[l, :, :len(users)]
         true[start:stop] = V_h @ blocks[l].T
         start = stop
-    out = np.empty(len(ues))
-    for u, k in enumerate(ues.tolist()):
-        rows = edges.rows[u]
-        gains = known[rows]
-        desired = gains[:, k].copy()
-        gains[:, k] = 0.0
-        weights = cluster_combiner(desired, gains, snr, local[rows])
-        out[u] = uplink_sinr(weights, true[rows], snr, k)
+    return (local.conj() * local).real.sum(axis=1), known, true
+
+
+def _cluster_systems(known: np.ndarray, ues: np.ndarray, rows: np.ndarray,
+                     snr: float):
+    """The cluster systems of one size group, built with one stacked matmul.
+
+    UE ues[i] is served by the table rows rows[i]; G is those rows of
+    ``known`` with the UE's own column zeroed. Returns the desired gains
+    (the zeroed column), (U, n), and the systems G G^H + I/snr, (U, n, n).
+    """
+    G = known[rows]                                    # (U, n, K)
+    pick = np.arange(len(ues))
+    desired = G[pick, :, ues]
+    G[pick, :, ues] = 0.0
+    systems = G @ G.conj().swapaxes(1, 2)
+    n = rows.shape[1]
+    systems.reshape(len(ues), n * n)[:, ::n + 1] += 1.0 / snr
+    return desired, systems
+
+
+def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
+                   snr: float) -> np.ndarray:
+    """Exact SINR of every served UE under its cluster combiner; NaN elsewhere.
+
+    Each UE's combiner is a weighting of its cluster's rows of the
+    :func:`_gain_tables`, so no dense (L*M,) combiner is ever formed. The
+    systems of a size group are built at once by :func:`_cluster_systems`;
+    each UE then makes one :func:`cluster_combiner` and one
+    :func:`uplink_sinr` call, on its rows of the true-gain table.
+    """
+    sq_norms, known, true = _gain_tables(graph, edges, est, blocks, snr)
+    out = np.full(blocks.shape[1], np.nan)
+    for ues, rows in edges.groups:
+        desired, systems = _cluster_systems(known, ues, rows, snr)
+        norms, gains = sq_norms[rows], true[rows]
+        for i, k in enumerate(ues.tolist()):
+            weights = cluster_combiner(desired[i], systems[i], norms[i])
+            out[k] = uplink_sinr(weights, gains[i], snr, k)
+        del gains
     return out
 
 
@@ -244,8 +275,7 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
                 est = pm
             else:
                 est = _project(pm, proj[kind])
-            sinr[kind][d, active] = _cluster_sinrs(graph, edges, est, blocks,
-                                                   active, snr)
+            sinr[kind][d] = _cluster_sinrs(graph, edges, est, blocks, snr)
 
     factor = 1.0 - tau_p / T
     reports = {}

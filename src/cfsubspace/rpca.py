@@ -116,18 +116,18 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     terms[:, 0] = True
     terms[:, 1:] = (band == band[k]).T
     terms[:, 1 + k] = False
-    slot, col = np.nonzero(terms)                 # slot-major, desired first
+    slot, col = terms.nonzero()                   # slot-major, desired first
     ue = np.where(col == 0, k, col - 1)
     sizes = supports.sizes[l, ue]
-    if np.any(sizes < 1):
+    if (sizes < 1).any():
         raise ValueError("support must contain at least one index")
     beta = layout.lsfc[l, ue]
-    if np.any(beta <= 0):
+    if (beta <= 0).any():
         raise ValueError("beta must be positive")
     # term t draws 2 r_t normals after those of the terms and noises before it
-    drawn = np.cumsum(2 * sizes)
+    drawn = (2 * sizes).cumsum()
     start = drawn - 2 * sizes + 2 * M * slot
-    last = np.flatnonzero(np.diff(slot, append=S))  # last term of each slot
+    last = terms.sum(axis=1).cumsum() - 1         # last term of each slot
     noise_at = (drawn[last] + 2 * M * np.arange(S))[:, None] + np.arange(M)
     z = rng.standard_normal(int(2 * sizes.sum()) + 2 * M * S)
 
@@ -141,11 +141,11 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
         channels[group] = scale[:, None] * np.matmul(Fs, nu[:, :, None])[:, :, 0]
 
     # add the colliders to their slot's desired channel one position at a time
-    first = np.flatnonzero(col == 0)
+    first = (col == 0).nonzero()[0]
     position = np.arange(len(ue)) - first[slot]
     cols = channels[first]
     for n in range(1, int(position.max(initial=0)) + 1):
-        at = np.flatnonzero(position == n)
+        at = (position == n).nonzero()[0]
         cols[slot[at]] = cols[slot[at]] + channels[at]
     noise = (z[noise_at] + 1j * z[noise_at + M]) / np.sqrt(2.0 * snr)
     return np.ascontiguousarray((cols + noise).T)

@@ -5,7 +5,8 @@ from cfsubspace.channel import NetworkChannelSampler, dft_columns, network_suppo
 from cfsubspace.dmrs import dmrs_field, pm_estimate, sp_estimate
 from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
                                  generate_layout)
-from cfsubspace.receiver import (cluster_combiner, ergodic_rates, local_lmmse,
+from cfsubspace.receiver import (_cluster_systems, _EdgeLayout, _gain_tables,
+                                 cluster_combiner, ergodic_rates, local_lmmse,
                                  uplink_sinr)
 from cfsubspace.rpca import SubspaceEstimate
 
@@ -66,18 +67,38 @@ class TestLocalLmmse:
                 assert nominal_sinr(cand, est, snr, 0) <= best + 1e-9
 
 
+def eye_system(G, snr, n):
+    """The per-UE cluster system G G^H + I/snr built from an identity matrix;
+    I/snr alone when there are no interference gains."""
+    A = np.eye(n) / snr
+    if G is not None and G.size:
+        G = np.asarray(G, dtype=complex)
+        A = G @ G.conj().T + A
+    return A
+
+
+def sq_norms(local_vectors):
+    """||v_l||^2 of each row."""
+    return (local_vectors.conj() * local_vectors).real.sum(axis=1)
+
+
+def combiner(a, G, snr, local_vectors):
+    """cluster_combiner on the eye-formula system of (a, G, snr)."""
+    return cluster_combiner(a, eye_system(G, snr, len(a)), sq_norms(local_vectors))
+
+
 class TestClusterCombiner:
     def test_single_ru_cluster(self):
         rng = np.random.default_rng(3)
         v_local = random_unit_vectors(rng, 1, 4)
-        w = cluster_combiner(np.array([0.5 + 0.1j]), None, 10.0, v_local)
+        w = combiner(np.array([0.5 + 0.1j]), None, 10.0, v_local)
         assert np.abs(np.abs(w[0]) - 1.0) < 1e-12
 
     def test_no_interferers_is_mrc(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v_local = random_unit_vectors(rng, 3, 4)
-        w = cluster_combiner(a, None, 100.0, v_local)
+        w = combiner(a, None, 100.0, v_local)
         assert np.abs(np.abs(w.conj() @ a) - np.linalg.norm(w) * np.linalg.norm(a)) < 1e-9
 
     def test_beats_equal_weights(self):
@@ -87,7 +108,7 @@ class TestClusterCombiner:
             a = rng.standard_normal(n_c) + 1j * rng.standard_normal(n_c)
             G = rng.standard_normal((n_c, n_int)) + 1j * rng.standard_normal((n_c, n_int))
             v_local = random_unit_vectors(rng, n_c, 4)
-            w = cluster_combiner(a, G, snr, v_local)
+            w = combiner(a, G, snr, v_local)
 
             def cluster_sinr(w):
                 num = np.abs(w.conj() @ a) ** 2
@@ -104,7 +125,7 @@ class TestClusterCombinerEdgeCases:
         rng = np.random.default_rng(10)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v_local = random_unit_vectors(rng, 3, 4)
-        w = cluster_combiner(a, np.zeros((3, 4), dtype=complex), np.inf, v_local)
+        w = combiner(a, np.zeros((3, 4), dtype=complex), np.inf, v_local)
         assert np.allclose(w, a / np.linalg.norm(a), rtol=1e-12)
         vector = dense_combiner(w, v_local, np.arange(3), 3)
         assert np.linalg.norm(vector) == pytest.approx(1.0)
@@ -116,15 +137,15 @@ class TestClusterCombinerEdgeCases:
         G = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         v_local = random_unit_vectors(rng, 3, 4)
         v_local[1] = 0.0
-        got = cluster_combiner(a, G, 5.0, v_local)
+        got = combiner(a, G, 5.0, v_local)
         w = np.linalg.solve(G @ G.conj().T + np.eye(3) / 5.0, a)
         assert np.allclose(got, w / np.linalg.norm(w[[0, 2]]), rtol=1e-12)
         vector = dense_combiner(got, v_local, np.array([2, 0, 1]), 3)
         assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-12)
 
     def test_all_zero_directions_give_zero_combiner(self):
-        w = cluster_combiner(np.zeros(2, dtype=complex), np.zeros((2, 3)), 4.0,
-                             np.zeros((2, 4), dtype=complex))
+        w = combiner(np.zeros(2, dtype=complex), np.zeros((2, 3)), 4.0,
+                     np.zeros((2, 4), dtype=complex))
         assert np.all(w == 0)
         assert uplink_sinr(w, np.ones((2, 3)), 4.0, 0) == 0.0
 
@@ -134,19 +155,14 @@ def eye_formula_weights(a, G, snr, local_vectors):
     identity matrix, and I * 1e-12 more on a singular system. Also says
     whether the system was singular."""
     a = np.asarray(a, dtype=complex)
-    eye = np.eye(a.size)
-    A = eye / snr
-    if G is not None and G.size:
-        G = np.asarray(G, dtype=complex)
-        A = G @ G.conj().T + A
+    A = eye_system(G, snr, a.size)
     singular = False
     try:
         w = np.linalg.solve(A, a)
     except np.linalg.LinAlgError:
-        w = np.linalg.solve(A + 1e-12 * eye, a)
+        w = np.linalg.solve(A + 1e-12 * np.eye(a.size), a)
         singular = True
-    local_sq_norms = (local_vectors.conj() * local_vectors).real.sum(axis=1)
-    nrm = np.sqrt(((w.conj() * w).real * local_sq_norms).sum())
+    nrm = np.sqrt(((w.conj() * w).real * sq_norms(local_vectors)).sum())
     return (w / nrm if nrm > 0 else w), singular
 
 
@@ -172,7 +188,7 @@ class TestClusterCombinerGram:
         for a, G, snr in self._cases():
             n = a.size
             v_local = random_unit_vectors(rng, n, 4)
-            w = cluster_combiner(a, G, snr, v_local)
+            w = combiner(a, G, snr, v_local)
             ref, singular = eye_formula_weights(a, G, snr, v_local)
             assert w.dtype == ref.dtype
             assert w.tobytes() == ref.tobytes()
@@ -338,7 +354,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
                     local[ci] = local_lmmse(est[l].T, snr, i)
                     G[ci, users] = local[ci].conj() @ est[l]
                 known = np.flatnonzero(np.any(G != 0, axis=0))
-                w = cluster_combiner(G[:, k], G[:, known[known != k]], snr, local)
+                w = combiner(G[:, k], G[:, known[known != k]], snr, local)
                 vector = dense_combiner(w, local, cluster, L)
                 sinr[kind][d, k] = uplink_sinr(vector, channel_matrix, snr, k)
     return sinr
@@ -384,3 +400,70 @@ class TestBatchedReceiver:
         assert np.all(reps["pp"].sinr_samples[:, blind] == 0.0)
         assert np.all(reps["ideal"].sinr_samples[:, blind] > 0.0)
         assert reps["pp"].rate[blind] == 0.0
+
+
+def sized_network(Q, K, L=8, M=4, seed=9):
+    """A drop on which cluster sizes 1..Q all occur when K > Q: every RU-UE
+    gain clears the association threshold except that UE 0 is an orphan and
+    UE s + 1 keeps only its s strongest RUs for s < Q; the rest keep Q RUs."""
+    layout = generate_layout(L, K, 400.0, seed=seed)
+    snr = calibrate_snr(L, M, 400.0)
+    rng = np.random.default_rng(seed)
+    layout.lsfc[:] = 10.0 ** rng.uniform(1, 3, (L, K)) / (M * snr)
+    if K > Q:
+        layout.lsfc[:, 0] = 1e-30
+        for s in range(1, Q):
+            weak = np.argsort(-layout.lsfc[:, s + 1], kind="stable")[s:]
+            layout.lsfc[weak, s + 1] = 1e-30
+    graph = form_clusters(layout.lsfc, snr, M, Q=Q)
+    supports = network_supports(layout, np.pi / 4, M)
+    return layout, graph, supports, snr
+
+
+def ideal_stack(edges, blocks, blind=()):
+    """The (L, M, n_max) stack of true channels; zero columns for the UEs in
+    ``blind``, as an all-zero pp basis leaves them."""
+    L = blocks.shape[0]
+    est = blocks[np.arange(L)[:, None], edges.users].transpose(0, 2, 1)
+    keep = edges.filled & ~np.isin(edges.users, blind)
+    return np.where(keep[:, None, :], est, 0.0)
+
+
+class TestClusterSystems:
+    @pytest.mark.parametrize("Q, K, blind", [(1, 14, ()), (4, 14, (5,)),
+                                             (7, 14, (3, 9)), (3, 1, ())])
+    def test_bitwise_equal_to_per_ue_formula(self, Q, K, blind):
+        layout, graph, supports, snr = sized_network(Q, K)
+        served = np.flatnonzero([len(c) > 0 for c in graph.clusters])
+        sizes = sorted({len(graph.clusters[k]) for k in served})
+        if K > 1:
+            assert graph.orphan_ues.tolist() == [0]
+            assert sizes == list(range(1, Q + 1))
+        else:
+            assert sizes == [Q]
+        edges = _EdgeLayout.build(graph, served)
+        ru = np.nonzero(edges.filled)[0]
+        ue = edges.users[edges.filled]
+        blocks = NetworkChannelSampler(layout, supports).sample(
+            np.random.default_rng(Q))
+        _, known, _ = _gain_tables(graph, edges, ideal_stack(edges, blocks, blind),
+                                   blocks, snr)
+        seen = []
+        for ues, rows in edges.groups:
+            n = rows.shape[1]
+            assert rows.shape == (len(ues), n)
+            desired, systems = _cluster_systems(known, ues, rows, snr)
+            assert desired.shape == (len(ues), n) and systems.shape == (len(ues), n, n)
+            for i, k in enumerate(ues.tolist()):
+                # the UE's serving edges, in cluster order
+                assert np.all(ue[rows[i]] == k)
+                assert ru[rows[i]].tolist() == graph.clusters[k].tolist()
+                G = known[rows[i]].copy()
+                a = G[:, k].copy()
+                G[:, k] = 0.0
+                assert desired[i].tobytes() == a.tobytes()
+                assert systems[i].tobytes() == eye_system(G, snr, n).tobytes()
+                if k in blind:
+                    assert np.all(a == 0)
+                seen.append(k)
+        assert sorted(seen) == served.tolist()

@@ -114,7 +114,7 @@ class TestBatchedCollectSrs:
         sub[0] = 1
         for s, others in {1: [3], 2: [1, 2, 5], 3: [6], 4: [2, 4]}.items():
             sub[others, s] = 1
-        schedule = SrsSchedule(N=5, S=S, subcarriers=sub)
+        schedule = SrsSchedule(S=S, subcarriers=sub)
         rng = np.random.default_rng(seed)
         supports = from_supports(
             [[make_support(np.sort(rng.choice(M, 1 + (k + l) % 4, replace=False)), M)
