@@ -28,19 +28,14 @@ def dft_matrix(M: int) -> np.ndarray:
 def dft_columns(M: int, indices) -> np.ndarray:
     """Columns ``indices`` of :func:`dft_matrix` as a fresh C-ordered array.
 
-    ``take`` returns C order; a fancy-indexed column slice would come out
-    Fortran-ordered, and BLAS may then sum the products made with it in
-    another order, which moves the last bits of most results.
+    One index set (r,) gives the (M, r) basis; a stack (..., r) gives the
+    (..., M, r) stack of bases, slice by slice the same bytes. A
+    ``[:, indices]`` slice would come out Fortran-ordered, and BLAS may then
+    sum the products made with it in another order, which moves the last
+    bits of most results.
     """
-    return dft_matrix(M).take(np.asarray(indices, dtype=int), axis=1)
-
-
-def dft_column_stack(M: int, indices: np.ndarray) -> np.ndarray:
-    """(n, M, r) stack of column sets: slice i is ``dft_columns(M, indices[i])``.
-
-    Each (M, r) slice is C-ordered with the same entries as dft_columns.
-    """
-    return dft_matrix(M)[np.arange(M)[:, None], indices[:, None, :]]
+    indices = np.asarray(indices, dtype=int)
+    return dft_matrix(M)[np.arange(M)[:, None], indices[..., None, :]]
 
 
 @dataclass
@@ -48,10 +43,7 @@ class AngularSupport:
     """Sorted DFT column indices spanned by one RU-UE channel."""
 
     indices: np.ndarray     # sorted subset of {0..M-1}
-    center_angle: float     # radians in [0, 2*pi)
-    width: float            # window length delta
     num_antennas: int
-    padded: bool = False    # True when the window held no grid point
 
     @property
     def size(self) -> int:
@@ -60,7 +52,8 @@ class AngularSupport:
 
 @dataclass
 class SupportTable:
-    """Angular supports of every RU-UE pair as flat arrays.
+    """DFT index sets of every RU-UE pair as flat arrays: the true angular
+    supports, or the supports outlier pursuit estimated (size 0 off the edges).
 
     Pair (l, k) spans ``indices[offsets[l, k]:offsets[l, k] + sizes[l, k]]``;
     the pairs follow one another in (l, k) row-major order. ``table[l, k]``
@@ -69,9 +62,6 @@ class SupportTable:
 
     indices: np.ndarray       # flat sorted DFT indices, pair by pair
     sizes: np.ndarray         # (L, K) support sizes
-    center_angle: np.ndarray  # (L, K) radians in [0, 2*pi)
-    padded: np.ndarray        # (L, K) True where the window held no grid point
-    width: float
     num_antennas: int
     offsets: np.ndarray = field(init=False)   # (L, K) start of each pair
 
@@ -82,9 +72,7 @@ class SupportTable:
         l, k = pair
         start = self.offsets[l, k]
         return AngularSupport(indices=self.indices[start:start + self.sizes[l, k]],
-                              center_angle=float(self.center_angle[l, k]),
-                              width=self.width, num_antennas=self.num_antennas,
-                              padded=bool(self.padded[l, k]))
+                              num_antennas=self.num_antennas)
 
     def size_groups(self, l=slice(None), k=slice(None)):
         """The pairs ``(l, k)`` (every pair by default) grouped by support size.
@@ -127,7 +115,6 @@ def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
     padded = ~inside.any(axis=2)
     inside[padded, np.argmin(dist[padded], axis=1)] = True
     return SupportTable(indices=np.nonzero(inside)[2], sizes=inside.sum(axis=2),
-                        center_angle=theta, padded=padded, width=delta,
                         num_antennas=M)
 
 
@@ -139,7 +126,7 @@ def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
     are included (closed interval: points at exactly delta/2 count, with a
     1e-12 rad slack so the wrap arithmetic cannot drop an endpoint). When the
     window is narrower than the grid spacing and captures no point, the support
-    is padded with the single nearest grid index and flagged.
+    is padded with the single nearest grid index.
     """
     return _support_table(np.asarray(ru_pos, dtype=float)[None, :],
                           np.asarray(ue_pos, dtype=float)[None, :],
@@ -187,7 +174,7 @@ class NetworkChannelSampler:
         self._groups = []
         for pairs, indices in supports.size_groups():
             r = indices.shape[1]
-            scaled = dft_column_stack(self.M, indices)
+            scaled = dft_columns(self.M, indices)
             scaled *= np.sqrt(lsfc[pairs] * self.M / r)[:, None, None]
             at = starts[pairs, None] + np.arange(r)
             self._groups.append((pairs, at, scaled))

@@ -44,18 +44,19 @@ def dmrs_field(channels: np.ndarray, pilots: np.ndarray, tau_p: int, snr: float,
     return channels.T @ book[:, pilots].conj().T + noise
 
 
-def pm_estimate(field: np.ndarray, t_k: int, snr: float) -> np.ndarray:
-    """Pilot-matching estimate: correlate an (M, tau_p) field with pilot t_k.
+def pm_estimate(fields: np.ndarray, pilots: np.ndarray, snr: float) -> np.ndarray:
+    """Pilot-matching estimates: correlate (..., M, tau_p) fields with pilots.
 
-    Equals the true channel plus the channels of all co-pilot users plus noise
-    of per-component variance 1 / (tau_p * snr).
+    ``pilots`` holds pilot vectors of :func:`pilot_book` as columns
+    (..., tau_p, n), giving (..., M, n) estimates, or is one (tau_p,) pilot
+    vector, giving (..., M). Each estimate equals the true channel plus the
+    channels of all co-pilot users plus noise of per-component variance
+    1 / (tau_p * snr).
     """
-    tau_p = field.shape[1]
-    if not 0 <= t_k < tau_p:
-        raise ValueError("t_k out of range")
-    return field @ pilot_book(tau_p, snr)[:, t_k] / (tau_p * snr)
+    return (1.0 / (fields.shape[-1] * snr)) * (fields @ pilots)
 
 
-def sp_estimate(estimate: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a PM estimate onto a subspace basis."""
-    return basis @ (basis.conj().T @ estimate)
+def sp_estimate(estimates: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Orthogonal projections of (..., M) estimates onto (..., M, r) bases,
+    B (B^H x) per estimate x."""
+    return (bases @ (bases.conj().swapaxes(-1, -2) @ estimates[..., None]))[..., 0]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import check_field_types
-from .channel import network_supports
+from .channel import SupportTable, network_supports
 from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters, \
     generate_layout
 from .hopping import _is_prime, allocate_squares, build_schedule, check_cell_count, \
@@ -180,6 +180,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            kind = {list: "an array", str: "a string", bool: "a boolean",
+                    type(None): "null"}.get(type(data), "a number")
+            raise ValueError(f"config file {path} must hold a JSON object, not {kind}")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(data)
@@ -217,13 +221,16 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
     supports = network_supports(layout, config.delta, config.M)
 
     edge_records = []
-    subspaces = None
+    estimated = None
     not_converged = 0
     if "pp" in config.kinds:
         family = mols_family(config.N)
         assignment = allocate_squares(layout, family, config.cell_radius)
         schedule = build_schedule(assignment, family, config.S)
-        subspaces = {}
+        # the estimated supports, pair by pair in (l, k) row-major order as
+        # sorted(graph.edges) visits them; pairs that are not edges get none
+        sizes = np.zeros((config.L, config.K), dtype=int)
+        indices = []
         for l, k in sorted(graph.edges):
             where["edge"] = (l, k)
             rng = stage_rng(config.seed, "srs", layout_id, l, k)
@@ -240,13 +247,16 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
                 pe_pp=power_efficiency(supports[l, k], pp),
                 rank=pca.rank, converged=res.converged,
                 iterations=res.iterations))
-            subspaces[(l, k)] = pp
+            sizes[l, k] = pp.rank
+            indices.extend(pp.dft_indices.tolist())
         where.clear()
+        estimated = SupportTable(indices=np.array(indices, dtype=int), sizes=sizes,
+                                 num_antennas=config.M)
 
     reports = ergodic_rates(layout, graph, supports, snr, list(config.kinds),
                             config.n_fading, config.tau_p, config.T,
                             stage_rng(config.seed, "fading", layout_id),
-                            subspaces=subspaces)
+                            subspaces=estimated)
     excluded = set(int(k) for k in graph.orphan_ues)
     rate_records = []
     for kind in config.kinds:
@@ -274,15 +284,17 @@ def run_experiment(config: ExperimentConfig, progress: bool = False) -> Experime
 
     With ``progress`` a line is printed as each layout finishes; on several
     workers that is completion order, while the records are always merged
-    in layout order.
+    in layout order. A pool never gets more workers than there are layouts,
+    since it may start all of them at once.
     """
     ids = list(range(config.n_layouts))
     outputs = [None] * len(ids)
-    if config.workers > 1:
+    workers = min(config.workers, len(ids))
+    if workers > 1:
         # imported here: the pool machinery is a noticeable share of the
         # package's import time and one-worker runs never use it
         from concurrent.futures import ProcessPoolExecutor, as_completed
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_layout, config, i): i for i in ids}
             try:
                 for future in as_completed(futures):

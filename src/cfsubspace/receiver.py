@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkChannelSampler, dft_column_stack
-from .dmrs import dmrs_field, pilot_book
+from .channel import NetworkChannelSampler, SupportTable, dft_columns
+from .dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
 
 ESTIMATOR_KINDS = ("ideal", "sp", "pp", "pm")
 
@@ -115,12 +115,12 @@ class _EdgeLayout:
         filled = np.arange(n_max) < np.array(counts)[:, None]
         users = np.zeros(filled.shape, dtype=int)
         users[filled] = np.concatenate(graph.user_sets)
-        first = np.cumsum(counts) - counts
-        row = {(l, k): first[l] + i for l, members in enumerate(graph.user_sets)
-               for i, k in enumerate(members.tolist())}
+        # row_of[l, k] is the table row of edge (l, k)
+        row_of = np.zeros((len(counts), len(graph.clusters)), dtype=int)
+        row_of[np.nonzero(filled)[0], users[filled]] = np.arange(filled.sum())
         by_size = {}
         for k in ues.tolist():
-            rows = [row[(l, k)] for l in graph.clusters[k].tolist()]
+            rows = row_of[graph.clusters[k], k]
             by_size.setdefault(len(rows), []).append((k, rows))
         groups = [(np.array([k for k, _ in members]),
                    np.array([rows for _, rows in members]))
@@ -128,34 +128,20 @@ class _EdgeLayout:
         return cls(users=users, filled=filled, groups=groups)
 
 
-def _projection_groups(edges: _EdgeLayout, supports, subspaces, kind):
-    """Per-edge projection bases, stacked by rank: [(ru, column, (n, M, r))].
-
-    Kind "sp" projects on the true support's DFT columns, "pp" on the
-    estimated basis of each edge.
-    """
+def _projection_groups(edges: _EdgeLayout, table: SupportTable):
+    """Per-edge projection bases, stacked by support size: [(ru, column,
+    (n, M, r))], the DFT columns of each edge's support in ``table``."""
     ru, col = np.nonzero(edges.filled)
     ue = edges.users[ru, col]
-    if kind == "sp":
-        return [(ru[members], col[members],
-                 dft_column_stack(supports.num_antennas, indices))
-                for members, indices in supports.size_groups(ru, ue)]
-    bases = [subspaces[(l, k)].basis for l, k in zip(ru.tolist(), ue.tolist())]
-    ranks = np.array([B.shape[1] for B in bases])
-    groups = []
-    for r in np.unique(ranks).tolist():
-        members = np.flatnonzero(ranks == r)
-        stack = np.array([bases[e] for e in members])
-        groups.append((ru[members], col[members], stack))
-    return groups
+    return [(ru[members], col[members], dft_columns(table.num_antennas, indices))
+            for members, indices in table.size_groups(ru, ue)]
 
 
 def _project(pm: np.ndarray, groups) -> np.ndarray:
     """Orthogonal projection of each edge's PM estimate onto its basis."""
     est = np.zeros_like(pm)
     for ru, col, B in groups:
-        x = pm[ru, :, col][:, :, None]
-        est[ru, :, col] = (B @ (B.conj().swapaxes(1, 2) @ x))[:, :, 0]
+        est[ru, :, col] = sp_estimate(pm[ru, :, col], B)
     return est
 
 
@@ -224,13 +210,14 @@ def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarra
 
 def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
                   tau_p: int, T: int, rng: np.random.Generator,
-                  subspaces: dict | None = None) -> dict:
+                  subspaces: SupportTable | None = None) -> dict:
     """Monte-Carlo optimistic ergodic rates for a sequence of estimator kinds.
 
     All kinds share the same fading and pilot-noise draws (per-draw child
-    streams), so reports are directly comparable. ``subspaces`` maps edges
-    (l, k) to their estimated ``SubspaceEstimate`` and is required for kind
-    "pp". Returns {kind: RateReport}.
+    streams), so reports are directly comparable. Kind "sp" projects each
+    edge's PM estimate on the DFT columns of its true support in
+    ``supports``, kind "pp" on those of its estimated support in
+    ``subspaces``, which it requires. Returns {kind: RateReport}.
     """
     if isinstance(kinds, str):
         raise ValueError("kinds must be a sequence of estimator kinds, not a string")
@@ -251,13 +238,13 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
     active = np.setdiff1d(np.arange(K), graph.orphan_ues)
     edges = _EdgeLayout.build(graph, active)
     mask = edges.filled[:, None, :]
-    proj = {kind: _projection_groups(edges, supports, subspaces, kind)
-            for kind in ("sp", "pp") if kind in kind_list}
+    proj = {kind: _projection_groups(edges, table)
+            for kind, table in (("sp", supports), ("pp", subspaces))
+            if kind in kind_list}
     if need_dmrs:
         # column j of RU l correlates with the pilot of its j-th user
         pilots = pilot_book(tau_p, snr)[:, graph.dmrs_pilot[edges.users]]
         pilots = np.where(mask, pilots.transpose(1, 0, 2), 0.0)
-        pm_scale = 1.0 / (tau_p * snr)
 
     sinr = {kind: np.full((n_fading, K), np.nan) for kind in kind_list}
     for d, draw_rng in enumerate(rng.spawn(n_fading)):
@@ -266,7 +253,7 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
         if need_dmrs:
             fields = np.array([dmrs_field(blocks[l], graph.dmrs_pilot, tau_p, snr,
                                           pilot_rng) for l in range(L)])
-            pm = pm_scale * (fields @ pilots)
+            pm = pm_estimate(fields, pilots, snr)
         for kind in kind_list:
             if kind == "ideal":
                 gathered = blocks[np.arange(L)[:, None], edges.users]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import check_field_types
-from .channel import dft_column_stack, dft_columns, dft_matrix
+from .channel import dft_columns, dft_matrix
 
 # the adaptive penalty doubles or halves rho when one ADMM residual exceeds
 # the other by this factor (primal-dual residual balancing, Boyd et al. 2011,
@@ -134,7 +134,7 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     channels = np.empty((len(ue), M), dtype=complex)
     for group, indices in supports.size_groups(l, ue):
         r = indices.shape[1]
-        Fs = dft_column_stack(M, indices)
+        Fs = dft_columns(M, indices)
         at = start[group, None] + np.arange(r)
         nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
         scale = np.sqrt(beta[group] * M / r)

@@ -11,22 +11,18 @@ from cfsubspace.channel import AngularSupport, SupportTable, dft_columns
 from cfsubspace.rpca import _admm, _col_norms, _fro, _rank_of
 
 
-def make_support(indices, M, width=np.pi / 8):
-    return AngularSupport(indices=np.asarray(indices, dtype=int), center_angle=0.0,
-                          width=width, num_antennas=M)
+def make_support(indices, M):
+    return AngularSupport(indices=np.asarray(indices, dtype=int), num_antennas=M)
 
 
 def from_supports(rows) -> SupportTable:
     """The table of per-pair supports given as rows[l][k]; every pair
-    must share one width and one number of antennas."""
+    must share one number of antennas."""
     flat = [s for row in rows for s in row]
     shape = (len(rows), len(flat) // len(rows))
     return SupportTable(indices=np.concatenate([s.indices for s in flat]).astype(int),
                         sizes=np.array([s.size for s in flat]).reshape(shape),
-                        center_angle=np.array([s.center_angle for s in flat],
-                                              dtype=float).reshape(shape),
-                        padded=np.array([s.padded for s in flat]).reshape(shape),
-                        width=flat[0].width, num_antennas=flat[0].num_antennas)
+                        num_antennas=flat[0].num_antennas)
 
 
 def true_covariance(support: AngularSupport, beta: float) -> np.ndarray:

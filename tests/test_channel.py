@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from cfsubspace.channel import (NetworkChannelSampler, angular_support,
-                                dft_column_stack, dft_columns, dft_matrix,
-                                network_supports, sample_channel)
+                                dft_columns, dft_matrix, network_supports,
+                                sample_channel)
 from cfsubspace.geometry import generate_layout
 from oracles import from_supports, make_support, true_covariance
 
 
 def one_pair_support(ru, ue, area_side, delta, M):
-    """Reference: the support of one RU-UE pair, computed with scalars."""
+    """Reference: the support of one RU-UE pair, computed with scalars, and
+    whether its window held no grid point."""
     disp = np.asarray(ue, dtype=float) - np.asarray(ru, dtype=float)
     disp = (disp + area_side / 2.0) % area_side - area_side / 2.0
     theta = float(np.arctan2(disp[1], disp[0])) % (2.0 * np.pi)
@@ -20,7 +21,7 @@ def one_pair_support(ru, ue, area_side, delta, M):
     if not inside.any():
         inside[np.argmin(dist)] = True
         padded = True
-    return np.nonzero(inside)[0], theta, padded
+    return np.nonzero(inside)[0], padded
 
 
 def per_pair_draw(layout, supports, rng):
@@ -59,10 +60,17 @@ class TestSupportBasis:
             basis = dft_columns(M, idx)
             assert basis.flags.c_contiguous and basis.flags.writeable
             assert basis.tobytes() == dft_matrix(M).take(idx, axis=1).tobytes()
-            stack = dft_column_stack(M, np.array([idx, idx[::-1]]))
-            assert stack.flags.c_contiguous and stack.shape == (2, M, size)
-            assert stack[0].tobytes() == basis.tobytes()
-            assert stack[1].tobytes() == dft_columns(M, idx[::-1]).tobytes()
+            # a stack of index sets gives a stack of bases, slice by slice
+            sets = np.array([[rng.choice(M, size=size, replace=False)
+                              for _ in range(3)] for _ in range(2)])
+            sets[0, 0] = idx
+            stack = dft_columns(M, sets)
+            assert stack.flags.c_contiguous and stack.shape == (2, 3, M, size)
+            assert stack[0, 0].tobytes() == basis.tobytes()
+            for i, j in np.ndindex(2, 3):
+                one = dft_columns(M, sets[i, j])
+                assert stack[i, j].flags.c_contiguous and one.flags.c_contiguous
+                assert stack[i, j].tobytes() == one.tobytes()
             # reference: the closed-form entries exp(-2j pi m n / M) / sqrt(M)
             formula = np.exp(-2j * np.pi * np.outer(m, idx) / M) / np.sqrt(M)
             assert basis.tobytes() == formula.tobytes()
@@ -85,7 +93,6 @@ class TestAngularSupport:
         # reaches just half-way to the neighbors, so only index 0 qualifies
         s = angular_support((0.0, 0.0), (10.0, 0.0), 2000.0, np.pi / 8, 16)
         assert list(s.indices) == [0]
-        assert not s.padded
 
     def test_closed_boundary_includes_endpoints(self):
         # pi/4 window: neighbors sit at angular distance pi/8 = delta/2 exactly
@@ -100,7 +107,6 @@ class TestAngularSupport:
         a = angular_support((5.0, 7.0), (100.0, 40.0), 2000.0, np.pi / 8, 16)
         b = angular_support((5.0, 7.0), (100.0, 40.0), 2000.0, np.pi / 8, 16)
         assert np.array_equal(a.indices, b.indices)
-        assert a.center_angle == b.center_angle
 
     def test_padding_when_window_misses_grid(self):
         # M=8 grid spacing pi/4; direction halfway between grid points 0 and 1
@@ -108,7 +114,7 @@ class TestAngularSupport:
         angle = np.pi / 8
         ue = (100.0 * np.cos(angle), 100.0 * np.sin(angle))
         s = angular_support((0.0, 0.0), ue, 2000.0, np.pi / 8, 8)
-        assert s.padded and s.size == 1
+        assert s.size == 1 and s.indices[0] in (0, 1)
 
     def test_torus_wrap_direction(self):
         # ue just across the seam lies to the left: angle pi, grid index M/2
@@ -137,32 +143,26 @@ class TestNetworkSupports:
             layout = generate_layout(5, 12, 800.0, seed=seed)
             table = network_supports(layout, delta, M)
             L, K = layout.num_rus, layout.num_ues
-            for array in (table.sizes, table.offsets, table.center_angle,
-                          table.padded):
+            for array in (table.sizes, table.offsets):
                 assert array.shape == (L, K)
-            assert (table.width, table.num_antennas) == (delta, M)
+            assert table.num_antennas == M
             assert table.indices.size == table.sizes.sum()
             for l in range(L):
                 for k in range(K):
-                    indices, theta, pad = one_pair_support(
+                    indices, pad = one_pair_support(
                         layout.ru_positions[l], layout.ue_positions[k],
                         layout.area_side, delta, M)
                     # the one-pair view
                     s = table[l, k]
                     assert s.indices.dtype == indices.dtype
                     assert np.array_equal(s.indices, indices)
-                    assert s.center_angle == theta
-                    assert s.padded == pad
-                    assert (s.width, s.num_antennas) == (delta, M)
+                    assert s.num_antennas == M
                     # the raw arrays, pairs stored back to back in (l, k) order
                     start = table.offsets[l, k]
                     assert start == (table.sizes.ravel()[:l * K + k].sum())
                     assert table.sizes[l, k] == indices.size
                     stored = table.indices[start:start + indices.size]
                     assert stored.tobytes() == indices.tobytes()
-                    assert table.center_angle[l, k].tobytes() == \
-                        np.float64(theta).tobytes()
-                    assert table.padded[l, k] == pad
                     padded += pad
         if delta == 0.01:  # far narrower than the grid spacing
             assert padded > 0
@@ -170,13 +170,12 @@ class TestNetworkSupports:
     def test_from_supports_round_trip(self):
         layout = generate_layout(3, 7, 800.0, seed=5)
         table = network_supports(layout, 0.05, 16)
-        assert table.padded.any()
         rows = [[table[l, k] for k in range(7)] for l in range(3)]
         again = from_supports(rows)
-        for name in ("indices", "sizes", "offsets", "center_angle", "padded"):
+        for name in ("indices", "sizes", "offsets"):
             a, b = getattr(table, name), getattr(again, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert (again.width, again.num_antennas) == (0.05, 16)
+        assert again.num_antennas == 16
 
     def test_size_groups_cover_the_selection(self):
         layout = generate_layout(4, 9, 800.0, seed=6)

@@ -14,6 +14,11 @@ class _ZeroNoise:
         return np.zeros(size) if size is not None else 0.0
 
 
+def pilot(tau_p, snr, t):
+    """Pilot vector t of the book, the (tau_p,) form pm_estimate takes."""
+    return pilot_book(tau_p, snr)[:, t]
+
+
 class TestPilotBook:
     def test_orthogonality_and_energy(self):
         tau_p, snr = 15, 37.5
@@ -108,14 +113,15 @@ class TestPmEstimate:
         rng = np.random.default_rng(2)
         h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         field = dmrs_field(h[None, :], np.array([0]), tau_p, snr, rng)
-        est = pm_estimate(field, 0, snr)
+        est = pm_estimate(field, pilot(tau_p, snr, 0), snr)
         assert np.linalg.norm(est - h) < 1e-7
 
     def test_noise_variance(self):
         M, tau_p, snr = 4, 3, 2.0
         rng = np.random.default_rng(3)
         h = np.zeros((1, M), dtype=complex)  # pure-noise estimate
-        err = np.array([pm_estimate(dmrs_field(h, np.array([2]), tau_p, snr, rng), 2, snr)
+        err = np.array([pm_estimate(dmrs_field(h, np.array([2]), tau_p, snr, rng),
+                                    pilot(tau_p, snr, 2), snr)
                         for _ in range(10000)])
         var = np.mean(np.abs(err) ** 2)
         assert var == pytest.approx(1.0 / (tau_p * snr), rel=0.05)
@@ -125,14 +131,25 @@ class TestPmEstimate:
         rng = np.random.default_rng(4)
         h = rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M))
         field = dmrs_field(h, np.array([1, 1]), tau_p, snr, _ZeroNoise())
-        est = pm_estimate(field, 1, snr)
+        est = pm_estimate(field, pilot(tau_p, snr, 1), snr)
         assert np.allclose(est - h[0], h[1])
 
-    def test_rejects_bad_pilot(self):
-        field = dmrs_field(np.zeros((1, 2), dtype=complex), np.array([0]), 2, 1.0,
-                           np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            pm_estimate(field, 2, 1.0)
+    def test_stacked_fields_and_pilot_columns(self):
+        # the (L, M, tau_p) fields against (L, tau_p, n) pilot columns, as
+        # ergodic_rates correlates every RU with the pilots of its users
+        L, M, tau_p, n, snr = 3, 16, 7, 4, 3.7
+        rng = np.random.default_rng(11)
+        fields = rng.standard_normal((L, M, tau_p)) + 1j * rng.standard_normal((L, M, tau_p))
+        t = rng.integers(0, tau_p, (L, n))
+        pilots = pilot_book(tau_p, snr)[:, t].transpose(1, 0, 2)
+        stacked = pm_estimate(fields, pilots, snr)
+        assert stacked.shape == (L, M, n)
+        for l, j in np.ndindex(L, n):
+            np.testing.assert_allclose(
+                stacked[l, :, j], pm_estimate(fields[l], pilot(tau_p, snr, t[l, j]), snr),
+                rtol=1e-12, atol=0)
+        # the scaled product ergodic_rates formed inline before it called this
+        assert stacked.tobytes() == ((1.0 / (tau_p * snr)) * (fields @ pilots)).tobytes()
 
 
 class TestSpEstimate:
@@ -145,7 +162,7 @@ class TestSpEstimate:
         for _ in range(50):
             h = sample_channel(support, 1.0, rng)
             field = dmrs_field(h[None, :], np.array([0]), tau_p, snr, rng)
-            pm = pm_estimate(field, 0, snr)
+            pm = pm_estimate(field, pilot(tau_p, snr, 0), snr)
             sp = sp_estimate(pm, basis)
             worse += np.linalg.norm(sp - h) > np.linalg.norm(pm - h)
         assert worse == 0  # projection removes the out-of-subspace noise
@@ -159,7 +176,8 @@ class TestSpEstimate:
         h_i = sample_channel(contam, 1.0, rng)
         field = dmrs_field(np.array([h_k, h_i]), np.array([0, 0]), tau_p, snr,
                            _ZeroNoise())
-        sp = sp_estimate(pm_estimate(field, 0, snr), dft_columns(M, desired.indices))
+        sp = sp_estimate(pm_estimate(field, pilot(tau_p, snr, 0), snr),
+                         dft_columns(M, desired.indices))
         assert np.linalg.norm(sp - h_k) < 1e-10
 
     def test_idempotent(self):
@@ -168,10 +186,26 @@ class TestSpEstimate:
         rng = np.random.default_rng(7)
         field = dmrs_field(rng.standard_normal((2, M)) + 0j, np.array([0, 1]),
                            3, 2.0, rng)
-        pm = pm_estimate(field, 0, 2.0)
+        pm = pm_estimate(field, pilot(3, 2.0, 0), 2.0)
         once = sp_estimate(pm, basis)
         twice = sp_estimate(once, basis)
         assert np.allclose(once, twice, atol=1e-14)
+
+    def test_stacked_estimates_and_bases(self):
+        M, n = 8, 5
+        rng = np.random.default_rng(12)
+        estimates = rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M))
+        bases = dft_columns(M, np.array([np.sort(rng.choice(M, 3, replace=False))
+                                         for _ in range(n)]))
+        stacked = sp_estimate(estimates, bases)
+        assert stacked.shape == (n, M)
+        for i in range(n):
+            np.testing.assert_allclose(stacked[i], sp_estimate(estimates[i], bases[i]),
+                                       rtol=1e-12, atol=0)
+        # the projection ergodic_rates formed inline before it called this
+        x = estimates[:, :, None]
+        inline = (bases @ (bases.conj().swapaxes(1, 2) @ x))[:, :, 0]
+        assert stacked.tobytes() == inline.tobytes()
 
 
 class TestContaminationCovariance:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import multiprocessing
@@ -123,6 +124,15 @@ class TestConfig:
         assert cfg.K == 30      # file value kept
         assert cfg.seed == 0    # None override ignored, default used
 
+    @pytest.mark.parametrize("text,kind", [("[1, 2]", "an array"), ("5", "a number"),
+                                           ('"x"', "a string"), ("null", "null"),
+                                           ("true", "a boolean")])
+    def test_config_file_must_hold_an_object(self, tmp_path, text, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"must hold a JSON object, not {kind}$"):
+            load_config(path, {"N": 5})
+
     def test_empty_config_uses_defaults(self):
         cfg = load_config(None, {})
         assert (cfg.L, cfg.M, cfg.K, cfg.N) == (40, 16, 100, 19)
@@ -173,6 +183,63 @@ class TestRunExperiment:
         serial = run_experiment(tiny_config(kinds=("ideal", "pm")))
         parallel = run_experiment(tiny_config(kinds=("ideal", "pm"), workers=2))
         assert serial.rate_records == parallel.rate_records
+
+    @pytest.mark.parametrize("n_layouts,workers,pool", [(1, 64, None), (2, 64, 2),
+                                                        (3, 2, 2)])
+    def test_pool_never_outnumbers_the_layouts(self, monkeypatch, n_layouts,
+                                               workers, pool):
+        sizes = []
+
+        class RecordingPool:
+            """Runs each layout in this process and records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        settings = dict(kinds=("ideal",), n_layouts=n_layouts)
+        result = run_experiment(tiny_config(workers=workers, **settings))
+        assert sizes == ([] if pool is None else [pool])
+        assert result.rate_records == run_experiment(tiny_config(**settings)).rate_records
+
+    @pytest.mark.parametrize("eta", [1.0, 1e9])
+    def test_estimated_supports_hold_each_edge_rank(self, monkeypatch, eta):
+        # eta = 1e9 orphans every UE: no edge, and an empty estimated table
+        tables = []
+        rates = experiment_mod.ergodic_rates
+
+        def recording(*args, subspaces=None, **kwargs):
+            tables.append(subspaces)
+            return rates(*args, subspaces=subspaces, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "ergodic_rates", recording)
+        cfg = tiny_config(eta=eta)
+        result = run_experiment(cfg)
+        assert len(tables) == cfg.n_layouts
+        for layout, table in enumerate(tables):
+            want = np.zeros((cfg.L, cfg.K), dtype=int)
+            for e in result.edge_records:
+                if e.layout == layout:
+                    want[e.ru, e.ue] = e.rank
+            assert np.array_equal(table.sizes, want)
+            assert table.indices.size == want.sum()
+            assert table.num_antennas == cfg.M
+        if eta > 1.0:
+            assert result.edge_records == []
+            assert all(r.se is None for r in result.rate_records)
+        else:
+            assert result.edge_records
 
     def test_parallel_progress_lines(self, capsys):
         settings = dict(kinds=("ideal",), n_layouts=3)
@@ -466,6 +533,16 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert key in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"x"', "null"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must hold a JSON object" in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

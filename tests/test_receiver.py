@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from cfsubspace.channel import NetworkChannelSampler, dft_columns, network_supports
-from cfsubspace.dmrs import dmrs_field, pm_estimate, sp_estimate
+from cfsubspace.dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
 from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
                                  generate_layout)
-from cfsubspace.receiver import (_cluster_systems, _EdgeLayout, _gain_tables,
-                                 cluster_combiner, ergodic_rates, local_lmmse,
-                                 uplink_sinr)
-from cfsubspace.rpca import SubspaceEstimate
+from cfsubspace.receiver import (_cluster_sinrs, _cluster_systems, _EdgeLayout,
+                                 _gain_tables, cluster_combiner, ergodic_rates,
+                                 local_lmmse, uplink_sinr)
+from oracles import from_supports, make_support
 
 
 def random_unit_vectors(rng, n, M):
@@ -313,7 +313,7 @@ class TestErgodicRates:
 
 
 def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
-                  subspaces):
+                  estimated):
     """Reference SINRs: one cluster_combiner + uplink_sinr call per UE and draw,
     on the same fading and pilot-noise streams as ergodic_rates, with each
     combiner assembled densely and scored against the full channel matrix."""
@@ -328,7 +328,8 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
         pm = []
         for l in range(L):
             field = dmrs_field(blocks[l], graph.dmrs_pilot, tau_p, snr, pilot_rng)
-            pm.append([pm_estimate(field, graph.dmrs_pilot[k], snr)
+            pm.append([pm_estimate(field, pilot_book(tau_p, snr)[:, graph.dmrs_pilot[k]],
+                                   snr)
                        for k in graph.user_sets[l]])
         for kind in kinds:
             est = []
@@ -338,8 +339,8 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
                 elif kind == "pm":
                     cols = pm[l]
                 else:
-                    cols = [sp_estimate(e, dft_columns(M, supports[l, k].indices)
-                                        if kind == "sp" else subspaces[(l, int(k))].basis)
+                    table = supports if kind == "sp" else estimated
+                    cols = [sp_estimate(e, dft_columns(M, table[l, k].indices))
                             for e, k in zip(pm[l], users)]
                 est.append(np.array(cols, dtype=complex).reshape(len(users), M).T)
             for k in range(K):
@@ -371,35 +372,52 @@ class TestBatchedReceiver:
         graph = form_clusters(layout.lsfc, snr, M, Q=3)
         graph.dmrs_pilot = assign_dmrs(graph, layout.lsfc, tau_p)
         supports = network_supports(layout, np.pi / 4, M)
+        # estimated supports: a random DFT index set of 1 to 3 columns per
+        # edge, none for the pairs that are not edges. Each set shares one
+        # column with the true support; a set orthogonal to the channel would
+        # leave SINRs at round-off level, which no relative bound can compare.
         rng = np.random.default_rng(13)
-        subspaces = {}
-        for l, k in graph.edges:
-            r = 1 + (l + k) % 3
-            q, _ = np.linalg.qr(rng.standard_normal((M, r))
-                                + 1j * rng.standard_normal((M, r)))
-            subspaces[(l, k)] = SubspaceEstimate(basis=q, rank=r)
-        blind = 6                                      # UE 6: every pp direction zero
-        for l in graph.clusters[blind]:
-            subspaces[(int(l), blind)] = SubspaceEstimate(
-                basis=np.zeros((M, 1), dtype=complex), rank=1)
+
+        def estimate(l, k):
+            if (l, k) not in graph.edges:
+                return make_support([], M)
+            hit = rng.choice(supports[l, k].indices)
+            rest = rng.choice(np.delete(np.arange(M), hit), size=(l + k) % 3,
+                              replace=False)
+            return make_support(np.sort(np.append(rest, hit)), M)
+
+        estimated = from_supports([[estimate(l, k) for k in range(K)]
+                                   for l in range(L)])
+        assert set(estimated.sizes[estimated.sizes > 0].tolist()) == {1, 2, 3}
         assert graph.orphan_ues.tolist() == [2]
         assert len(graph.clusters[4]) == 1
-        assert len(graph.clusters[blind]) > 1
         assert max(len(c) for c in graph.clusters) == 3
 
         kinds = ["ideal", "sp", "pp", "pm"]
         reps = ergodic_rates(layout, graph, supports, snr, kinds, 3, tau_p, 200,
-                             np.random.default_rng(14), subspaces=subspaces)
+                             np.random.default_rng(14), subspaces=estimated)
         oracle = per_ue_oracle(layout, graph, supports, snr, kinds, 3, tau_p,
-                               np.random.default_rng(14), subspaces)
+                               np.random.default_rng(14), estimated)
         for kind in kinds:
             got = reps[kind].sinr_samples
             np.testing.assert_allclose(got, oracle[kind], rtol=1e-10, atol=0)
             assert np.all(np.isnan(got[:, 2]))
             assert np.all(np.isfinite(np.delete(got, 2, axis=1)))
-        assert np.all(reps["pp"].sinr_samples[:, blind] == 0.0)
-        assert np.all(reps["ideal"].sinr_samples[:, blind] > 0.0)
-        assert reps["pp"].rate[blind] == 0.0
+
+    def test_blind_ue_gets_zero_sinr(self):
+        # a UE whose every estimate is zero gets all-zero local directions,
+        # so a zero combiner and SINR 0, while its cluster serves the others
+        layout, graph, supports, snr = sized_network(Q=4, K=14)
+        blind = 5
+        assert len(graph.clusters[blind]) > 1
+        served = np.flatnonzero([len(c) > 0 for c in graph.clusters])
+        edges = _EdgeLayout.build(graph, served)
+        blocks = NetworkChannelSampler(layout, supports).sample(np.random.default_rng(4))
+        sinr = _cluster_sinrs(graph, edges, ideal_stack(edges, blocks, (blind,)),
+                              blocks, snr)
+        assert sinr[blind] == 0.0
+        assert np.isnan(sinr[0])                       # the orphan
+        assert np.all(np.delete(sinr, [0, blind]) > 0.0)
 
 
 def sized_network(Q, K, L=8, M=4, seed=9):
