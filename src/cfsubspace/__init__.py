@@ -1,18 +1,16 @@
 """Cell-free massive MIMO uplink simulator with Latin-square SRS hopping and
 robust-PCA channel subspace estimation."""
 
-from .channel import (AngularSupport, NetworkChannelSampler, SupportTable,
-                      angular_support, dft_columns, dft_matrix, network_supports,
-                      sample_channel)
+from .channel import (NetworkChannelSampler, SupportTable, angular_support,
+                      dft_columns, dft_matrix, network_supports, sample_channel)
 from .dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
-from .experiment import (EdgeRecord, ExperimentConfig, ExperimentResult,
-                         RateRecord, load_config, run_experiment, stage_rng,
-                         write_results)
+from .experiment import (ExperimentConfig, ExperimentResult, load_config,
+                         run_experiment, stage_rng, write_results)
 from .geometry import (AssociationGraph, Layout, PathlossParams, assign_dmrs,
                        calibrate_snr, form_clusters, generate_layout,
                        lsfc_matrix, torus_distance)
-from .hopping import (SquareAssignment, SrsSchedule, allocate_squares,
-                      build_schedule, default_cell_radius, mols_family)
+from .hopping import (SrsSchedule, allocate_squares, build_schedule,
+                      default_cell_radius, mols_family)
 from .receiver import (RateReport, cluster_combiner, ergodic_rates, local_lmmse,
                        uplink_sinr)
 from .rpca import (RpcaParams, RpcaResult, SubspaceEstimate, collect_srs,

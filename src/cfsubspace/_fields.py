@@ -8,7 +8,6 @@ import types
 _ACCEPTED = {
     int: (numbers.Integral, "an integer"),
     float: (numbers.Real, "a number"),
-    bool: (bool, "true or false"),
     str: (str, "a string"),
     tuple: (tuple, "a list"),
 }
@@ -19,8 +18,8 @@ def check_field_types(obj) -> None:
     wrong type for its annotation.
 
     An ``int`` field takes any integer, a ``float`` field any real number, and
-    ``X | None`` also takes None. True and False count as booleans only, never
-    as numbers. A field annotated with a class takes instances of it.
+    ``X | None`` also takes None. True and False are never numbers. A field
+    annotated with a class takes instances of it.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -29,6 +28,6 @@ def check_field_types(obj) -> None:
             continue
         base = allowed[0]
         cls, wording = _ACCEPTED.get(base, (base, f"a {base.__name__}"))
-        if isinstance(value, bool) != (base is bool) or not isinstance(value, cls):
+        if isinstance(value, bool) or not isinstance(value, cls):
             raise ValueError(f"{f.name} must be {wording}, "
                              f"not {type(value).__name__} {value!r}")

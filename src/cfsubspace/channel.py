@@ -39,25 +39,13 @@ def dft_columns(M: int, indices) -> np.ndarray:
 
 
 @dataclass
-class AngularSupport:
-    """Sorted DFT column indices spanned by one RU-UE channel."""
-
-    indices: np.ndarray     # sorted subset of {0..M-1}
-    num_antennas: int
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-@dataclass
 class SupportTable:
     """DFT index sets of every RU-UE pair as flat arrays: the true angular
     supports, or the supports outlier pursuit estimated (size 0 off the edges).
 
     Pair (l, k) spans ``indices[offsets[l, k]:offsets[l, k] + sizes[l, k]]``;
     the pairs follow one another in (l, k) row-major order. ``table[l, k]``
-    is the pair's :class:`AngularSupport` view.
+    is that slice: the pair's angular support, its sorted DFT column indices.
     """
 
     indices: np.ndarray       # flat sorted DFT indices, pair by pair
@@ -68,11 +56,10 @@ class SupportTable:
     def __post_init__(self):
         self.offsets = np.cumsum(self.sizes).reshape(self.sizes.shape) - self.sizes
 
-    def __getitem__(self, pair) -> AngularSupport:
+    def __getitem__(self, pair) -> np.ndarray:
         l, k = pair
         start = self.offsets[l, k]
-        return AngularSupport(indices=self.indices[start:start + self.sizes[l, k]],
-                              num_antennas=self.num_antennas)
+        return self.indices[start:start + self.sizes[l, k]]
 
     def size_groups(self, l=slice(None), k=slice(None)):
         """The pairs ``(l, k)`` (every pair by default) grouped by support size.
@@ -119,8 +106,9 @@ def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
 
 
 def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
-                    M: int) -> AngularSupport:
-    """Angular support for the direction joining an RU-UE pair on the torus.
+                    M: int) -> np.ndarray:
+    """Angular support, as sorted DFT column indices, for the direction joining
+    an RU-UE pair on the torus.
 
     Grid angles 2*pi*m/M within angular distance delta/2 of the center angle
     are included (closed interval: points at exactly delta/2 count, with a
@@ -133,17 +121,17 @@ def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
                           area_side, delta, M)[0, 0]
 
 
-def sample_channel(support: AngularSupport, beta: float,
+def sample_channel(M: int, support, beta: float,
                    rng: np.random.Generator) -> np.ndarray:
-    """One channel vector draw: sqrt(beta*M/|S|) * F_S @ nu, nu ~ CN(0, I)."""
+    """One channel vector draw: sqrt(beta*M/|S|) * F_S @ nu, nu ~ CN(0, I),
+    for the DFT column indices S = ``support``."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    r = support.size
+    r = len(support)
     if r < 1:
         raise ValueError("support must contain at least one index")
-    M = support.num_antennas
     nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
-    return np.sqrt(beta * M / r) * (dft_columns(M, support.indices) @ nu)
+    return np.sqrt(beta * M / r) * (dft_columns(M, support) @ nu)
 
 
 def network_supports(layout, delta: float, M: int) -> SupportTable:

@@ -41,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-radius", dest="cell_radius", type=float,
                    help="hex cell radius (m); default sized from K and N")
     p.add_argument("--workers", type=int, help="parallel layout workers")
-    p.add_argument("--tune-lambda", dest="tune_lambda",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="per-edge empirical lambda retuning loop (default on)")
     p.add_argument("--out", dest="output_dir", help="output directory")
     return p
 

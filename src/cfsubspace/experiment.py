@@ -25,6 +25,7 @@ from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters,
 from .hopping import _is_prime, allocate_squares, build_schedule, check_cell_count, \
     default_cell_radius, mols_family
 from .receiver import ESTIMATOR_KINDS, ergodic_rates
+# outlier_pursuit is not called here; perfbench/tracing.py patches this name
 from .rpca import RpcaParams, collect_srs, outlier_pursuit, outlier_pursuit_tuned, \
     power_efficiency, subspace_estimates
 
@@ -52,9 +53,6 @@ class ExperimentConfig:
     S: int | None = None        # SRS sequence length; defaults to N
     lam: float = 0.25
     cell_radius: float | None = None
-    # per-edge empirical lambda adjustment; without it, observations whose
-    # columns are all noise-dominated collapse to an empty low-rank part
-    tune_lambda: bool = True
     # experiment control
     n_layouts: int = 100
     n_fading: int = 100
@@ -235,10 +233,7 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
             where["edge"] = (l, k)
             rng = stage_rng(config.seed, "srs", layout_id, l, k)
             Y = collect_srs(schedule, layout, supports, (l, k), snr, rng)
-            if config.tune_lambda:
-                res = outlier_pursuit_tuned(Y, config.lam, config.solver)
-            else:
-                res = outlier_pursuit(Y, config.lam, config.solver)
+            res = outlier_pursuit_tuned(Y, config.lam, config.solver)
             not_converged += not res.converged
             pca, pp = subspace_estimates(res.left_vectors, res.singular_values)
             edge_records.append(EdgeRecord(

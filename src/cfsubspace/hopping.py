@@ -36,7 +36,6 @@ class SrsSchedule:
     per-UE sequence has period N and repeats for S > N.
     """
 
-    S: int
     subcarriers: np.ndarray  # (K, S) int, 1-based
 
     def colliders(self, k: int, s: int) -> np.ndarray:
@@ -182,4 +181,4 @@ def build_schedule(assignment: SquareAssignment, family: np.ndarray,
         np.arange(1, N + 1)[:, None]
     cols = np.arange(S) % N
     subcarriers = row_of[square[:, None], assignment.symbol_id[:, None] - 1, cols]
-    return SrsSchedule(S=S, subcarriers=subcarriers)
+    return SrsSchedule(subcarriers=subcarriers)

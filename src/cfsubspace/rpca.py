@@ -109,8 +109,8 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     """
     l, k = pair
     M = supports.num_antennas
-    S = schedule.S
-    band = schedule.subcarriers[:, :S]
+    band = schedule.subcarriers
+    S = band.shape[1]
     # terms[s, 0] is the desired UE; terms[s, 1 + i] marks collider i
     terms = np.empty((S, band.shape[0] + 1), dtype=bool)
     terms[:, 0] = True
@@ -350,14 +350,15 @@ def dft_project(basis: np.ndarray) -> np.ndarray:
 
 
 def power_efficiency(support, estimate: SubspaceEstimate) -> float:
-    """Fraction of the desired channel power captured by a subspace estimate.
+    """Fraction of the power of a channel on the DFT column indices
+    ``support`` captured by a subspace estimate.
 
     tr(Sigma_true @ Sigma_est) / tr(Sigma_true @ Sigma_true), which reduces to
     ||B^H F_S||_F^2 / r for these projector-type covariances (their common
     gain beta cancels). Always in [0, 1]; equals 1 exactly when the estimate
     spans the true support with r = |S|.
     """
-    Fs = dft_columns(support.num_antennas, support.indices)
+    Fs = dft_columns(estimate.basis.shape[0], support)
     cross = estimate.basis.conj().T @ Fs
     pe = np.linalg.norm(cross) ** 2 / estimate.rank
     return float(min(max(pe, 0.0), 1.0))

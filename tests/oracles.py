@@ -7,28 +7,28 @@ the rank read from the last ADMM step) or a builder of test inputs.
 
 import numpy as np
 
-from cfsubspace.channel import AngularSupport, SupportTable, dft_columns
+from cfsubspace.channel import SupportTable, dft_columns
 from cfsubspace.rpca import _admm, _col_norms, _fro, _rank_of
 
 
-def make_support(indices, M):
-    return AngularSupport(indices=np.asarray(indices, dtype=int), num_antennas=M)
+def make_support(indices):
+    """An angular support: its DFT column indices as an int array."""
+    return np.asarray(indices, dtype=int)
 
 
-def from_supports(rows) -> SupportTable:
-    """The table of per-pair supports given as rows[l][k]; every pair
-    must share one number of antennas."""
+def from_supports(rows, M) -> SupportTable:
+    """The table of per-pair supports of M antennas given as rows[l][k]."""
     flat = [s for row in rows for s in row]
     shape = (len(rows), len(flat) // len(rows))
-    return SupportTable(indices=np.concatenate([s.indices for s in flat]).astype(int),
-                        sizes=np.array([s.size for s in flat]).reshape(shape),
-                        num_antennas=flat[0].num_antennas)
+    return SupportTable(indices=np.concatenate(flat).astype(int),
+                        sizes=np.array([len(s) for s in flat]).reshape(shape),
+                        num_antennas=M)
 
 
-def true_covariance(support: AngularSupport, beta: float) -> np.ndarray:
+def true_covariance(M, support, beta: float) -> np.ndarray:
     """Exact channel covariance (beta*M/|S|) F_S F_S^H; trace = beta*M."""
-    Fs = dft_columns(support.num_antennas, support.indices)
-    return beta * support.num_antennas / support.size * (Fs @ Fs.conj().T)
+    Fs = dft_columns(M, support)
+    return beta * M / len(support) * (Fs @ Fs.conj().T)
 
 
 def contamination_covariance(basis_k: np.ndarray, copilots) -> np.ndarray:

@@ -82,14 +82,14 @@ def test_criterion_03_channel_statistics():
         F = dft_matrix(M)
         assert np.max(np.abs(F.conj().T @ F - np.eye(M))) < 1e-12
     M, beta, n = 16, 2.6e-9, 100000
-    support = make_support([2, 3, 4], M)
+    support = make_support([2, 3, 4])
     rng = np.random.default_rng(30)
     r = support.size
-    scaled = np.sqrt(beta * M / r) * dft_columns(M, support.indices)
+    scaled = np.sqrt(beta * M / r) * dft_columns(M, support)
     nu = (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))) / np.sqrt(2)
     H = scaled @ nu
     emp = H @ H.conj().T / n
-    target = true_covariance(support, beta)
+    target = true_covariance(M, support, beta)
     rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
     assert rel < 0.02
     _passed(3, f"1e5-draw covariance matches (beta*M/|S|) F F^H "
@@ -98,20 +98,20 @@ def test_criterion_03_channel_statistics():
 
 def test_criterion_04_contamination_covariance():
     M = 16
-    desired = make_support([1, 2, 3], M)
-    basis_k = dft_columns(M, desired.indices)
+    desired = make_support([1, 2, 3])
+    basis_k = dft_columns(M, desired)
     P = basis_k @ basis_k.conj().T
-    copilot_supports = [make_support([2, 3, 4], M), make_support([0, 15], M)]
+    copilot_supports = [make_support([2, 3, 4]), make_support([0, 15])]
     betas = [2.0e-9, 0.7e-9]
     target = contamination_covariance(
-        basis_k, [(dft_columns(M, s.indices), b)
+        basis_k, [(dft_columns(M, s), b)
                   for s, b in zip(copilot_supports, betas)])
     rng = np.random.default_rng(40)
     n = 100000
     draws = np.zeros((M, n), dtype=complex)
     for s, b in zip(copilot_supports, betas):
         r = s.size
-        scaled = np.sqrt(b * M / r) * dft_columns(M, s.indices)
+        scaled = np.sqrt(b * M / r) * dft_columns(M, s)
         nu = (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))) / np.sqrt(2)
         draws += scaled @ nu
     proj = P @ draws
@@ -122,7 +122,7 @@ def test_criterion_04_contamination_covariance():
     disjoint = contamination_covariance(
         basis_k, [(dft_columns(M, [5, 6]), 1.0e-9), (dft_columns(M, [9]), 3.0e-9)])
     assert np.max(np.abs(disjoint)) < 1e-10
-    h = sample_channel(make_support([5, 6], M), 1.0e-9, rng)
+    h = sample_channel(M, make_support([5, 6]), 1.0e-9, rng)
     assert np.linalg.norm(P @ h) < 1e-10 * np.linalg.norm(h)
     _passed(4, f"projected-contamination covariance matches analytic form "
                f"(rel {rel:.4f} < 0.05); disjoint case zero to 1e-10")

@@ -33,7 +33,7 @@ def per_pair_draw(layout, supports, rng):
         for k in range(K):
             r = supports[l, k].size
             scaled = np.sqrt(layout.lsfc[l, k] * M / r) * dft_columns(
-                M, supports[l, k].indices)
+                M, supports[l, k])
             nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
             blocks[l, k] = scaled @ nu
     return blocks
@@ -92,21 +92,21 @@ class TestAngularSupport:
         # center on grid point 0; window length pi/8 = grid spacing for M=16
         # reaches just half-way to the neighbors, so only index 0 qualifies
         s = angular_support((0.0, 0.0), (10.0, 0.0), 2000.0, np.pi / 8, 16)
-        assert list(s.indices) == [0]
+        assert list(s) == [0]
 
     def test_closed_boundary_includes_endpoints(self):
         # pi/4 window: neighbors sit at angular distance pi/8 = delta/2 exactly
         s = angular_support((0.0, 0.0), (10.0, 0.0), 2000.0, np.pi / 4, 16)
-        assert list(s.indices) == [0, 1, 15]
+        assert list(s) == [0, 1, 15]
 
     def test_full_circle(self):
         s = angular_support((0.0, 0.0), (3.0, 4.0), 2000.0, 2 * np.pi, 16)
-        assert list(s.indices) == list(range(16))
+        assert list(s) == list(range(16))
 
     def test_deterministic(self):
         a = angular_support((5.0, 7.0), (100.0, 40.0), 2000.0, np.pi / 8, 16)
         b = angular_support((5.0, 7.0), (100.0, 40.0), 2000.0, np.pi / 8, 16)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
     def test_padding_when_window_misses_grid(self):
         # M=8 grid spacing pi/4; direction halfway between grid points 0 and 1
@@ -114,12 +114,12 @@ class TestAngularSupport:
         angle = np.pi / 8
         ue = (100.0 * np.cos(angle), 100.0 * np.sin(angle))
         s = angular_support((0.0, 0.0), ue, 2000.0, np.pi / 8, 8)
-        assert s.size == 1 and s.indices[0] in (0, 1)
+        assert s.size == 1 and s[0] in (0, 1)
 
     def test_torus_wrap_direction(self):
         # ue just across the seam lies to the left: angle pi, grid index M/2
         s = angular_support((1.0, 0.0), (1999.0, 0.0), 2000.0, np.pi / 8, 16)
-        assert list(s.indices) == [8]
+        assert list(s) == [8]
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -154,9 +154,8 @@ class TestNetworkSupports:
                         layout.area_side, delta, M)
                     # the one-pair view
                     s = table[l, k]
-                    assert s.indices.dtype == indices.dtype
-                    assert np.array_equal(s.indices, indices)
-                    assert s.num_antennas == M
+                    assert s.dtype == indices.dtype
+                    assert np.array_equal(s, indices)
                     # the raw arrays, pairs stored back to back in (l, k) order
                     start = table.offsets[l, k]
                     assert start == (table.sizes.ravel()[:l * K + k].sum())
@@ -171,7 +170,7 @@ class TestNetworkSupports:
         layout = generate_layout(3, 7, 800.0, seed=5)
         table = network_supports(layout, 0.05, 16)
         rows = [[table[l, k] for k in range(7)] for l in range(3)]
-        again = from_supports(rows)
+        again = from_supports(rows, 16)
         for name in ("indices", "sizes", "offsets"):
             a, b = getattr(table, name), getattr(again, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -189,7 +188,7 @@ class TestNetworkSupports:
             assert np.all(table.sizes[l[members], k[members]] == r)
             sizes.append(r)
             for m, row in zip(members.tolist(), indices):
-                assert row.tobytes() == table[l[m], k[m]].indices.tobytes()
+                assert row.tobytes() == table[l[m], k[m]].tobytes()
             seen.extend(members.tolist())
         assert sorted(seen) == list(range(len(l)))
         assert sizes == sorted(set(sizes)) and len(sizes) > 1
@@ -203,22 +202,22 @@ class TestSampleChannel:
         rng = np.random.default_rng(0)
         M = 16
         F = dft_matrix(M)
-        s = make_support([2, 3, 4], M)
-        Fs = F[:, s.indices]
+        s = make_support([2, 3, 4])
+        Fs = F[:, s]
         P_perp = np.eye(M) - Fs @ Fs.conj().T
         for _ in range(50):
-            h = sample_channel(s, 2.5e-9, rng)
+            h = sample_channel(M, s, 2.5e-9, rng)
             assert np.linalg.norm(P_perp @ h) < 1e-12 * np.linalg.norm(h) + 1e-15
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
-            sample_channel(make_support([0], 8), 0.0, np.random.default_rng(0))
+            sample_channel(8, make_support([0]), 0.0, np.random.default_rng(0))
 
     def test_full_support_covariance(self):
         rng = np.random.default_rng(1)
         M, beta, n = 8, 2.5, 20000
-        s = make_support(range(M), M)
-        H = np.array([sample_channel(s, beta, rng) for _ in range(n)]).T
+        s = make_support(range(M))
+        H = np.array([sample_channel(M, s, beta, rng) for _ in range(n)]).T
         emp = H @ H.conj().T / n
         target = beta * np.eye(M)
         rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
@@ -227,8 +226,8 @@ class TestSampleChannel:
     def test_mean_energy(self):
         rng = np.random.default_rng(2)
         M, beta = 8, 3.0
-        s = make_support([1, 4], M)
-        e = np.mean([np.linalg.norm(sample_channel(s, beta, rng)) ** 2
+        s = make_support([1, 4])
+        e = np.mean([np.linalg.norm(sample_channel(M, s, beta, rng)) ** 2
                      for _ in range(20000)])
         assert e == pytest.approx(beta * M, rel=0.05)
 
@@ -241,7 +240,7 @@ class TestTrueCovariance:
             size = rng.integers(1, M + 1)
             idx = np.sort(rng.choice(M, size=size, replace=False))
             beta = float(10 ** rng.uniform(-10, -6))
-            cov = true_covariance(make_support(idx, M), beta)
+            cov = true_covariance(M, make_support(idx), beta)
             assert np.trace(cov).real == pytest.approx(beta * M, rel=1e-12)
             ev = np.linalg.eigvalsh(cov)
             assert ev.min() > -1e-12 * beta * M
@@ -252,11 +251,11 @@ class TestTrueCovariance:
     def test_matches_empirical(self):
         rng = np.random.default_rng(4)
         M, beta = 8, 1.0
-        s = make_support([0, 3, 5], M)
+        s = make_support([0, 3, 5])
         n = 20000
-        H = np.array([sample_channel(s, beta, rng) for _ in range(n)]).T
+        H = np.array([sample_channel(M, s, beta, rng) for _ in range(n)]).T
         emp = H @ H.conj().T / n
-        target = true_covariance(s, beta)
+        target = true_covariance(M, s, beta)
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
 
 
@@ -264,7 +263,7 @@ class TestNetworkSampling:
     def test_single_pair_matches_sample_channel(self):
         layout = generate_layout(1, 1, 500.0, seed=9)
         supports = network_supports(layout, np.pi / 8, 8)
-        direct = sample_channel(supports[0, 0], layout.lsfc[0, 0],
+        direct = sample_channel(8, supports[0, 0], layout.lsfc[0, 0],
                                 np.random.default_rng(123))
         blocks = NetworkChannelSampler(layout, supports).sample(
             np.random.default_rng(123))
@@ -287,9 +286,9 @@ class TestNetworkSampling:
         sizes = [1, 2, 3, 8]
         supports = from_supports(
             [[make_support(np.sort(rng.choice(M, size=sizes[(l + k) % 4],
-                                              replace=False)), M)
+                                              replace=False)))
               for k in range(layout.num_ues)]
-             for l in range(layout.num_rus)])
+             for l in range(layout.num_rus)], M)
         sampler = NetworkChannelSampler(layout, supports)
         batched, looped = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(3):

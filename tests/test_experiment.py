@@ -18,7 +18,7 @@ from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
                                    write_results)
 from cfsubspace.geometry import PathlossParams
-from cfsubspace.rpca import RpcaParams, outlier_pursuit
+from cfsubspace.rpca import RpcaParams
 
 
 def tiny_config(**overrides):
@@ -74,7 +74,7 @@ class TestConfig:
         ({"delta": None}, "delta must be a number"),
         ({"S": 2.0}, "S must be an integer"),
         ({"cell_radius": 0}, "cell_radius must be positive"),
-        ({"tune_lambda": 1}, "tune_lambda must be true or false"),
+        ({"lam": True}, "lam must be a number"),
         ({"kinds": "pp"}, "kinds must be a list"),
         ({"output_dir": 3}, "output_dir must be a string"),
         ({"solver": {"max_iter": "abc"}}, "'solver': max_iter must be an integer"),
@@ -327,19 +327,29 @@ class TestFailureContext:
     def test_solver_failure_names_layout_seed_and_edge(self, monkeypatch, workers):
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched solver reaches pool workers only by fork")
-        settings = dict(kinds=("pp",), n_layouts=1, tune_lambda=False)
-        edges = run_experiment(tiny_config(**settings)).edge_records
-        calls = []
+        # the observations of layout 0, edge by edge, from an unpatched run
+        observed = []
+        collect = experiment_mod.collect_srs
+
+        def recording(*args):
+            observed.append(collect(*args))
+            return observed[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment_mod, "collect_srs", recording)
+            edges = run_experiment(tiny_config(kinds=("pp",), n_layouts=1)).edge_records
+        solve = experiment_mod.outlier_pursuit_tuned
 
         def failing(Y, lam, params=None):
-            calls.append(1)
-            if len(calls) == 3:
+            # the third edge of layout 0 fails; layout 1, which a second pool
+            # worker runs at the same time, does not
+            if np.array_equal(Y, observed[2]):
                 raise FloatingPointError("boom")
-            return outlier_pursuit(Y, lam, params)
+            return solve(Y, lam, params)
 
-        monkeypatch.setattr(experiment_mod, "outlier_pursuit", failing)
+        monkeypatch.setattr(experiment_mod, "outlier_pursuit_tuned", failing)
         with pytest.raises(RuntimeError) as info:
-            run_experiment(tiny_config(workers=workers, **settings))
+            run_experiment(tiny_config(kinds=("pp",), n_layouts=2, workers=workers))
         edge = (edges[2].ru, edges[2].ue)
         assert str(info.value) == (f"layout 0 (master seed 9, rpca edge {edge}) "
                                    f"failed: FloatingPointError: boom")
@@ -518,6 +528,7 @@ class TestCli:
         ({"cell_radius": 0.001}, "cell_radius"),
         ({"cell_radius": 0.001, "area_side": 400.0}, "cell_radius"),
         ({"solver": {"max_iter": 0}}, "max_iter"),
+        ({"tune_lambda": False}, "tune_lambda"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"
@@ -533,6 +544,13 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert key in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", ["--tune-lambda", "--no-tune-lambda"])
+    def test_removed_flag_exits_2(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as info:
+            cli_main([flag, "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", '"x"', "null"])

@@ -340,7 +340,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
                     cols = pm[l]
                 else:
                     table = supports if kind == "sp" else estimated
-                    cols = [sp_estimate(e, dft_columns(M, table[l, k].indices))
+                    cols = [sp_estimate(e, dft_columns(M, table[l, k]))
                             for e, k in zip(pm[l], users)]
                 est.append(np.array(cols, dtype=complex).reshape(len(users), M).T)
             for k in range(K):
@@ -380,14 +380,14 @@ class TestBatchedReceiver:
 
         def estimate(l, k):
             if (l, k) not in graph.edges:
-                return make_support([], M)
-            hit = rng.choice(supports[l, k].indices)
+                return make_support([])
+            hit = rng.choice(supports[l, k])
             rest = rng.choice(np.delete(np.arange(M), hit), size=(l + k) % 3,
                               replace=False)
-            return make_support(np.sort(np.append(rest, hit)), M)
+            return make_support(np.sort(np.append(rest, hit)))
 
         estimated = from_supports([[estimate(l, k) for k in range(K)]
-                                   for l in range(L)])
+                                   for l in range(L)], M)
         assert set(estimated.sizes[estimated.sizes > 0].tolist()) == {1, 2, 3}
         assert graph.orphan_ues.tolist() == [2]
         assert len(graph.clusters[4]) == 1

@@ -62,7 +62,7 @@ class TestCollectSrs:
     def test_noiseless_single_user_in_span(self):
         supports, schedule, Y = self._single_user_setup(snr=1e30)
         assert Y.shape == (8, 12)
-        Fs = dft_columns(8, supports[0, 0].indices)
+        Fs = dft_columns(8, supports[0, 0])
         P_perp = np.eye(8) - Fs @ Fs.conj().T
         for s in range(Y.shape[1]):
             col = Y[:, s]
@@ -94,11 +94,12 @@ def per_slot_srs(schedule, layout, supports, pair, snr, rng):
     replaces, one sample_channel call per desired or colliding channel."""
     l, k = pair
     M = supports.num_antennas
-    Y = np.empty((M, schedule.S), dtype=complex)
-    for s in range(schedule.S):
-        col = sample_channel(supports[l, k], layout.lsfc[l, k], rng)
+    S = schedule.subcarriers.shape[1]
+    Y = np.empty((M, S), dtype=complex)
+    for s in range(S):
+        col = sample_channel(M, supports[l, k], layout.lsfc[l, k], rng)
         for i in schedule.colliders(k, s):
-            col = col + sample_channel(supports[l, i], layout.lsfc[l, i], rng)
+            col = col + sample_channel(M, supports[l, i], layout.lsfc[l, i], rng)
         noise = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * snr)
         Y[:, s] = col + noise
     return Y
@@ -114,18 +115,18 @@ class TestBatchedCollectSrs:
         sub[0] = 1
         for s, others in {1: [3], 2: [1, 2, 5], 3: [6], 4: [2, 4]}.items():
             sub[others, s] = 1
-        schedule = SrsSchedule(S=S, subcarriers=sub)
+        schedule = SrsSchedule(subcarriers=sub)
         rng = np.random.default_rng(seed)
         supports = from_supports(
-            [[make_support(np.sort(rng.choice(M, 1 + (k + l) % 4, replace=False)), M)
-              for k in range(K)] for l in range(2)])
+            [[make_support(np.sort(rng.choice(M, 1 + (k + l) % 4, replace=False)))
+              for k in range(K)] for l in range(2)], M)
         layout = SimpleNamespace(lsfc=10.0 ** rng.uniform(-12, -8, (2, K)))
         return schedule, layout, supports
 
     @pytest.mark.parametrize("M", [8, 16])
     def test_matches_per_slot_loop(self, M):
         schedule, layout, supports = self._network(M, seed=M)
-        counts = [len(schedule.colliders(0, s)) for s in range(schedule.S)]
+        counts = [len(schedule.colliders(0, s)) for s in range(6)]
         assert counts == [0, 1, 3, 1, 2, 0]
         for l in range(2):
             for k in range(7):
@@ -778,23 +779,23 @@ class TestEstimatedCovariance:
 
 class TestPowerEfficiency:
     def test_perfect_estimate(self):
-        support = make_support([2, 7, 9], 16)
+        support = make_support([2, 7, 9])
         est = SubspaceEstimate(basis=dft_columns(16, [2, 7, 9]), rank=3)
         assert power_efficiency(support, est) == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        support = make_support([2, 7], 16)
+        support = make_support([2, 7])
         est = SubspaceEstimate(basis=dft_columns(16, [3, 8]), rank=2)
         assert power_efficiency(support, est) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_right(self):
         # 2 correct + 2 wrong DFT columns against |S| = 4: PE = 2/4
-        support = make_support([1, 4, 8, 12], 16)
+        support = make_support([1, 4, 8, 12])
         est = SubspaceEstimate(basis=dft_columns(16, [1, 4, 2, 6]), rank=4)
         pe = power_efficiency(support, est)
         assert pe == pytest.approx(0.5)
         # cross-check against the covariance trace-ratio definition
-        sigma = true_covariance(support, 2.5e-9)
+        sigma = true_covariance(16, support, 2.5e-9)
         sigma_hat = estimated_covariance(est.basis, 2.5e-9)
         ratio = np.trace(sigma @ sigma_hat).real / np.trace(sigma @ sigma).real
         assert pe == pytest.approx(ratio, rel=1e-12)
@@ -803,7 +804,7 @@ class TestPowerEfficiency:
         rng = np.random.default_rng(12)
         for _ in range(30):
             size = int(rng.integers(1, 8))
-            support = make_support(np.sort(rng.choice(8, size, replace=False)), 8)
+            support = make_support(np.sort(rng.choice(8, size, replace=False)))
             r = int(rng.integers(1, 8))
             basis, _ = np.linalg.qr(rng.standard_normal((8, r))
                                     + 1j * rng.standard_normal((8, r)))
@@ -823,7 +824,7 @@ class TestSubspacePipeline:
         pca, pp = subspace_estimates(result.left_vectors, result.singular_values)
         assert pca.rank == 2 and pp.rank == 2
         assert pp.dft_indices.tolist() == support_idx
-        support = make_support(support_idx, M)
+        support = make_support(support_idx)
         assert power_efficiency(support, pp) == pytest.approx(1.0)
         assert power_efficiency(support, pca) == pytest.approx(1.0, abs=1e-6)
 
