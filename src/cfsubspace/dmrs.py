@@ -26,22 +26,20 @@ def pilot_book(tau_p: int, snr: float) -> np.ndarray:
     return book
 
 
-def dmrs_field(channels: np.ndarray, pilots: np.ndarray, tau_p: int, snr: float,
+def dmrs_field(channels: np.ndarray, pilot_rows: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
     """Pilot field at one RU: sum_i h_i phi_{t_i}^H plus unit-variance noise.
 
     Returns the (M, tau_p) received field. ``channels`` holds the K local
     channel vectors as rows (K, M); every UE in the network contributes,
-    associated with this RU or not.
+    associated with this RU or not. ``pilot_rows`` holds the conjugated
+    pilots phi_{t_i}^H as rows (K, tau_p), in :func:`ergodic_rates` built
+    and checked once per layout as ``pilot_book(tau_p, snr)[:, t].conj().T``.
     """
-    pilots = np.asarray(pilots, dtype=int)
-    if np.any(pilots < 0) or np.any(pilots >= tau_p):
-        raise ValueError("pilot indices must lie in [0, tau_p)")
-    book = pilot_book(tau_p, snr)
-    K, M = channels.shape
+    M, tau_p = channels.shape[1], pilot_rows.shape[1]
     z = rng.standard_normal((2, M, tau_p))     # real parts, then imaginary parts
     noise = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-    return channels.T @ book[:, pilots].conj().T + noise
+    return channels.T @ pilot_rows + noise
 
 
 def pm_estimate(fields: np.ndarray, pilots: np.ndarray, snr: float) -> np.ndarray:

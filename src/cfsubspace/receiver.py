@@ -99,22 +99,30 @@ class _EdgeLayout:
 
     Per-RU stacks are (L, M, n_max) with RU l's users in its first n_l
     columns and zeros after them. The per-edge tables have one row per edge,
-    RU by RU and within an RU in user-set order. The served UEs are grouped
-    by cluster size n, ascending: per group their ids (U,) and the table rows
-    (U, n) of their serving edges, in cluster order.
+    RU by RU and within an RU in user-set order. The RUs are grouped by user
+    count n >= 1, ascending: per group their ids (R,) and their table rows
+    (R, n). The served UEs are grouped by cluster size n, ascending: per
+    group their ids (U,) and the table rows (U, n) of their serving edges, in
+    cluster order.
     """
 
     users: np.ndarray    # (L, n_max) user id per stack column, 0 where unused
     filled: np.ndarray   # (L, n_max) True where the column holds a user
+    ru_groups: list      # [(RU ids (R,), table rows (R, n))] per RU user count
     groups: list         # [(UE ids (U,), table rows (U, n))] per cluster size
 
     @classmethod
     def build(cls, graph, ues):
-        counts = [len(users) for users in graph.user_sets]
-        n_max = max(counts, default=0)
-        filled = np.arange(n_max) < np.array(counts)[:, None]
+        counts = np.array([len(users) for users in graph.user_sets], dtype=int)
+        n_max = counts.max(initial=0)
+        filled = np.arange(n_max) < counts[:, None]
         users = np.zeros(filled.shape, dtype=int)
         users[filled] = np.concatenate(graph.user_sets)
+        starts = np.cumsum(counts) - counts
+        ru_groups = []
+        for n in np.unique(counts[counts > 0]).tolist():
+            rus = np.flatnonzero(counts == n)
+            ru_groups.append((rus, starts[rus, None] + np.arange(n)))
         # row_of[l, k] is the table row of edge (l, k)
         row_of = np.zeros((len(counts), len(graph.clusters)), dtype=int)
         row_of[np.nonzero(filled)[0], users[filled]] = np.arange(filled.sum())
@@ -125,7 +133,7 @@ class _EdgeLayout:
         groups = [(np.array([k for k, _ in members]),
                    np.array([rows for _, rows in members]))
                   for _, members in sorted(by_size.items())]
-        return cls(users=users, filled=filled, groups=groups)
+        return cls(users=users, filled=filled, ru_groups=ru_groups, groups=groups)
 
 
 def _projection_groups(edges: _EdgeLayout, table: SupportTable):
@@ -145,26 +153,29 @@ def _project(pm: np.ndarray, groups) -> np.ndarray:
     return est
 
 
-def _gain_tables(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
+def _gain_tables(edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
                  snr: float):
-    """Per-edge tables of one estimate stack and draw, one product per RU.
+    """Per-edge tables of one estimate stack and draw, one product pair per
+    RU user count.
 
     ``est`` is the (L, M, n_max) stack of per-RU channel estimates. Per edge
     (l, j), v_lj being its local LMMSE direction, returns ||v_lj||^2, the
     gains the cluster knows, v_lj^H est_l (zero for UEs RU l does not serve),
     and the true gains v_lj^H H_l: (edges,), (edges, K) and (edges, K).
+    Each RU's operands keep the layout of a product of that RU alone, its
+    estimate block (M, n) a column slice of its (M, n_max) stack, so every
+    entry has the bits of the per-RU product; a contiguous (M, n) copy of the
+    block takes another BLAS kernel and moves last bits at n = 1.
     """
     K = blocks.shape[1]
     local = _lmmse_directions(est, snr).swapaxes(1, 2)[edges.filled]   # (edges, M)
     known = np.zeros((len(local), K), dtype=complex)
     true = np.empty((len(local), K), dtype=complex)
-    start = 0
-    for l, users in enumerate(graph.user_sets):
-        stop = start + len(users)
-        V_h = local[start:stop].conj()
-        known[start:stop, users] = V_h @ est[l, :, :len(users)]
-        true[start:stop] = V_h @ blocks[l].T
-        start = stop
+    for rus, rows in edges.ru_groups:
+        n = rows.shape[1]
+        V_h = local[rows].conj()                                       # (R, n, M)
+        known[rows[:, :, None], edges.users[rus, None, :n]] = V_h @ est[rus][:, :, :n]
+        true[rows] = V_h @ blocks[rus].swapaxes(1, 2)
     return (local.conj() * local).real.sum(axis=1), known, true
 
 
@@ -186,7 +197,7 @@ def _cluster_systems(known: np.ndarray, ues: np.ndarray, rows: np.ndarray,
     return desired, systems
 
 
-def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
+def _cluster_sinrs(edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
                    snr: float) -> np.ndarray:
     """Exact SINR of every served UE under its cluster combiner; NaN elsewhere.
 
@@ -196,7 +207,7 @@ def _cluster_sinrs(graph, edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarra
     each UE then makes one :func:`cluster_combiner` and one
     :func:`uplink_sinr` call, on its rows of the true-gain table.
     """
-    sq_norms, known, true = _gain_tables(graph, edges, est, blocks, snr)
+    sq_norms, known, true = _gain_tables(edges, est, blocks, snr)
     out = np.full(blocks.shape[1], np.nan)
     for ues, rows in edges.groups:
         desired, systems = _cluster_systems(known, ues, rows, snr)
@@ -217,7 +228,9 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
     streams), so reports are directly comparable. Kind "sp" projects each
     edge's PM estimate on the DFT columns of its true support in
     ``supports``, kind "pp" on those of its estimated support in
-    ``subspaces``, which it requires. Returns {kind: RateReport}.
+    ``subspaces``, which it requires. Every kind but "ideal" needs one DMRS
+    pilot index in [0, tau_p) per UE in ``graph.dmrs_pilot``, checked before
+    any draw. Returns {kind: RateReport}.
     """
     if isinstance(kinds, str):
         raise ValueError("kinds must be a sequence of estimator kinds, not a string")
@@ -227,13 +240,22 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
             raise ValueError(f"unknown estimator kind {kind!r}")
     if n_fading < 1:
         raise ValueError("n_fading must be >= 1")
+    L, K = layout.num_rus, layout.num_ues
     need_dmrs = any(k != "ideal" for k in kind_list)
-    if need_dmrs and graph.dmrs_pilot is None:
-        raise ValueError("graph has no DMRS pilots; run assign_dmrs first")
+    if need_dmrs:
+        if graph.dmrs_pilot is None:
+            raise ValueError("graph has no DMRS pilots; run assign_dmrs first")
+        pilot_of = np.asarray(graph.dmrs_pilot)
+        if pilot_of.shape != (K,):
+            raise ValueError(f"dmrs_pilot has shape {pilot_of.shape}, "
+                             f"not ({K},): one pilot index per UE")
+        bad = np.flatnonzero((pilot_of < 0) | (pilot_of >= tau_p))
+        if len(bad):
+            raise ValueError(f"dmrs_pilot of UE {bad[0]} is {pilot_of[bad[0]]}, "
+                             f"outside [0, tau_p={tau_p})")
     if "pp" in kind_list and subspaces is None:
         raise ValueError("kind 'pp' needs estimated subspaces")
 
-    L, K = layout.num_rus, layout.num_ues
     sampler = NetworkChannelSampler(layout, supports)
     active = np.setdiff1d(np.arange(K), graph.orphan_ues)
     edges = _EdgeLayout.build(graph, active)
@@ -242,8 +264,10 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
             for kind, table in (("sp", supports), ("pp", subspaces))
             if kind in kind_list}
     if need_dmrs:
+        book = pilot_book(tau_p, snr)
+        pilot_rows = book[:, pilot_of].conj().T      # (K, tau_p), for dmrs_field
         # column j of RU l correlates with the pilot of its j-th user
-        pilots = pilot_book(tau_p, snr)[:, graph.dmrs_pilot[edges.users]]
+        pilots = book[:, pilot_of[edges.users]]
         pilots = np.where(mask, pilots.transpose(1, 0, 2), 0.0)
 
     sinr = {kind: np.full((n_fading, K), np.nan) for kind in kind_list}
@@ -251,8 +275,8 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
         ch_rng, pilot_rng = draw_rng.spawn(2)
         blocks = sampler.sample(ch_rng)
         if need_dmrs:
-            fields = np.array([dmrs_field(blocks[l], graph.dmrs_pilot, tau_p, snr,
-                                          pilot_rng) for l in range(L)])
+            fields = np.array([dmrs_field(blocks[l], pilot_rows, pilot_rng)
+                               for l in range(L)])
             pm = pm_estimate(fields, pilots, snr)
         for kind in kind_list:
             if kind == "ideal":
@@ -262,7 +286,7 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
                 est = pm
             else:
                 est = _project(pm, proj[kind])
-            sinr[kind][d] = _cluster_sinrs(graph, edges, est, blocks, snr)
+            sinr[kind][d] = _cluster_sinrs(edges, est, blocks, snr)
 
     factor = 1.0 - tau_p / T
     reports = {}

@@ -2,12 +2,15 @@
 
 The pipeline calls none of these: each is a reference for a quantity the
 package computes another way (Monte-Carlo covariances, hopping collisions,
-the rank read from the last ADMM step) or a builder of test inputs.
+the rank read from the last ADMM step, the per-RU gain tables) or a builder
+of test inputs.
 """
 
 import numpy as np
 
 from cfsubspace.channel import SupportTable, dft_columns
+from cfsubspace.dmrs import pilot_book
+from cfsubspace.receiver import _lmmse_directions
 from cfsubspace.rpca import _admm, _col_norms, _fro, _rank_of
 
 
@@ -23,6 +26,33 @@ def from_supports(rows, M) -> SupportTable:
     return SupportTable(indices=np.concatenate(flat).astype(int),
                         sizes=np.array([len(s) for s in flat]).reshape(shape),
                         num_antennas=M)
+
+
+def pilot_rows(tau_p, snr, pilots) -> np.ndarray:
+    """The (K, tau_p) conjugated pilot rows ``dmrs_field`` takes for the
+    pilot indices ``pilots``, built as ``ergodic_rates`` builds them."""
+    return pilot_book(tau_p, snr)[:, np.asarray(pilots, dtype=int)].conj().T
+
+
+def per_ru_gain_tables(graph, edges, est, blocks, snr):
+    """Reference for ``_gain_tables``: the same tables, one product pair per RU.
+
+    Per RU l with users u, its rows of the known table get V_h @ est[l, :, :n]
+    in the columns u and its rows of the true table V_h @ H_l^T, V_h being
+    the conjugated local directions of its n = len(u) edges.
+    """
+    K = blocks.shape[1]
+    local = _lmmse_directions(est, snr).swapaxes(1, 2)[edges.filled]
+    known = np.zeros((len(local), K), dtype=complex)
+    true = np.empty((len(local), K), dtype=complex)
+    start = 0
+    for l, users in enumerate(graph.user_sets):
+        stop = start + len(users)
+        V_h = local[start:stop].conj()
+        known[start:stop, users] = V_h @ est[l, :, :len(users)]
+        true[start:stop] = V_h @ blocks[l].T
+        start = stop
+    return (local.conj() * local).real.sum(axis=1), known, true
 
 
 def true_covariance(M, support, beta: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from cfsubspace.channel import dft_columns, sample_channel
 from cfsubspace.dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
-from oracles import contamination_covariance, make_support
+from oracles import contamination_covariance, make_support, pilot_rows
 
 
 class _ZeroNoise:
@@ -43,7 +43,7 @@ class TestDmrsField:
         M, tau_p, snr = 4, 3, 10.0
         rng = np.random.default_rng(0)
         h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        field = dmrs_field(h[None, :], np.array([1]), tau_p, snr, _ZeroNoise())
+        field = dmrs_field(h[None, :], pilot_rows(tau_p, snr, [1]), _ZeroNoise())
         book = pilot_book(tau_p, snr)
         assert np.allclose(field, np.outer(h, book[:, 1].conj()))
 
@@ -56,21 +56,17 @@ class TestDmrsField:
         energy = {}
         for n_users in (1, 3):
             acc = 0.0
+            rows = pilot_rows(tau_p, snr, np.zeros(n_users, dtype=int))
             for _ in range(trials):
                 ch = np.array([sample_channel(M, support, 1.0, rng)
                                for _ in range(n_users)])
-                field = dmrs_field(ch, np.zeros(n_users, dtype=int), tau_p, snr, rng)
+                field = dmrs_field(ch, rows, rng)
                 acc += np.linalg.norm(field) ** 2
             energy[n_users] = acc / trials
         noise_energy = M * tau_p
         signal_1 = energy[1] - noise_energy
         signal_3 = energy[3] - noise_energy
         assert signal_3 == pytest.approx(3 * signal_1, rel=0.05)
-
-    def test_rejects_bad_pilot_indices(self):
-        with pytest.raises(ValueError):
-            dmrs_field(np.zeros((1, 4), dtype=complex), np.array([5]), 3, 1.0,
-                       np.random.default_rng(0))
 
 
 def two_draw_field(channels, pilots, tau_p, snr, rng):
@@ -90,21 +86,13 @@ class TestDmrsFieldDraw:
         channels = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
         pilots = rng.integers(tau_p, size=K)
         batched, looped = np.random.default_rng(3), np.random.default_rng(3)
+        rows = pilot_rows(tau_p, 2.5, pilots)
         for _ in range(2):   # the second call starts from the moved state
-            field = dmrs_field(channels, pilots, tau_p, 2.5, batched)
+            field = dmrs_field(channels, rows, batched)
             ref = two_draw_field(channels, pilots, tau_p, 2.5, looped)
             assert field.shape == (M, tau_p) and field.flags.c_contiguous
             assert field.tobytes() == ref.tobytes()
             assert batched.bit_generator.state == looped.bit_generator.state
-
-    @pytest.mark.parametrize("pilots", [[-1], [3], [0, 3]])
-    def test_bad_pilot_rejected_before_any_draw(self, pilots):
-        rng = np.random.default_rng(4)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="pilot"):
-            dmrs_field(np.zeros((len(pilots), 4), dtype=complex), np.array(pilots),
-                       3, 1.0, rng)
-        assert rng.bit_generator.state == state
 
 
 class TestPmEstimate:
@@ -112,7 +100,7 @@ class TestPmEstimate:
         M, tau_p, snr = 4, 3, 1e16
         rng = np.random.default_rng(2)
         h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        field = dmrs_field(h[None, :], np.array([0]), tau_p, snr, rng)
+        field = dmrs_field(h[None, :], pilot_rows(tau_p, snr, [0]), rng)
         est = pm_estimate(field, pilot(tau_p, snr, 0), snr)
         assert np.linalg.norm(est - h) < 1e-7
 
@@ -120,7 +108,8 @@ class TestPmEstimate:
         M, tau_p, snr = 4, 3, 2.0
         rng = np.random.default_rng(3)
         h = np.zeros((1, M), dtype=complex)  # pure-noise estimate
-        err = np.array([pm_estimate(dmrs_field(h, np.array([2]), tau_p, snr, rng),
+        rows = pilot_rows(tau_p, snr, [2])
+        err = np.array([pm_estimate(dmrs_field(h, rows, rng),
                                     pilot(tau_p, snr, 2), snr)
                         for _ in range(10000)])
         var = np.mean(np.abs(err) ** 2)
@@ -130,7 +119,7 @@ class TestPmEstimate:
         M, tau_p, snr = 4, 3, 7.0
         rng = np.random.default_rng(4)
         h = rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M))
-        field = dmrs_field(h, np.array([1, 1]), tau_p, snr, _ZeroNoise())
+        field = dmrs_field(h, pilot_rows(tau_p, snr, [1, 1]), _ZeroNoise())
         est = pm_estimate(field, pilot(tau_p, snr, 1), snr)
         assert np.allclose(est - h[0], h[1])
 
@@ -161,7 +150,7 @@ class TestSpEstimate:
         worse = 0
         for _ in range(50):
             h = sample_channel(M, support, 1.0, rng)
-            field = dmrs_field(h[None, :], np.array([0]), tau_p, snr, rng)
+            field = dmrs_field(h[None, :], pilot_rows(tau_p, snr, [0]), rng)
             pm = pm_estimate(field, pilot(tau_p, snr, 0), snr)
             sp = sp_estimate(pm, basis)
             worse += np.linalg.norm(sp - h) > np.linalg.norm(pm - h)
@@ -174,7 +163,7 @@ class TestSpEstimate:
         rng = np.random.default_rng(6)
         h_k = sample_channel(M, desired, 1.0, rng)
         h_i = sample_channel(M, contam, 1.0, rng)
-        field = dmrs_field(np.array([h_k, h_i]), np.array([0, 0]), tau_p, snr,
+        field = dmrs_field(np.array([h_k, h_i]), pilot_rows(tau_p, snr, [0, 0]),
                            _ZeroNoise())
         sp = sp_estimate(pm_estimate(field, pilot(tau_p, snr, 0), snr),
                          dft_columns(M, desired))
@@ -184,8 +173,8 @@ class TestSpEstimate:
         M = 8
         basis = dft_columns(M, [0, 4])
         rng = np.random.default_rng(7)
-        field = dmrs_field(rng.standard_normal((2, M)) + 0j, np.array([0, 1]),
-                           3, 2.0, rng)
+        field = dmrs_field(rng.standard_normal((2, M)) + 0j, pilot_rows(3, 2.0, [0, 1]),
+                           rng)
         pm = pm_estimate(field, pilot(3, 2.0, 0), 2.0)
         once = sp_estimate(pm, basis)
         twice = sp_estimate(once, basis)

@@ -8,7 +8,7 @@ from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
 from cfsubspace.receiver import (_cluster_sinrs, _cluster_systems, _EdgeLayout,
                                  _gain_tables, cluster_combiner, ergodic_rates,
                                  local_lmmse, uplink_sinr)
-from oracles import from_supports, make_support
+from oracles import from_supports, make_support, per_ru_gain_tables, pilot_rows
 
 
 def random_unit_vectors(rng, n, M):
@@ -311,6 +311,31 @@ class TestErgodicRates:
             ergodic_rates(layout, graph, supports, snr, ["pp"], 1, 3, 200,
                           np.random.default_rng(0))
 
+    @pytest.mark.parametrize("pilots", [[-1], [3], [0, 3], [5]])
+    def test_bad_dmrs_pilot_rejected_before_any_draw(self, pilots):
+        # tau_p = 3: an index outside [0, 3) is refused, also -1, which a
+        # gather from the pilot book would wrap round to pilot 2
+        layout, graph, supports, snr = small_network(seed=9)
+        graph.dmrs_pilot[:len(pilots)] = pilots
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"dmrs_pilot of UE {len(pilots) - 1} "
+                                             f"is {pilots[-1]}, outside"):
+            ergodic_rates(layout, graph, supports, snr, ["ideal", "pm"], 1, 3, 200, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_dmrs_pilot_of_wrong_length_rejected(self, length):
+        layout, graph, supports, snr = small_network(seed=9)
+        assert layout.num_ues == 6
+        graph.dmrs_pilot = np.zeros(length, dtype=int)
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match=r"dmrs_pilot has shape \(%d,\), not \(6,\)"
+                           % length):
+            ergodic_rates(layout, graph, supports, snr, ["sp"], 1, 3, 200, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
 
 def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
                   estimated):
@@ -320,6 +345,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
     L, K = layout.num_rus, layout.num_ues
     M = supports.num_antennas
     sampler = NetworkChannelSampler(layout, supports)
+    rows = pilot_rows(tau_p, snr, graph.dmrs_pilot)
     sinr = {kind: np.full((n_fading, K), np.nan) for kind in kinds}
     for d, draw_rng in enumerate(rng.spawn(n_fading)):
         ch_rng, pilot_rng = draw_rng.spawn(2)
@@ -327,7 +353,7 @@ def per_ue_oracle(layout, graph, supports, snr, kinds, n_fading, tau_p, rng,
         channel_matrix = blocks.transpose(0, 2, 1).reshape(L * M, K)
         pm = []
         for l in range(L):
-            field = dmrs_field(blocks[l], graph.dmrs_pilot, tau_p, snr, pilot_rng)
+            field = dmrs_field(blocks[l], rows, pilot_rng)
             pm.append([pm_estimate(field, pilot_book(tau_p, snr)[:, graph.dmrs_pilot[k]],
                                    snr)
                        for k in graph.user_sets[l]])
@@ -413,17 +439,17 @@ class TestBatchedReceiver:
         served = np.flatnonzero([len(c) > 0 for c in graph.clusters])
         edges = _EdgeLayout.build(graph, served)
         blocks = NetworkChannelSampler(layout, supports).sample(np.random.default_rng(4))
-        sinr = _cluster_sinrs(graph, edges, ideal_stack(edges, blocks, (blind,)),
-                              blocks, snr)
+        sinr = _cluster_sinrs(edges, ideal_stack(edges, blocks, (blind,)), blocks, snr)
         assert sinr[blind] == 0.0
         assert np.isnan(sinr[0])                       # the orphan
         assert np.all(np.delete(sinr, [0, blind]) > 0.0)
 
 
-def sized_network(Q, K, L=8, M=4, seed=9):
+def sized_network(Q, K, L=8, M=4, seed=9, eta=1.0):
     """A drop on which cluster sizes 1..Q all occur when K > Q: every RU-UE
     gain clears the association threshold except that UE 0 is an orphan and
-    UE s + 1 keeps only its s strongest RUs for s < Q; the rest keep Q RUs."""
+    UE s + 1 keeps only its s strongest RUs for s < Q; the rest keep Q RUs.
+    With eta = 1e9 no gain clears the threshold and every UE is an orphan."""
     layout = generate_layout(L, K, 400.0, seed=seed)
     snr = calibrate_snr(L, M, 400.0)
     rng = np.random.default_rng(seed)
@@ -433,7 +459,7 @@ def sized_network(Q, K, L=8, M=4, seed=9):
         for s in range(1, Q):
             weak = np.argsort(-layout.lsfc[:, s + 1], kind="stable")[s:]
             layout.lsfc[weak, s + 1] = 1e-30
-    graph = form_clusters(layout.lsfc, snr, M, Q=Q)
+    graph = form_clusters(layout.lsfc, snr, M, Q=Q, eta=eta)
     supports = network_supports(layout, np.pi / 4, M)
     return layout, graph, supports, snr
 
@@ -445,6 +471,47 @@ def ideal_stack(edges, blocks, blind=()):
     est = blocks[np.arange(L)[:, None], edges.users].transpose(0, 2, 1)
     keep = edges.filled & ~np.isin(edges.users, blind)
     return np.where(keep[:, None, :], est, 0.0)
+
+
+def noisy_stack(edges, blocks, snr, rng, blind=()):
+    """``ideal_stack`` plus circular Gaussian noise of per-component variance
+    1 / (3 snr) in the filled columns: a PM estimate's noise with tau_p = 3.
+    A gain-table product laid out other than per RU can keep the bits on
+    ideal stacks and still move them on such noisy ones."""
+    est = ideal_stack(edges, blocks)
+    z = rng.standard_normal((2,) + est.shape)
+    noisy = est + (z[0] + 1j * z[1]) / np.sqrt(6.0 * snr)
+    keep = edges.filled & ~np.isin(edges.users, blind)
+    return np.where(keep[:, None, :], noisy, 0.0)
+
+
+class TestGainTables:
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("Q, K, blind, eta, counts", [
+        (1, 14, (), 1.0, {0, 1, 2, 4}),         # one RU at n_max = 4
+        (2, 14, (4,), 1.0, {0, 1, 2, 4, 6}),    # two RUs at n_max = 6
+        (7, 14, (3, 9), 1.0, {7, 8, 9, 10, 11}),
+        (3, 14, (), 1e9, {0}),                  # every UE an orphan
+    ])
+    def test_bitwise_equal_to_per_ru_loop(self, Q, K, blind, eta, counts, noisy):
+        layout, graph, supports, snr = sized_network(Q, K, M=16, eta=eta)
+        assert {len(users) for users in graph.user_sets} == counts
+        served = np.flatnonzero([len(c) > 0 for c in graph.clusters])
+        edges = _EdgeLayout.build(graph, served)
+        rng = np.random.default_rng(Q)
+        blocks = NetworkChannelSampler(layout, supports).sample(rng)
+        if noisy:
+            est = noisy_stack(edges, blocks, snr, rng, blind)
+        else:
+            est = ideal_stack(edges, blocks, blind)
+        got = _gain_tables(edges, est, blocks, snr)
+        want = per_ru_gain_tables(graph, edges, est, blocks, snr)
+        assert [a.shape for a in got] == [(len(graph.edges),), (len(graph.edges), K),
+                                          (len(graph.edges), K)]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        for ue in blind:
+            assert np.all(got[1][:, ue] == 0)
 
 
 class TestClusterSystems:
@@ -464,8 +531,7 @@ class TestClusterSystems:
         ue = edges.users[edges.filled]
         blocks = NetworkChannelSampler(layout, supports).sample(
             np.random.default_rng(Q))
-        _, known, _ = _gain_tables(graph, edges, ideal_stack(edges, blocks, blind),
-                                   blocks, snr)
+        _, known, _ = _gain_tables(edges, ideal_stack(edges, blocks, blind), blocks, snr)
         seen = []
         for ues, rows in edges.groups:
             n = rows.shape[1]
