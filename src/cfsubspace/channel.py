@@ -140,15 +140,27 @@ def network_supports(layout, delta: float, M: int) -> SupportTable:
                           layout.area_side, delta, M)
 
 
+def _channel_draws(bases, beta, z, starts) -> np.ndarray:
+    """sqrt(beta * M / r) * (F_S @ nu), as :func:`sample_channel` draws it, for
+    n pairs of one support size r: ``bases`` (n, M, r), ``beta`` (n,), and
+    pair i's r real then r imaginary coefficients from ``z[starts[i]:]``."""
+    _, M, r = bases.shape
+    at = starts[:, None] + np.arange(r)
+    nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
+    drawn = np.matmul(bases, nu[:, :, None])[:, :, 0]
+    drawn *= np.sqrt(beta * M / r)[:, None]
+    return drawn
+
+
 class NetworkChannelSampler:
     """Draws full network channel realizations for a fixed layout.
 
-    Precomputes the scaled per-pair DFT column blocks, stacked by support
-    size, so a fading draw costs one Gaussian draw and one batched matmul per
+    Precomputes the per-pair DFT column blocks, stacked by support size, so
+    a fading draw costs one Gaussian draw and one batched matmul per
     distinct size. Pair (l, k) takes its real then its imaginary coefficients
-    from the draw in (l, k) row-major order, exactly as drawing pair by pair
-    would. A caller-supplied generator keeps the draws reproducible; use
-    independent streams for parallel workers.
+    from the draw in (l, k) row-major order, so each block is bitwise the
+    :func:`sample_channel` draw of its pair. A caller-supplied generator
+    keeps the draws reproducible; use independent streams for parallel workers.
     """
 
     def __init__(self, layout, supports: SupportTable):
@@ -159,20 +171,13 @@ class NetworkChannelSampler:
         starts = 2 * supports.offsets.ravel()
         self._normals = int(2 * supports.sizes.sum())
         lsfc = np.asarray(layout.lsfc, dtype=float).ravel()
-        self._groups = []
-        for pairs, indices in supports.size_groups():
-            r = indices.shape[1]
-            scaled = dft_columns(self.M, indices)
-            scaled *= np.sqrt(lsfc[pairs] * self.M / r)[:, None, None]
-            at = starts[pairs, None] + np.arange(r)
-            self._groups.append((pairs, at, scaled))
+        self._groups = [(pairs, dft_columns(self.M, idx), lsfc[pairs], starts[pairs])
+                        for pairs, idx in supports.size_groups()]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One block-fading draw of every channel: (L, K, M), h[l, k]."""
         z = rng.standard_normal(self._normals)
         blocks = np.empty((self.L * self.K, self.M), dtype=complex)
-        for pairs, at, scaled in self._groups:
-            r = scaled.shape[2]
-            nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
-            blocks[pairs] = np.matmul(scaled, nu[:, :, None])[:, :, 0]
+        for pairs, bases, beta, starts in self._groups:
+            blocks[pairs] = _channel_draws(bases, beta, z, starts)
         return blocks.reshape(self.L, self.K, self.M)

@@ -235,15 +235,16 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
             Y = collect_srs(schedule, layout, supports, (l, k), snr, rng)
             res = outlier_pursuit_tuned(Y, config.lam, config.solver)
             not_converged += not res.converged
-            pca, pp = subspace_estimates(res.left_vectors, res.singular_values)
+            pca, idx = subspace_estimates(res.left_vectors, res.singular_values)
             edge_records.append(EdgeRecord(
                 layout=layout_id, ru=l, ue=k,
                 pe_raw=power_efficiency(supports[l, k], pca),
-                pe_pp=power_efficiency(supports[l, k], pp),
+                # exact for two DFT index sets: the share of S_hat inside S
+                pe_pp=np.intersect1d(supports[l, k], idx).size / pca.rank,
                 rank=pca.rank, converged=res.converged,
                 iterations=res.iterations))
-            sizes[l, k] = pp.rank
-            indices.extend(pp.dft_indices.tolist())
+            sizes[l, k] = pca.rank
+            indices.extend(idx.tolist())
         where.clear()
         estimated = SupportTable(indices=np.array(indices, dtype=int), sizes=sizes,
                                  num_antennas=config.M)

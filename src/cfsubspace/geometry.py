@@ -194,20 +194,17 @@ def form_clusters(lsfc: np.ndarray, snr: float, M: int, Q: int,
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    L, K = lsfc.shape
-    threshold = eta / (M * snr)
-    clusters = []
-    edges = set()
-    user_sets = [[] for _ in range(L)]
-    for k in range(K):
-        order = np.argsort(-lsfc[:, k], kind="stable")
-        admissible = order[lsfc[order, k] >= threshold]
-        chosen = admissible[:Q]
-        clusters.append(np.array(chosen, dtype=int))
-        for l in chosen:
-            edges.add((int(l), k))
-            user_sets[int(l)].append(k)
-    user_sets = [np.array(sorted(u), dtype=int) for u in user_sets]
+    # column k: UE k's RUs by decreasing LSFC; it keeps the first Q admissible
+    order = np.argsort(-lsfc, axis=0, kind="stable")
+    admissible = np.take_along_axis(lsfc, order, axis=0) >= eta / (M * snr)
+    chosen = admissible & (np.cumsum(admissible, axis=0) <= Q)
+    ues, ranks = chosen.T.nonzero()
+    rus = order[ranks, ues]
+    clusters = np.split(rus, np.cumsum(chosen.sum(axis=0))[:-1])
+    member = np.zeros(lsfc.shape, dtype=bool)
+    member[rus, ues] = True
+    user_sets = np.split(member.nonzero()[1], np.cumsum(member.sum(axis=1))[:-1])
+    edges = set(zip(rus.tolist(), ues.tolist()))
     return AssociationGraph(edges=edges, clusters=clusters, user_sets=user_sets)
 
 

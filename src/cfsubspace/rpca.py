@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import check_field_types
-from .channel import dft_columns, dft_matrix
+from .channel import _channel_draws, dft_columns, dft_matrix
 
 # the adaptive penalty doubles or halves rho when one ADMM residual exceeds
 # the other by this factor (primal-dual residual balancing, Boyd et al. 2011,
@@ -84,12 +84,11 @@ class RpcaResult:
 
 @dataclass
 class SubspaceEstimate:
-    """Estimated channel subspace, either raw left singular vectors ("pca")
-    or their greedy projection onto DFT columns ("pp")."""
+    """Estimated channel subspace: an orthonormal basis and its rank, as
+    :func:`subspace_estimates` returns the raw PCA estimate."""
 
     basis: np.ndarray             # (M, r) orthonormal columns
     rank: int
-    dft_indices: np.ndarray | None = None
 
 
 def collect_srs(schedule, layout, supports, pair, snr: float,
@@ -133,12 +132,8 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
 
     channels = np.empty((len(ue), M), dtype=complex)
     for group, indices in supports.size_groups(l, ue):
-        r = indices.shape[1]
-        Fs = dft_columns(M, indices)
-        at = start[group, None] + np.arange(r)
-        nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
-        scale = np.sqrt(beta[group] * M / r)
-        channels[group] = scale[:, None] * np.matmul(Fs, nu[:, :, None])[:, :, 0]
+        channels[group] = _channel_draws(dft_columns(M, indices), beta[group], z,
+                                         start[group])
 
     # add the colliders to their slot's desired channel one position at a time
     first = (col == 0).nonzero()[0]
@@ -297,16 +292,21 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
     it had run and found rank zero. The last allowed solve always runs. A
     ``max_iter`` too small for the solves to converge can leave a skipped
     solve's H nonzero; the screen then follows the converged answer instead.
-    Non-finite input is not screened, so that the solve rejects it.
+    Non-finite input is not screened, so that the solve rejects it. A
+    lambda the ladder comes back to (0.5625 -> 0.375 -> 0.5625) is not
+    solved again.
     """
     hi = max(1, Y.shape[0] // 2)
     lam_zero = _rank_zero_lambda(Y) if np.all(np.isfinite(Y)) else 0.0
+    solved = {}
     for attempt in range(_MAX_RETRIES + 1):
         last = attempt == _MAX_RETRIES
         if lam <= lam_zero and not last:
             lam = lam * _RETUNE_FACTOR  # rank zero without solving
             continue
-        result = outlier_pursuit(Y, lam, params)
+        if lam not in solved:
+            solved[lam] = outlier_pursuit(Y, lam, params)
+        result = solved[lam]
         if last:
             break
         rank = result.rank
@@ -371,11 +371,8 @@ def subspace_estimates(left_vectors: np.ndarray, singular_values: np.ndarray):
     descending singular values, n = min(M, S), as :class:`RpcaResult` carries
     them. The gap search is confined to the first floor(n/2) indices; the
     model keeps dominant subspaces well below that. Returns the raw PCA
-    estimate and its DFT projection.
+    estimate and its DFT projection ("pp") as its sorted set of r DFT indices.
     """
-    M = left_vectors.shape[0]
     r = select_rank(singular_values, max(1, len(singular_values) // 2))
     pca = SubspaceEstimate(basis=left_vectors[:, :r], rank=r)
-    idx = dft_project(pca.basis)
-    pp = SubspaceEstimate(basis=dft_columns(M, idx), rank=r, dft_indices=idx)
-    return pca, pp
+    return pca, dft_project(pca.basis)

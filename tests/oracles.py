@@ -2,14 +2,15 @@
 
 The pipeline calls none of these: each is a reference for a quantity the
 package computes another way (Monte-Carlo covariances, hopping collisions,
-the rank read from the last ADMM step, the per-RU gain tables) or a builder
-of test inputs.
+the rank read from the last ADMM step, the per-RU gain tables, the per-UE
+clustering loop) or a builder of test inputs.
 """
 
 import numpy as np
 
 from cfsubspace.channel import SupportTable, dft_columns
 from cfsubspace.dmrs import pilot_book
+from cfsubspace.geometry import AssociationGraph
 from cfsubspace.receiver import _lmmse_directions
 from cfsubspace.rpca import _admm, _col_norms, _fro, _rank_of
 
@@ -53,6 +54,30 @@ def per_ru_gain_tables(graph, edges, est, blocks, snr):
         true[start:stop] = V_h @ blocks[l].T
         start = stop
     return (local.conj() * local).real.sum(axis=1), known, true
+
+
+def per_ue_clusters(lsfc, snr, M, Q, eta=1.0) -> AssociationGraph:
+    """Reference for ``form_clusters``: the same graph, one UE at a time.
+
+    Per UE, its RUs by decreasing LSFC (a stable sort, so ties keep the
+    lower RU first), of which it keeps the first Q at or above the
+    threshold eta / (M * snr).
+    """
+    L, K = lsfc.shape
+    threshold = eta / (M * snr)
+    clusters = []
+    edges = set()
+    user_sets = [[] for _ in range(L)]
+    for k in range(K):
+        order = np.argsort(-lsfc[:, k], kind="stable")
+        admissible = order[lsfc[order, k] >= threshold]
+        chosen = admissible[:Q]
+        clusters.append(np.array(chosen, dtype=int))
+        for l in chosen:
+            edges.add((int(l), k))
+            user_sets[int(l)].append(k)
+    user_sets = [np.array(sorted(u), dtype=int) for u in user_sets]
+    return AssociationGraph(edges=edges, clusters=clusters, user_sets=user_sets)
 
 
 def true_covariance(M, support, beta: float) -> np.ndarray:

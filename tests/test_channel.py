@@ -25,18 +25,12 @@ def one_pair_support(ru, ue, area_side, delta, M):
 
 
 def per_pair_draw(layout, supports, rng):
-    """Reference: one network draw, pair by pair in (l, k) order."""
+    """Reference: one network draw, one ``sample_channel`` call per pair in
+    (l, k) order."""
     L, K = layout.num_rus, layout.num_ues
-    M = supports.num_antennas
-    blocks = np.empty((L, K, M), dtype=complex)
-    for l in range(L):
-        for k in range(K):
-            r = supports[l, k].size
-            scaled = np.sqrt(layout.lsfc[l, k] * M / r) * dft_columns(
-                M, supports[l, k])
-            nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
-            blocks[l, k] = scaled @ nu
-    return blocks
+    return np.array([[sample_channel(supports.num_antennas, supports[l, k],
+                                     layout.lsfc[l, k], rng)
+                      for k in range(K)] for l in range(L)])
 
 
 class TestDftBasis:

@@ -13,12 +13,13 @@ import pytest
 
 import cfsubspace.experiment as experiment_mod
 import cfsubspace.rpca as rpca_mod
+from cfsubspace.channel import dft_columns
 from cfsubspace.cli import main as cli_main
 from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
                                    write_results)
 from cfsubspace.geometry import PathlossParams
-from cfsubspace.rpca import RpcaParams
+from cfsubspace.rpca import RpcaParams, SubspaceEstimate, power_efficiency
 
 
 def tiny_config(**overrides):
@@ -240,6 +241,38 @@ class TestRunExperiment:
             assert all(r.se is None for r in result.rate_records)
         else:
             assert result.edge_records
+
+    def test_pp_efficiency_is_the_overlap_share(self, monkeypatch):
+        # real K = 40, N = 7 drops with SRS colliders: pe_pp is exactly
+        # |S & S_hat| / r for the estimated DFT index set S_hat, and the
+        # projector form tr(Sigma Sigma_hat) / tr(Sigma Sigma) agrees with it
+        true_tables, pairs = [], []
+        supports_of, rates = experiment_mod.network_supports, experiment_mod.ergodic_rates
+
+        def recording_supports(*args):
+            true_tables.append(supports_of(*args))
+            return true_tables[-1]
+
+        def recording_rates(*args, subspaces=None, **kwargs):
+            pairs.append((true_tables[-1], subspaces))
+            return rates(*args, subspaces=subspaces, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "network_supports", recording_supports)
+        monkeypatch.setattr(experiment_mod, "ergodic_rates", recording_rates)
+        cfg = ExperimentConfig(L=10, M=8, K=40, tau_p=5, N=7, n_layouts=2,
+                               n_fading=1, seed=3, kinds=("pp",))
+        result = run_experiment(cfg)
+        shares = set()
+        for e in result.edge_records:
+            true, estimated = pairs[e.layout]
+            S, S_hat = true[e.ru, e.ue], estimated[e.ru, e.ue]
+            assert len(S_hat) == e.rank
+            assert e.pe_pp == len(set(S.tolist()) & set(S_hat.tolist())) / e.rank
+            projector = power_efficiency(
+                S, SubspaceEstimate(basis=dft_columns(cfg.M, S_hat), rank=e.rank))
+            assert abs(e.pe_pp - projector) <= 1e-15
+            shares.add(0.0 < e.pe_pp < 1.0)
+        assert shares == {True, False}
 
     def test_parallel_progress_lines(self, capsys):
         settings = dict(kinds=("ideal",), n_layouts=3)

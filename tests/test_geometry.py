@@ -5,6 +5,7 @@ from cfsubspace.geometry import (AssociationGraph, PathlossParams, assign_dmrs,
                                  calibrate_snr, form_clusters, generate_layout,
                                  los_probability, lsfc_matrix, pathloss_db,
                                  torus_distance)
+from oracles import per_ue_clusters
 
 
 class TestTorusDistance:
@@ -174,6 +175,27 @@ class TestFormClusters:
         n_edges = sum(len(c) for c in graph.clusters)
         assert len(graph.edges) == n_edges
         assert sum(len(u) for u in graph.user_sets) == n_edges
+
+    @pytest.mark.parametrize("L,K,M,Q", [(10, 25, 8, 10), (10, 40, 8, 10),
+                                         (40, 100, 16, 10), (6, 12, 4, 2)])
+    def test_bitwise_equal_to_per_ue_loop(self, L, K, M, Q):
+        # real drops; eta = 30 leaves orphans, eta = 0 admits every RU, and
+        # gains on a coarse grid tie often
+        for seed in range(3):
+            layout = generate_layout(L, K, 2000.0, seed=seed)
+            snr = calibrate_snr(L, M, 2000.0)
+            tied = np.round(np.log10(layout.lsfc) * 2) / 2
+            for lsfc in (layout.lsfc, 10.0 ** tied):
+                for eta in (0.0, 1.0, 30.0):
+                    got = form_clusters(lsfc, snr, M, Q, eta)
+                    want = per_ue_clusters(lsfc, snr, M, Q, eta)
+                    assert got.edges == want.edges
+                    for name in ("clusters", "user_sets"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert len(a) == len(b)
+                        for x, y in zip(a, b):
+                            assert x.dtype == y.dtype
+                            assert x.tobytes() == y.tobytes()
 
 
 def greedy_dmrs_reference(graph, lsfc, tau_p):

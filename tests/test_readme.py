@@ -21,5 +21,5 @@ def test_library_use_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
-    pe = float(out.getvalue())
-    assert 0.0 <= pe <= 1.0
+    pe_raw, pe_pp = map(float, out.getvalue().split())
+    assert 0.0 <= pe_raw <= 1.0 and 0.0 <= pe_pp <= 1.0
