@@ -75,11 +75,6 @@ class SupportTable:
             yield members, self.indices[offsets[members, None] + np.arange(r)]
 
 
-def _wrap_angle_distance(x):
-    """Absolute angular distance of x to 0, modulo 2*pi (result in [0, pi])."""
-    return np.abs(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
-
-
 def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
                    M: int) -> SupportTable:
     """Angular supports from each row of ``ru_positions`` towards each row of
@@ -87,7 +82,9 @@ def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
 
     One array pass over the (L, K, M) grid distances serves every pair; it does
     the same elementwise arithmetic as a pair at a time, so the supports agree
-    bit for bit with the one-pair form.
+    bit for bit with the one-pair form. The angular distances of the grid
+    points, |((grid - theta + pi) mod 2*pi) - pi|, are made in place on one
+    (L, K, M) grid.
     """
     if not 0 < delta <= 2.0 * np.pi:
         raise ValueError("delta must lie in (0, 2*pi]")
@@ -97,7 +94,11 @@ def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
     disp = (disp + area_side / 2.0) % area_side - area_side / 2.0
     theta = np.arctan2(disp[..., 1], disp[..., 0]) % (2.0 * np.pi)
     grid = 2.0 * np.pi * np.arange(M) / M
-    dist = _wrap_angle_distance(grid - theta[..., None])
+    dist = np.subtract(grid, theta[..., None])
+    dist += np.pi
+    np.mod(dist, 2.0 * np.pi, out=dist)
+    dist -= np.pi
+    np.abs(dist, out=dist)
     inside = dist <= delta / 2.0 + 1e-12
     padded = ~inside.any(axis=2)
     inside[padded, np.argmin(dist[padded], axis=1)] = True
@@ -175,8 +176,17 @@ class NetworkChannelSampler:
                         for pairs, idx in supports.size_groups()]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One block-fading draw of every channel: (L, K, M), h[l, k]."""
+        """One block-fading draw of every channel: (L, K, M), h[l, k].
+
+        When one support size covers every pair, as the DFT windows of the
+        shipped configs do, its grouped product holds the pairs in order and
+        is the draw itself; mixed sizes are scattered into place.
+        """
         z = rng.standard_normal(self._normals)
+        if len(self._groups) == 1:
+            _, bases, beta, starts = self._groups[0]
+            drawn = _channel_draws(bases, beta, z, starts)
+            return drawn.reshape(self.L, self.K, self.M)
         blocks = np.empty((self.L * self.K, self.M), dtype=complex)
         for pairs, bases, beta, starts in self._groups:
             blocks[pairs] = _channel_draws(bases, beta, z, starts)

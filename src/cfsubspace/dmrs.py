@@ -38,8 +38,9 @@ def dmrs_field(channels: np.ndarray, pilot_rows: np.ndarray,
     """
     M, tau_p = channels.shape[1], pilot_rows.shape[1]
     z = rng.standard_normal((2, M, tau_p))     # real parts, then imaginary parts
-    noise = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-    return channels.T @ pilot_rows + noise
+    field = channels.T @ pilot_rows
+    field += (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    return field
 
 
 def pm_estimate(fields: np.ndarray, pilots: np.ndarray, snr: float) -> np.ndarray:

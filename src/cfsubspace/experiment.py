@@ -253,16 +253,14 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
                             config.n_fading, config.tau_p, config.T,
                             stage_rng(config.seed, "fading", layout_id),
                             subspaces=estimated)
-    excluded = set(int(k) for k in graph.orphan_ues)
+    excluded = set(graph.orphan_ues.tolist())
     rate_records = []
     for kind in config.kinds:
         rep = reports[kind]
-        for k in range(config.K):
+        for k, (rate, se) in enumerate(zip(rep.rate.tolist(), rep.se.tolist())):
             if k in excluded:
-                rate_records.append(RateRecord(layout_id, k, kind, None, None))
-            else:
-                rate_records.append(RateRecord(layout_id, k, kind,
-                                               float(rep.rate[k]), float(rep.se[k])))
+                rate, se = None, None
+            rate_records.append(RateRecord(layout_id, k, kind, rate, se))
     diag = {"layout": layout_id, "excluded_ues": sorted(excluded),
             "edges": len(graph.edges), "rpca_not_converged": not_converged}
     return rate_records, edge_records, diag
@@ -323,12 +321,11 @@ def _fmt(value) -> str:
 
 
 def _write_cdf(fh, values) -> None:
-    values = np.sort(np.asarray(values, dtype=float))
+    values = np.sort(np.asarray(values, dtype=float)).tolist()
     writer = csv.writer(fh)
     writer.writerow(["value", "cdf"])
     n = len(values)
-    for i, v in enumerate(values):
-        writer.writerow([_fmt(v), _fmt((i + 1) / n)])
+    writer.writerows([str(v), str(i / n)] for i, v in enumerate(values, 1))
 
 
 @contextlib.contextmanager
@@ -381,16 +378,16 @@ def write_results(result: ExperimentResult, output_dir,
         with open_("rates.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["layout", "ue", "kind", "rate", "se"])
-            for r in result.rate_records:
-                writer.writerow([r.layout, r.ue, r.kind, _fmt(r.rate), _fmt(r.se)])
+            writer.writerows([r.layout, r.ue, r.kind, _fmt(r.rate), _fmt(r.se)]
+                             for r in result.rate_records)
 
         with open_("subspace.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["layout", "ru", "ue", "pe_raw", "pe_pp", "rank",
                              "converged", "iterations"])
-            for e in result.edge_records:
-                writer.writerow([e.layout, e.ru, e.ue, _fmt(e.pe_raw), _fmt(e.pe_pp),
-                                 e.rank, int(e.converged), e.iterations])
+            writer.writerows([e.layout, e.ru, e.ue, _fmt(e.pe_raw), _fmt(e.pe_pp),
+                              e.rank, int(e.converged), e.iterations]
+                             for e in result.edge_records)
 
         kinds = []
         for r in result.rate_records:

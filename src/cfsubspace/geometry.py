@@ -225,18 +225,20 @@ def assign_dmrs(graph: AssociationGraph, lsfc: np.ndarray, tau_p: int) -> np.nda
     member = np.zeros((L, K), dtype=bool)
     for l, users in enumerate(graph.user_sets):
         member[l, users] = True
+    # gains[k, l] is UE k's gain at RU l when (l, k) is an edge, else 0
+    gains = (lsfc * member).T.copy()
     order = np.argsort(-lsfc.max(axis=0), kind="stable")
     pilots = np.full(K, -1, dtype=int)
     load = np.zeros(tau_p, dtype=int)
-    for k in order:
-        rus = graph.clusters[k]
+    slots = np.arange(tau_p)
+    # held[t, l]: the largest gain at RU l of the UEs given pilot t so far
+    held = np.zeros((tau_p, L))
+    for k in order.tolist():
         # per pilot: the worst gain its users present at this cluster
-        worst = np.zeros(tau_p)
-        if len(rus) > 0:
-            seen = (lsfc[rus] * member[rus]).max(axis=0)
-            done = pilots >= 0
-            np.maximum.at(worst, pilots[done], seen[done])
-        t_k = np.lexsort((np.arange(tau_p), load, worst))[0]
+        worst = np.maximum.reduce(held.take(graph.clusters[k], axis=1), axis=1,
+                                  initial=0.0)
+        t_k = np.lexsort((slots, load, worst))[0]
         pilots[k] = t_k
         load[t_k] += 1
+        np.maximum(held[t_k], gains[k], out=held[t_k])
     return pilots

@@ -48,10 +48,15 @@ def _lmmse_directions(estimates: np.ndarray, snr: float) -> np.ndarray:
     RU; zero-estimate columns (absent users) stay zero.
     """
     M = estimates.shape[-2]
-    A = np.eye(M) / snr + estimates @ estimates.conj().swapaxes(-1, -2)
+    A = estimates @ estimates.conj().swapaxes(-1, -2)
+    A += np.eye(M) / snr
     V = np.linalg.solve(A, estimates)
-    norms = np.sqrt(np.sum((V.conj() * V).real, axis=-2, keepdims=True))
-    return V / np.where(norms > 0, norms, 1.0)
+    power = V.conj()
+    power *= V
+    norms = np.sqrt(np.add.reduce(power.real, axis=-2, keepdims=True))
+    norms[~(norms > 0)] = 1.0
+    V /= norms
+    return V
 
 
 def cluster_combiner(desired_gains: np.ndarray, system: np.ndarray,
@@ -73,9 +78,9 @@ def cluster_combiner(desired_gains: np.ndarray, system: np.ndarray,
     except np.linalg.LinAlgError:
         w = np.linalg.solve(system + 1e-12 * np.eye(len(desired_gains)),
                             desired_gains)
-    nrm = np.sqrt(((w.conj() * w).real * local_sq_norms).sum())
+    nrm = np.sqrt(np.add.reduce((w.conj() * w).real * local_sq_norms))
     if nrm > 0:
-        w = w / nrm
+        w /= nrm
     return w
 
 
@@ -87,10 +92,10 @@ def uplink_sinr(vector: np.ndarray, channel_matrix: np.ndarray, snr: float,
     and the true channels seen through the cluster's local directions (row l
     is v_l^H H_l), whose product is the gain row of the assembled combiner.
     """
-    g = vector.conj() @ channel_matrix
-    power = np.abs(g) ** 2
+    power = np.abs(vector.conj() @ channel_matrix)
+    power *= power
     signal = power[k]
-    return float(signal / (1.0 / snr + (power.sum() - signal)))
+    return float(signal / (1.0 / snr + (np.add.reduce(power) - signal)))
 
 
 @dataclass
@@ -98,17 +103,20 @@ class _EdgeLayout:
     """Where each association edge (l, k) sits in the batched arrays.
 
     Per-RU stacks are (L, M, n_max) with RU l's users in its first n_l
-    columns and zeros after them. The per-edge tables have one row per edge,
-    RU by RU and within an RU in user-set order. The RUs are grouped by user
-    count n >= 1, ascending: per group their ids (R,) and their table rows
-    (R, n). The served UEs are grouped by cluster size n, ascending: per
-    group their ids (U,) and the table rows (U, n) of their serving edges, in
-    cluster order.
+    columns and zeros after them. The RUs are grouped by user count n >= 1,
+    ascending, and the per-edge tables have one row per edge: group by group,
+    RU by RU within a group and within an RU in user-set order, so that the
+    rows of a group are one contiguous block. Per group: the RU ids (R,),
+    their table rows (R, n), that block as a slice and the user ids (R, 1, n).
+    The served UEs are grouped by cluster size n, ascending: per group their
+    ids (U,) and the table rows (U, n) of their serving edges, in cluster
+    order.
     """
 
     users: np.ndarray    # (L, n_max) user id per stack column, 0 where unused
     filled: np.ndarray   # (L, n_max) True where the column holds a user
-    ru_groups: list      # [(RU ids (R,), table rows (R, n))] per RU user count
+    sources: tuple       # (RU ids (E,), stack columns (E,)) of the table rows
+    ru_groups: list      # [(RU ids, table rows, slice, user ids)] per user count
     groups: list         # [(UE ids (U,), table rows (U, n))] per cluster size
 
     @classmethod
@@ -118,14 +126,19 @@ class _EdgeLayout:
         filled = np.arange(n_max) < counts[:, None]
         users = np.zeros(filled.shape, dtype=int)
         users[filled] = np.concatenate(graph.user_sets)
-        starts = np.cumsum(counts) - counts
-        ru_groups = []
-        for n in np.unique(counts[counts > 0]).tolist():
-            rus = np.flatnonzero(counts == n)
-            ru_groups.append((rus, starts[rus, None] + np.arange(n)))
         # row_of[l, k] is the table row of edge (l, k)
         row_of = np.zeros((len(counts), len(graph.clusters)), dtype=int)
-        row_of[np.nonzero(filled)[0], users[filled]] = np.arange(filled.sum())
+        ru_groups = []
+        start = 0
+        for n in np.unique(counts[counts > 0]).tolist():
+            rus = np.flatnonzero(counts == n)
+            rows = start + np.arange(rus.size * n).reshape(rus.size, n)
+            row_of[rus[:, None], users[rus, :n]] = rows
+            ru_groups.append((rus, rows, slice(start, start + rows.size),
+                              users[rus, None, :n]))
+            start += rows.size
+        ru, col = np.nonzero(filled)
+        in_row_order = np.argsort(row_of[ru, users[ru, col]])
         by_size = {}
         for k in ues.tolist():
             rows = row_of[graph.clusters[k], k]
@@ -133,7 +146,9 @@ class _EdgeLayout:
         groups = [(np.array([k for k, _ in members]),
                    np.array([rows for _, rows in members]))
                   for _, members in sorted(by_size.items())]
-        return cls(users=users, filled=filled, ru_groups=ru_groups, groups=groups)
+        return cls(users=users, filled=filled,
+                   sources=(ru[in_row_order], col[in_row_order]),
+                   ru_groups=ru_groups, groups=groups)
 
 
 def _projection_groups(edges: _EdgeLayout, table: SupportTable):
@@ -165,18 +180,23 @@ def _gain_tables(edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
     Each RU's operands keep the layout of a product of that RU alone, its
     estimate block (M, n) a column slice of its (M, n_max) stack, so every
     entry has the bits of the per-RU product; a contiguous (M, n) copy of the
-    block takes another BLAS kernel and moves last bits at n = 1.
+    block takes another BLAS kernel and moves last bits at n = 1. A group's
+    directions are a view of its contiguous rows, and its true gains are
+    written straight into them.
     """
     K = blocks.shape[1]
-    local = _lmmse_directions(est, snr).swapaxes(1, 2)[edges.filled]   # (edges, M)
+    local = _lmmse_directions(est, snr).swapaxes(1, 2)[edges.sources]  # (edges, M)
+    local_h = local.conj()
+    M = local.shape[1]
     known = np.zeros((len(local), K), dtype=complex)
     true = np.empty((len(local), K), dtype=complex)
-    for rus, rows in edges.ru_groups:
-        n = rows.shape[1]
-        V_h = local[rows].conj()                                       # (R, n, M)
-        known[rows[:, :, None], edges.users[rus, None, :n]] = V_h @ est[rus][:, :, :n]
-        true[rows] = V_h @ blocks[rus].swapaxes(1, 2)
-    return (local.conj() * local).real.sum(axis=1), known, true
+    for rus, rows, at, users in edges.ru_groups:
+        R, n = rows.shape
+        V_h = local_h[at].reshape(R, n, M)
+        known[rows[:, :, None], users] = V_h @ est[rus][:, :, :n]
+        np.matmul(V_h, blocks[rus].swapaxes(1, 2), out=true[at].reshape(R, n, K))
+    local_h *= local
+    return np.add.reduce(local_h.real, axis=1), known, true
 
 
 def _cluster_systems(known: np.ndarray, ues: np.ndarray, rows: np.ndarray,
@@ -211,11 +231,10 @@ def _cluster_sinrs(edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
     out = np.full(blocks.shape[1], np.nan)
     for ues, rows in edges.groups:
         desired, systems = _cluster_systems(known, ues, rows, snr)
-        norms, gains = sq_norms[rows], true[rows]
-        for i, k in enumerate(ues.tolist()):
-            weights = cluster_combiner(desired[i], systems[i], norms[i])
-            out[k] = uplink_sinr(weights, gains[i], snr, k)
-        del gains
+        for k, gains, system, norms, true_rows in zip(
+                ues.tolist(), desired, systems, sq_norms[rows], true[rows]):
+            weights = cluster_combiner(gains, system, norms)
+            out[k] = uplink_sinr(weights, true_rows, snr, k)
     return out
 
 
@@ -240,7 +259,7 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
             raise ValueError(f"unknown estimator kind {kind!r}")
     if n_fading < 1:
         raise ValueError("n_fading must be >= 1")
-    L, K = layout.num_rus, layout.num_ues
+    L, K, M = layout.num_rus, layout.num_ues, supports.num_antennas
     need_dmrs = any(k != "ideal" for k in kind_list)
     if need_dmrs:
         if graph.dmrs_pilot is None:
@@ -275,8 +294,9 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
         ch_rng, pilot_rng = draw_rng.spawn(2)
         blocks = sampler.sample(ch_rng)
         if need_dmrs:
-            fields = np.array([dmrs_field(blocks[l], pilot_rows, pilot_rng)
-                               for l in range(L)])
+            fields = np.empty((L, M, tau_p), dtype=complex)
+            for l in range(L):
+                fields[l] = dmrs_field(blocks[l], pilot_rows, pilot_rng)
             pm = pm_estimate(fields, pilots, snr)
         for kind in kind_list:
             if kind == "ideal":

@@ -3,8 +3,13 @@
 The pipeline calls none of these: each is a reference for a quantity the
 package computes another way (Monte-Carlo covariances, hopping collisions,
 the rank read from the last ADMM step, the per-RU gain tables, the per-UE
-clustering loop) or a builder of test inputs.
+clustering loop, and the support grid, DMRS assignment, LMMSE directions,
+uplink SINR and CSV rows as they were computed before the package made them
+with fewer temporaries) or a builder of test inputs.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +45,8 @@ def per_ru_gain_tables(graph, edges, est, blocks, snr):
 
     Per RU l with users u, its rows of the known table get V_h @ est[l, :, :n]
     in the columns u and its rows of the true table V_h @ H_l^T, V_h being
-    the conjugated local directions of its n = len(u) edges.
+    the conjugated local directions of its n = len(u) edges. The rows are
+    made RU by RU, then put in the layout's table order.
     """
     K = blocks.shape[1]
     local = _lmmse_directions(est, snr).swapaxes(1, 2)[edges.filled]
@@ -53,7 +59,112 @@ def per_ru_gain_tables(graph, edges, est, blocks, snr):
         known[start:stop, users] = V_h @ est[l, :, :len(users)]
         true[start:stop] = V_h @ blocks[l].T
         start = stop
-    return (local.conj() * local).real.sum(axis=1), known, true
+    row = np.zeros(edges.filled.shape, dtype=int)
+    row[edges.sources] = np.arange(len(local))
+    order = np.argsort(row[edges.filled])
+    return (local.conj() * local).real.sum(axis=1)[order], known[order], true[order]
+
+
+def support_table_by_temporaries(ru_positions, ue_positions, area_side, delta,
+                                 M) -> SupportTable:
+    """Reference for ``_support_table``: the same table, each pass over the
+    (L, K, M) grid of angular distances making a fresh array."""
+    disp = np.asarray(ue_positions, dtype=float)[None, :, :] \
+        - np.asarray(ru_positions, dtype=float)[:, None, :]
+    disp = (disp + area_side / 2.0) % area_side - area_side / 2.0
+    theta = np.arctan2(disp[..., 1], disp[..., 0]) % (2.0 * np.pi)
+    grid = 2.0 * np.pi * np.arange(M) / M
+    dist = np.abs(np.mod(grid - theta[..., None] + np.pi, 2.0 * np.pi) - np.pi)
+    inside = dist <= delta / 2.0 + 1e-12
+    padded = ~inside.any(axis=2)
+    inside[padded, np.argmin(dist[padded], axis=1)] = True
+    return SupportTable(indices=np.nonzero(inside)[2], sizes=inside.sum(axis=2),
+                        num_antennas=M)
+
+
+def dmrs_pilots_per_ue(graph, lsfc, tau_p) -> np.ndarray:
+    """Reference for ``assign_dmrs``: the same pilots, each UE's worst
+    co-pilot gain per pilot recomputed from every UE assigned before it."""
+    L, K = lsfc.shape
+    member = np.zeros((L, K), dtype=bool)
+    for l, users in enumerate(graph.user_sets):
+        member[l, users] = True
+    order = np.argsort(-lsfc.max(axis=0), kind="stable")
+    pilots = np.full(K, -1, dtype=int)
+    load = np.zeros(tau_p, dtype=int)
+    for k in order:
+        rus = graph.clusters[k]
+        worst = np.zeros(tau_p)
+        if len(rus) > 0:
+            seen = (lsfc[rus] * member[rus]).max(axis=0)
+            done = pilots >= 0
+            np.maximum.at(worst, pilots[done], seen[done])
+        t_k = np.lexsort((np.arange(tau_p), load, worst))[0]
+        pilots[k] = t_k
+        load[t_k] += 1
+    return pilots
+
+
+def _cell(value) -> str:
+    return "" if value is None else str(float(value))
+
+
+def write_csv_rows_one_by_one(result, out_dir) -> None:
+    """Reference for the CSV files of ``write_results``: rates.csv,
+    subspace.csv and every CDF file, written one ``writerow`` per row."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def write_cdf(name, values):
+        values = np.sort(np.asarray(values, dtype=float))
+        with open(out_dir / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["value", "cdf"])
+            n = len(values)
+            for i, v in enumerate(values):
+                writer.writerow([_cell(v), _cell((i + 1) / n)])
+
+    with open(out_dir / "rates.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layout", "ue", "kind", "rate", "se"])
+        for r in result.rate_records:
+            writer.writerow([r.layout, r.ue, r.kind, _cell(r.rate), _cell(r.se)])
+    with open(out_dir / "subspace.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layout", "ru", "ue", "pe_raw", "pe_pp", "rank",
+                         "converged", "iterations"])
+        for e in result.edge_records:
+            writer.writerow([e.layout, e.ru, e.ue, _cell(e.pe_raw), _cell(e.pe_pp),
+                             e.rank, int(e.converged), e.iterations])
+    kinds = []
+    for r in result.rate_records:
+        if r.kind not in kinds:
+            kinds.append(r.kind)
+    for kind in kinds:
+        write_cdf(f"cdf_se_{kind}.csv", [r.se for r in result.rate_records
+                                          if r.kind == kind and r.se is not None])
+    if result.edge_records:
+        write_cdf("cdf_pe_raw.csv", [e.pe_raw for e in result.edge_records])
+        write_cdf("cdf_pe_pp.csv", [e.pe_pp for e in result.edge_records])
+
+
+def lmmse_directions_by_temporaries(estimates, snr) -> np.ndarray:
+    """Reference for ``_lmmse_directions``: the same directions, each step
+    of the normalization making a fresh array."""
+    M = estimates.shape[-2]
+    A = np.eye(M) / snr + estimates @ estimates.conj().swapaxes(-1, -2)
+    V = np.linalg.solve(A, estimates)
+    norms = np.sqrt(np.sum((V.conj() * V).real, axis=-2, keepdims=True))
+    return V / np.where(norms > 0, norms, 1.0)
+
+
+def uplink_sinr_by_temporaries(vector, channel_matrix, snr, k) -> float:
+    """Reference for ``uplink_sinr``: the same SINR through ``** 2`` and
+    ``ndarray.sum``."""
+    g = vector.conj() @ channel_matrix
+    power = np.abs(g) ** 2
+    signal = power[k]
+    return float(signal / (1.0 / snr + (power.sum() - signal)))
 
 
 def per_ue_clusters(lsfc, snr, M, Q, eta=1.0) -> AssociationGraph:

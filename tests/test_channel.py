@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cfsubspace.channel import (NetworkChannelSampler, angular_support,
-                                dft_columns, dft_matrix, network_supports,
-                                sample_channel)
+from cfsubspace.channel import (NetworkChannelSampler, _support_table,
+                                angular_support, dft_columns, dft_matrix,
+                                network_supports, sample_channel)
 from cfsubspace.geometry import generate_layout
-from oracles import from_supports, make_support, true_covariance
+from oracles import (from_supports, make_support, support_table_by_temporaries,
+                     true_covariance)
 
 
 def one_pair_support(ru, ue, area_side, delta, M):
@@ -170,6 +173,31 @@ class TestNetworkSupports:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert again.num_antennas == 16
 
+    @pytest.mark.parametrize("M", [8, 16])
+    @pytest.mark.parametrize("delta", ["half_spacing", "spacing", "two_spacings",
+                                       "full", "below_spacing"])
+    def test_matches_former_body(self, M, delta):
+        # windows whose ends sit exactly on grid angles, the full circle, and
+        # windows below the grid spacing, where padding fires
+        spacing = 2.0 * np.pi / M
+        delta = {"half_spacing": spacing / 2, "spacing": spacing,
+                 "two_spacings": 2 * spacing, "full": 2 * np.pi,
+                 "below_spacing": 0.3 * spacing}[delta]
+        # UEs on the grid directions and half-way between them, then a drop
+        angles = np.arange(2 * M) * spacing / 2
+        rus = np.array([[0.0, 0.0], [1990.0, 5.0], [700.0, 1300.0]])
+        ues = rus[0] + 100.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        layout = generate_layout(4, 9, 2000.0, seed=M)
+        rus = np.concatenate([rus, layout.ru_positions])
+        ues = np.concatenate([ues % 2000.0, layout.ue_positions])
+        got = _support_table(rus, ues, 2000.0, delta, M)
+        want = support_table_by_temporaries(rus, ues, 2000.0, delta, M)
+        for name in ("indices", "sizes", "offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if delta < spacing / 2:
+            assert np.all(got.sizes == 1)       # padded where no point is inside
+
     def test_size_groups_cover_the_selection(self):
         layout = generate_layout(4, 9, 800.0, seed=6)
         table = network_supports(layout, 0.5, 16)     # sizes 1 and 2
@@ -291,6 +319,33 @@ class TestNetworkSampling:
                                                      looped).tobytes()
             assert batched.bit_generator.state == looped.bit_generator.state
 
+    @pytest.mark.parametrize("L,K,M", [(40, 100, 16), (6, 15, 8)])
+    def test_single_size_matches_per_pair_loop(self, L, K, M):
+        # delta = pi/8 leaves one DFT index per pair: at M=16 the window holds
+        # one grid point, at M=8 often none, and padding supplies it
+        layout = generate_layout(L, K, 2000.0, seed=L + M)
+        supports = network_supports(layout, np.pi / 8, M)
+        assert np.all(supports.sizes == 1)
+        if M == 8:
+            padded = sum(one_pair_support(layout.ru_positions[l],
+                                          layout.ue_positions[k], 2000.0,
+                                          np.pi / 8, M)[1]
+                         for l in range(L) for k in range(K))
+            assert padded > 0
+        sampler = NetworkChannelSampler(layout, supports)
+        batched, looped = np.random.default_rng(5), np.random.default_rng(5)
+        previous = None
+        for _ in range(3):
+            blocks = sampler.sample(batched)
+            assert blocks.shape == (L, K, M) and blocks.flags.c_contiguous
+            assert blocks.tobytes() == per_pair_draw(layout, supports,
+                                                     looped).tobytes()
+            assert batched.bit_generator.state == looped.bit_generator.state
+            if previous is not None:
+                assert not np.shares_memory(blocks, previous)
+                assert blocks.tobytes() != previous.tobytes()
+            previous = blocks
+
     def test_draws_uncorrelated(self):
         layout = generate_layout(1, 1, 500.0, seed=11)
         supports = network_supports(layout, np.pi / 2, 4)
@@ -301,3 +356,32 @@ class TestNetworkSampling:
         x, y = series.real[:-1], series.real[1:]
         rho = np.corrcoef(x, y)[0, 1]
         assert abs(rho) < 0.05
+
+
+def _peak_bytes(fn):
+    """Peak bytes traced while ``fn`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocations:
+    """Paper-size draws and support grids allocate about what they return."""
+
+    def test_paper_draw_peaks_near_its_size(self):
+        layout = generate_layout(40, 100, 2000.0, seed=1)
+        sampler = NetworkChannelSampler(layout, network_supports(layout, np.pi / 8, 16))
+        rng = np.random.default_rng(0)
+        sampler.sample(rng)
+        peak, blocks = _peak_bytes(lambda: sampler.sample(rng))
+        assert blocks.nbytes == 40 * 100 * 16 * 16
+        assert peak <= 1.5 * blocks.nbytes
+
+    def test_paper_supports_peak_below_two_grids(self):
+        layout = generate_layout(40, 100, 2000.0, seed=1)
+        network_supports(layout, np.pi / 8, 16)
+        peak, _ = _peak_bytes(lambda: network_supports(layout, np.pi / 8, 16))
+        assert peak <= 2 * 40 * 100 * 16 * 8

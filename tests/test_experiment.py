@@ -20,6 +20,7 @@ from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    write_results)
 from cfsubspace.geometry import PathlossParams
 from cfsubspace.rpca import RpcaParams, SubspaceEstimate, power_efficiency
+from oracles import write_csv_rows_one_by_one
 
 
 def tiny_config(**overrides):
@@ -505,6 +506,22 @@ class TestWriteResults:
         assert set(expected) == {"rates.csv", "subspace.csv", "summary.json",
                                  "cdf_se_ideal.csv"}
         assert self._snapshot(out) == {**expected, **others}
+
+    @pytest.mark.parametrize("eta", [0.1, 30.0, 1e9])
+    def test_csv_bytes_match_former_rows(self, tmp_path, eta):
+        # all four kinds; eta=30 orphans some UEs (empty cells), eta=1e9
+        # every UE, which leaves no edge
+        cfg = tiny_config(K=8, eta=eta)
+        result = run_experiment(cfg)
+        orphans = sum(r.se is None for r in result.rate_records)
+        assert (orphans > 0) == (eta > 1.0)
+        assert (len(result.edge_records) == 0) == (eta > 100.0)
+        write_results(result, tmp_path / "now", cfg)
+        write_csv_rows_one_by_one(result, tmp_path / "former")
+        former = self._snapshot(tmp_path / "former")
+        assert len(former) == (8 if result.edge_records else 6)
+        now = self._snapshot(tmp_path / "now")
+        assert {name: now[name] for name in former} == former
 
     def test_excluded_ues_have_empty_cells(self, tmp_path):
         cfg = tiny_config(eta=1e6, kinds=("ideal",))  # impossible threshold

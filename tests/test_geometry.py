@@ -5,7 +5,7 @@ from cfsubspace.geometry import (AssociationGraph, PathlossParams, assign_dmrs,
                                  calibrate_snr, form_clusters, generate_layout,
                                  los_probability, lsfc_matrix, pathloss_db,
                                  torus_distance)
-from oracles import per_ue_clusters
+from oracles import dmrs_pilots_per_ue, per_ue_clusters
 
 
 class TestTorusDistance:
@@ -292,6 +292,23 @@ class TestAssignDmrs:
         pilots = assign_dmrs(graph, lsfc, tau_p=3)
         assert pilots.tolist() == [0, 1, 2, 0, 1, 2, 0]
         assert np.array_equal(pilots, greedy_dmrs_reference(graph, lsfc, 3))
+
+    @pytest.mark.parametrize("tau_p", [1, 2, 3, 5, 15])
+    def test_matches_former_body(self, tau_p):
+        # K > tau_p throughout; tied LSFC columns (equal best gains, so the
+        # order and the worst gains tie) and orphan UEs in every drop
+        M, Q = 8, 3
+        for seed in range(3):
+            layout = generate_layout(12, 30, 2000.0, seed=seed)
+            lsfc = layout.lsfc.copy()
+            lsfc[:, 1::3] = lsfc[:, 0:-1:3]     # columns 1, 4, ... copy their left
+            snr = calibrate_snr(12, M, 2000.0)
+            for eta in (1.0, 30.0):
+                graph = form_clusters(lsfc, snr, M, Q, eta=eta)
+                got = assign_dmrs(graph, lsfc, tau_p)
+                want = dmrs_pilots_per_ue(graph, lsfc, tau_p)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert len(graph.orphan_ues) > 0
 
     def test_rejects_bad_tau(self):
         graph = AssociationGraph(edges=set(), clusters=[np.array([], dtype=int)],

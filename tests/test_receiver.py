@@ -6,9 +6,10 @@ from cfsubspace.dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
 from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
                                  generate_layout)
 from cfsubspace.receiver import (_cluster_sinrs, _cluster_systems, _EdgeLayout,
-                                 _gain_tables, cluster_combiner, ergodic_rates,
-                                 local_lmmse, uplink_sinr)
-from oracles import from_supports, make_support, per_ru_gain_tables, pilot_rows
+                                 _gain_tables, _lmmse_directions, cluster_combiner,
+                                 ergodic_rates, local_lmmse, uplink_sinr)
+from oracles import (from_supports, lmmse_directions_by_temporaries, make_support,
+                     per_ru_gain_tables, pilot_rows, uplink_sinr_by_temporaries)
 
 
 def random_unit_vectors(rng, n, M):
@@ -65,6 +66,26 @@ class TestLocalLmmse:
             best = nominal_sinr(v, est, snr, 0)
             for cand in random_unit_vectors(rng, 200, M):
                 assert nominal_sinr(cand, est, snr, 0) <= best + 1e-9
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_directions_bitwise_equal_to_former_body(self, noisy):
+        # per-RU stacks with zero columns: padding and blind UEs (norm 0)
+        layout, graph, supports, snr = sized_network(Q=4, K=14, M=16)
+        served = np.flatnonzero([len(c) > 0 for c in graph.clusters])
+        edges = _EdgeLayout.build(graph, served)
+        rng = np.random.default_rng(7)
+        blocks = NetworkChannelSampler(layout, supports).sample(rng)
+        if noisy:
+            est = noisy_stack(edges, blocks, snr, rng, blind=(5,))
+        else:
+            est = ideal_stack(edges, blocks, blind=(5,))
+        assert not est.any(axis=1).all()
+        for s in (snr, 1e-3, 1e9):
+            got, want = _lmmse_directions(est, s), lmmse_directions_by_temporaries(est, s)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        one = est[2, :, :3]                    # one RU's (M, n) block, not a stack
+        assert _lmmse_directions(one, snr).tobytes() == \
+            lmmse_directions_by_temporaries(one, snr).tobytes()
 
 
 def eye_system(G, snr, n):
@@ -197,6 +218,18 @@ class TestClusterCombinerGram:
 
 
 class TestUplinkSinr:
+    def test_bitwise_equal_to_former_body(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 10):
+            for K in (1, 7, 100):
+                w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                H = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+                for vector in (w, np.zeros(n, dtype=complex)):
+                    for k in {0, K // 2, K - 1}:
+                        for snr in (1e-3, 2.0, 4.6e5):
+                            got = uplink_sinr(vector, H, snr, k)
+                            want = uplink_sinr_by_temporaries(vector, H, snr, k)
+                            assert type(got) is float and got == want
     def test_single_user_aligned(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -527,8 +560,8 @@ class TestClusterSystems:
         else:
             assert sizes == [Q]
         edges = _EdgeLayout.build(graph, served)
-        ru = np.nonzero(edges.filled)[0]
-        ue = edges.users[edges.filled]
+        ru, col = edges.sources
+        ue = edges.users[ru, col]
         blocks = NetworkChannelSampler(layout, supports).sample(
             np.random.default_rng(Q))
         _, known, _ = _gain_tables(edges, ideal_stack(edges, blocks, blind), blocks, snr)
