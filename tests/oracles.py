@@ -5,7 +5,8 @@ package computes another way (Monte-Carlo covariances, hopping collisions,
 the rank read from the last ADMM step, the per-RU gain tables, the per-UE
 clustering loop, and the support grid, DMRS assignment, LMMSE directions,
 uplink SINR and CSV rows as they were computed before the package made them
-with fewer temporaries) or a builder of test inputs.
+with fewer temporaries, and the ADMM loop as it ran before it had the settled
+stop) or a builder of test inputs.
 """
 
 import csv
@@ -17,7 +18,8 @@ from cfsubspace.channel import SupportTable, dft_columns
 from cfsubspace.dmrs import pilot_book
 from cfsubspace.geometry import AssociationGraph
 from cfsubspace.receiver import _lmmse_directions
-from cfsubspace.rpca import _admm, _col_norms, _fro, _rank_of
+from cfsubspace.rpca import _RESIDUAL_RATIO, _admm, _col_norms, _fro, _rank_of, \
+    _row_norms
 
 
 def make_support(indices):
@@ -254,3 +256,48 @@ def objective_trace(Y: np.ndarray, lam: float, params) -> np.ndarray:
     _admm(Yn, lam, params, outliers.append)
     return np.array([np.linalg.svd(Yn - E, compute_uv=False).sum()
                      + lam * _col_norms(E).sum() for E in outliers])
+
+
+def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params, on_step=None):
+    """The former body of ``rpca._admm``: the same steps, stopping only when
+    both the E- and the H-change fall below tol (or at max_iter)."""
+    rho = params.rho
+    X = np.conj(Yn.T, order="C")
+    H = X
+    E = np.zeros_like(X)
+    U = np.zeros_like(X)
+    converged = False
+    norm = max(1.0, _fro(X))
+    for iterations in range(1, params.max_iter + 1):
+        H_prev, E_prev = H, E
+        W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
+        sv -= 1.0 / rho
+        np.maximum(sv, 0.0, out=sv)
+        W *= sv
+        H = W @ Vh
+        D = X - H
+        G = D + U
+        row = _row_norms(G)
+        np.maximum(row, 1e-300, out=row)
+        np.divide(lam / rho, row, out=row)
+        np.subtract(1.0, row, out=row)
+        np.maximum(row, 0.0, out=row)
+        E = np.multiply(G, row[:, None], out=G)
+        R = np.subtract(D, E, out=D)
+        U += R
+        if on_step is not None:
+            on_step(E.conj().T)
+        e_change = _fro(E - E_prev)
+        if e_change / norm < params.tol and \
+                _fro(H - H_prev) / norm < params.tol:
+            converged = True
+            break
+        r_norm = _fro(R)
+        d_norm = rho * e_change
+        if r_norm > _RESIDUAL_RATIO * d_norm:
+            rho *= 2.0
+            U /= 2.0
+        elif d_norm > _RESIDUAL_RATIO * r_norm:
+            rho /= 2.0
+            U *= 2.0
+    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged

@@ -16,8 +16,9 @@ from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
                              _rank_zero_lambda, _row_norms, collect_srs, dft_project,
                              outlier_pursuit, outlier_pursuit_tuned,
                              power_efficiency, select_rank, subspace_estimates)
-from oracles import (estimated_covariance, from_supports, make_support,
-                     numerical_rank, objective_trace, true_covariance)
+from oracles import (admm_stopping_on_tol, estimated_covariance, from_supports,
+                     make_support, numerical_rank, objective_trace,
+                     true_covariance)
 
 
 def planted_instance(rng, M=16, S=64, rank=2, n_outliers=3, outlier_norm=5.0):
@@ -428,9 +429,10 @@ class TestRankZeroScreen:
 
 
 
-def pipeline_observation(monkeypatch, seed, edge):
-    """The SRS observation the pipeline collects at ``edge`` of the one
-    layout of a reduced-scale pp run (L=10, M=8, K=25, N=29, tau_p=5)."""
+def pipeline_observations(monkeypatch, seed):
+    """The SRS observations the pipeline collects, by edge, in the one layout
+    of a reduced-scale pp run (L=10, M=8, K=25, N=29, tau_p=5), as the
+    ``reduced-pp`` benchmark runs it."""
     seen, collect = {}, experiment_mod.collect_srs
 
     def kept(schedule, layout, supports, pair, snr, rng):
@@ -440,7 +442,12 @@ def pipeline_observation(monkeypatch, seed, edge):
     monkeypatch.setattr(experiment_mod, "collect_srs", kept)
     run_experiment(ExperimentConfig(L=10, M=8, K=25, tau_p=5, N=29, n_layouts=1,
                                     n_fading=1, seed=seed, kinds=("pp",)))
-    return seen[edge]
+    return seen
+
+
+def pipeline_observation(monkeypatch, seed, edge):
+    """The SRS observation of :func:`pipeline_observations` at ``edge``."""
+    return pipeline_observations(monkeypatch, seed)[edge]
 
 
 class TestLambdaLadderMemo:
@@ -481,8 +488,9 @@ def real_observation(K, N, seed=3, L=10, M=8):
 
 def plain_admm(Yn, lam, params):
     """Reference: the ADMM loop of ``rpca._admm`` on X = Yn^H, the (S, M)
-    slot-by-antenna matrix, with a fresh array for every operation and the
-    convergence test on the larger change.
+    slot-by-antenna matrix, with a fresh array for every operation, the
+    convergence test on the larger change and the settled stop on the list
+    of every step's read-out (numerical rank, gap-selected rank).
 
     Returns (H, E, thresholded singular values, left singular vectors of H,
     iterations, converged, E iterates, penalty moves), with H, E and the
@@ -492,7 +500,8 @@ def plain_admm(Yn, lam, params):
     X = np.ascontiguousarray(Yn.conj().T)
     rho = params.rho
     H, E, U = X.copy(), np.zeros_like(X), np.zeros_like(X)
-    converged, outliers, moves = False, [], ""
+    converged, outliers, moves, readouts = False, [], "", []
+    settled_steps = rpca_mod._SETTLED_STEPS
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
         W, s, Vh = np.linalg.svd(X - E + U, full_matrices=False)
@@ -507,6 +516,14 @@ def plain_admm(Yn, lam, params):
         e_change = np.linalg.norm(E - E_prev)
         change = max(np.linalg.norm(H - H_prev), e_change)
         if change / max(1.0, np.linalg.norm(X)) < params.tol:
+            converged = True
+            break
+        rank = int(np.sum(sv > 1e-6 * sv[0])) if sv[0] > 0 else 0
+        readouts.append((rank, select_rank(sv, max(1, len(sv) // 2))))
+        last = readouts[-settled_steps - 1:]
+        if len(last) == settled_steps + 1 and len(set(last)) == 1 and \
+                e_change / max(1.0, np.linalg.norm(X)) < \
+                rpca_mod._SETTLED_FACTOR * params.tol:
             converged = True
             break
         r_norm, d_norm = np.linalg.norm(R), rho * e_change
@@ -561,6 +578,63 @@ class TestFusedStep:
             moves += ref[7]
         # the cases double and halve rho, so the rescaled duals are covered
         assert "+" in moves and "-" in moves
+
+
+class TestSettledStop:
+    """A solve also stops, as converged, once what the estimates read from
+    it has settled: the numerical rank and the gap-selected rank of the
+    step's singular values unchanged for 10 steps, with the E-change below
+    10 tol."""
+
+    def test_stops_at_first_settled_step(self, monkeypatch):
+        observations = sorted(pipeline_observations(monkeypatch, 1001).items())
+        params = RpcaParams()
+        early = 0
+        for _, Y in observations[:8]:
+            Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
+            norm = max(1.0, np.linalg.norm(Yn))
+            for lam in (0.25, settled_lambda(Y, 0.25)):
+                *_, iterations, converged = rpca_mod._admm(Yn, lam, params)
+                assert converged
+                # replay: step i of the solve is the last step of one capped at i
+                readouts, stop = [], None
+                H_prev, E_prev = Yn, np.zeros_like(Yn)
+                for i in range(1, iterations + 1):
+                    H, E, sv, *_ = rpca_mod._admm(Yn, lam, RpcaParams(max_iter=i))
+                    readouts.append((numerical_rank(H),
+                                     select_rank(sv, max(1, len(sv) // 2))))
+                    e_change = np.linalg.norm(E - E_prev) / norm
+                    h_change = np.linalg.norm(H - H_prev) / norm
+                    H_prev, E_prev = H, E
+                    if max(e_change, h_change) < params.tol:
+                        stop = i
+                        break
+                    if i > 10 and len(set(readouts[-11:])) == 1 and \
+                            e_change < 10 * params.tol:
+                        stop = i
+                        early += 1
+                        break
+                assert stop == iterations
+        # the settled stop ends several of these solves before the tol stop would
+        assert early >= 4
+
+    def test_unreachable_settled_stop_gives_former_results(self, monkeypatch):
+        inputs = list(pipeline_observations(monkeypatch, 1001).values())[:12] + \
+            collider_observations()
+        cases = [(Y, lam) for Y in inputs for lam in (0.05, 0.25, 0.58, 2.0)]
+        settled = [outlier_pursuit(Y, lam) for Y, lam in cases]
+        monkeypatch.setattr(rpca_mod, "_SETTLED_STEPS", RpcaParams().max_iter + 1)
+        got = [outlier_pursuit(Y, lam) for Y, lam in cases] + \
+            [outlier_pursuit_tuned(Y, 0.25) for Y in inputs]
+        monkeypatch.setattr(rpca_mod, "_admm", admm_stopping_on_tol)
+        want = [outlier_pursuit(Y, lam) for Y, lam in cases] + \
+            [outlier_pursuit_tuned(Y, 0.25) for Y in inputs]
+        for a, b in zip(got, want, strict=True):
+            for name in ("low_rank", "outliers", "singular_values", "left_vectors"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        # the settled stop, where it can fire, ends some of these solves early
+        assert any(s.iterations < a.iterations for s, a in zip(settled, got))
 
 
 def accuracy_cases():
