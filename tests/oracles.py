@@ -18,8 +18,8 @@ from cfsubspace.channel import SupportTable, dft_columns
 from cfsubspace.dmrs import pilot_book
 from cfsubspace.geometry import AssociationGraph
 from cfsubspace.receiver import _lmmse_directions
-from cfsubspace.rpca import _RESIDUAL_RATIO, _admm, _col_norms, _fro, _rank_of, \
-    _row_norms
+from cfsubspace.rpca import _RELAXATION, _RESIDUAL_RATIO, _admm, _col_norms, _fro, \
+    _rank_of, _row_norms
 
 
 def make_support(indices):
@@ -259,8 +259,9 @@ def objective_trace(Y: np.ndarray, lam: float, params) -> np.ndarray:
 
 
 def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params, on_step=None):
-    """The former body of ``rpca._admm``: the same steps, stopping only when
-    both the E- and the H-change fall below tol (or at max_iter)."""
+    """``rpca._admm`` as it was before the settled stop: the same over-relaxed
+    steps and no-outlier certificate, stopping only when both the E- and the
+    H-change fall below tol (or at max_iter)."""
     rho = params.rho
     X = np.conj(Yn.T, order="C")
     H = X
@@ -271,11 +272,18 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params, on_step=None):
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
         W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
+        if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
+            E = np.zeros_like(X)
+            if on_step is not None:
+                on_step(E.conj().T)
+            return X.conj().T, E.conj().T, sv, Vh.conj().T, 1, True
         sv -= 1.0 / rho
         np.maximum(sv, 0.0, out=sv)
         W *= sv
         H = W @ Vh
         D = X - H
+        D *= _RELAXATION
+        D += (1.0 - _RELAXATION) * E_prev
         G = D + U
         row = _row_norms(G)
         np.maximum(row, 1e-300, out=row)

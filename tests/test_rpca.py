@@ -489,8 +489,9 @@ def real_observation(K, N, seed=3, L=10, M=8):
 def plain_admm(Yn, lam, params):
     """Reference: the ADMM loop of ``rpca._admm`` on X = Yn^H, the (S, M)
     slot-by-antenna matrix, with a fresh array for every operation, the
-    convergence test on the larger change and the settled stop on the list
-    of every step's read-out (numerical rank, gap-selected rank).
+    over-relaxed E- and dual updates, the no-outlier certificate at step 1,
+    the convergence test on the larger change and the settled stop on the
+    list of every step's read-out (numerical rank, gap-selected rank).
 
     Returns (H, E, thresholded singular values, left singular vectors of H,
     iterations, converged, E iterates, penalty moves), with H, E and the
@@ -501,16 +502,21 @@ def plain_admm(Yn, lam, params):
     rho = params.rho
     H, E, U = X.copy(), np.zeros_like(X), np.zeros_like(X)
     converged, outliers, moves, readouts = False, [], "", []
-    settled_steps = rpca_mod._SETTLED_STEPS
+    settled_steps, alpha = rpca_mod._SETTLED_STEPS, rpca_mod._RELAXATION
     for iterations in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
         W, s, Vh = np.linalg.svd(X - E + U, full_matrices=False)
+        # the rows of W have norm at most 1 (up to rounding)
+        if iterations == 1 and min(np.linalg.norm(W, axis=1).max(), 1.0) <= lam:
+            E = np.zeros_like(X)
+            return X.conj().T, E.conj().T, s, Vh.conj().T, 1, True, [E.conj().T], moves
         sv = np.maximum(s - 1.0 / rho, 0.0)
         H = (W * sv) @ Vh
-        G = X - H + U
+        D = alpha * (X - H) + (1.0 - alpha) * E_prev
+        G = D + U
         shrink = 1.0 - (lam / rho) / np.maximum(np.linalg.norm(G, axis=1), 1e-300)
         E = G * np.maximum(shrink, 0.0)[:, None]
-        R = X - H - E
+        R = D - E
         U = U + R
         outliers.append(E.conj().T.copy())
         e_change = np.linalg.norm(E - E_prev)
@@ -635,6 +641,98 @@ class TestSettledStop:
             assert (a.iterations, a.converged) == (b.iterations, b.converged)
         # the settled stop, where it can fire, ends some of these solves early
         assert any(s.iterations < a.iterations for s, a in zip(settled, got))
+
+
+def max_leverage(Y):
+    """The largest row norm of W in the SVD Y^H = W diag(s) Vh, the square
+    root of the largest leverage score of Y's columns: the no-outlier
+    certificate holds for every lambda at or above it."""
+    return np.linalg.norm(np.linalg.svd(Y, full_matrices=False)[2], axis=0).max()
+
+
+def certificate_inputs():
+    rng = np.random.default_rng(90)
+    return [noise_matrix(7), noise_matrix(8, M=16, S=19), noise_matrix(9, M=8, S=29),
+            planted_instance(rng, M=8, S=29)[0], planted_instance(rng)[0]] + \
+        collider_observations()
+
+
+class TestNoOutlierCertificate:
+    """At step 1 the solve factors X = Yn^H itself. When every row of its
+    left factor W has norm <= lambda, W Vh is a subgradient of ||X||_* inside
+    the lambda-ball of the row norms, so (H, E) = (Y, 0) is optimal and the
+    solve returns it after that one step."""
+
+    def test_fires_at_the_largest_leverage(self, monkeypatch):
+        svds, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+        inputs = certificate_inputs()
+        thresholds = [max_leverage(Y) for Y in inputs]
+        for Y, threshold in zip(inputs, thresholds):
+            for lam in (threshold * (1 + 1e-9), 1.0, 1e6):
+                del svds[:]
+                result = outlier_pursuit(Y, lam)
+                assert len(svds) == 1
+                assert (result.iterations, result.converged) == (1, True)
+                assert not np.any(result.outliers)
+                assert np.linalg.norm(result.low_rank - Y) <= 1e-12 * np.linalg.norm(Y)
+                # the step's singular values, unthresholded, are those of Y
+                assert result.singular_values == pytest.approx(
+                    svd(Y, compute_uv=False), rel=1e-12)
+                assert result.rank == numerical_rank(Y)
+        # the inputs reach the certificate below lambda = 1 and at it
+        assert min(thresholds) < 0.75 and max(thresholds) == pytest.approx(1.0)
+
+    def test_is_tight_for_full_row_rank(self):
+        # with Y of full row rank the subgradient W Vh is unique, so just
+        # below the largest leverage (Y, 0) is not optimal
+        tight = RpcaParams(tol=1e-10, max_iter=20000)
+        cases = 0
+        for Y in certificate_inputs():
+            if np.linalg.matrix_rank(Y) < Y.shape[0]:
+                continue
+            result = outlier_pursuit(Y, 0.99 * max_leverage(Y), tight)
+            assert result.converged and result.iterations > 1
+            assert np.linalg.norm(result.outliers) > 1e-3 * np.linalg.norm(Y)
+            cases += 1
+        assert cases >= 5
+
+
+class TestOverRelaxation:
+    """The E- and dual updates read alpha (X - H) + (1 - alpha) E_prev with
+    alpha = ``_RELAXATION``; at alpha = 1 the loop is the plain one. The
+    relaxation moves the path, not the optimum, and takes fewer steps on
+    the benchmark's observations."""
+
+    @staticmethod
+    def solves(observations, params):
+        """Per observation and lambda (0.25 and the one the retune loop
+        settles on), the solve at the solver's alpha and at alpha = 1."""
+        pairs = []
+        for Y in observations:
+            for lam in (0.25, settled_lambda(Y, 0.25)):
+                relaxed = outlier_pursuit(Y, lam, params)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(rpca_mod, "_RELAXATION", 1.0)
+                    plain = outlier_pursuit(Y, lam, params)
+                pairs.append((Y, relaxed, plain))
+        return pairs
+
+    def test_same_optimum_as_plain_loop(self, monkeypatch):
+        observations = list(pipeline_observations(monkeypatch, 1001).values())
+        for Y, relaxed, plain in self.solves(observations, RpcaParams(tol=1e-9)):
+            assert relaxed.converged and plain.converged
+            assert np.linalg.norm(relaxed.low_rank - plain.low_rank) <= \
+                1e-6 * np.linalg.norm(Y)
+
+    def test_fewer_steps_than_plain_loop(self, monkeypatch):
+        observations = list(pipeline_observations(monkeypatch, 1001).values())
+        pairs = self.solves(observations, RpcaParams())
+        assert all(relaxed.converged for _, relaxed, _ in pairs)
+        relaxed = np.mean([r.iterations for _, r, _ in pairs])
+        plain = np.mean([p.iterations for _, _, p in pairs])
+        assert relaxed <= 0.85 * plain
 
 
 def accuracy_cases():
