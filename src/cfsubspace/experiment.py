@@ -23,7 +23,9 @@ from .channel import SupportTable, network_supports
 from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters, \
     generate_layout
 from .hopping import _is_prime, allocate_squares, build_schedule, check_cell_count, \
-    default_cell_radius, mols_family
+    default_cell_radius
+# mols_family is not called here; perfbench/tracing.py patches this name
+from .hopping import mols_family
 from .receiver import ESTIMATOR_KINDS, ergodic_rates
 # outlier_pursuit is not called here; perfbench/tracing.py patches this name
 from .rpca import RpcaParams, collect_srs, outlier_pursuit, outlier_pursuit_tuned, \
@@ -222,9 +224,8 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
     estimated = None
     not_converged = 0
     if "pp" in config.kinds:
-        family = mols_family(config.N)
-        assignment = allocate_squares(layout, family, config.cell_radius)
-        schedule = build_schedule(assignment, family, config.S)
+        assignment = allocate_squares(layout, config.N, config.cell_radius)
+        schedule = build_schedule(assignment, config.N, config.S)
         # the estimated supports, pair by pair in (l, k) row-major order as
         # sorted(graph.edges) visits them; pairs that are not edges get none
         sizes = np.zeros((config.L, config.K), dtype=int)

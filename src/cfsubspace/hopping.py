@@ -3,8 +3,8 @@
 A family of N-1 mutually orthogonal Latin squares of prime order N defines
 N*(N-1) hopping sequences. Squares are allocated to hexagonal cells laid over
 the torus so adjacent cells use different squares; UEs inside a cell get the
-N row-hopping sequences of its square round-robin. Two UEs on the same square
-never collide; UEs on distinct squares collide exactly once per N slots.
+N symbols of its square round-robin. Two UEs on the same square never
+collide; UEs on distinct squares collide exactly once per N slots.
 """
 
 import math
@@ -24,7 +24,7 @@ MAX_UE_CELL_PAIRS = 10 ** 7
 class SquareAssignment:
     """Per-UE (square, symbol) allocation."""
 
-    square_id: np.ndarray  # (K,) index into the MOLS family's first axis
+    square_id: np.ndarray  # (K,) in 0..N-2: square t = square_id + 1
     symbol_id: np.ndarray  # (K,) in 1..N
 
 
@@ -37,11 +37,6 @@ class SrsSchedule:
     """
 
     subcarriers: np.ndarray  # (K, S) int, 1-based
-
-    def colliders(self, k: int, s: int) -> np.ndarray:
-        """UEs other than k sharing UE k's subcarrier in slot s."""
-        hits = np.nonzero(self.subcarriers[:, s] == self.subcarriers[k, s])[0]
-        return hits[hits != k]
 
 
 def _is_prime(n: int) -> bool:
@@ -59,14 +54,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(N: int) -> None:
+    if not _is_prime(N):
+        raise ValueError(f"N must be prime for the MOLS construction, got {N}")
+
+
 def mols_family(N: int) -> np.ndarray:
     """The N-1 mutually orthogonal Latin squares A_t(i,j) = (t*i + j mod N) + 1
     as one (N-1, N, N) int array: family[t-1, i, j] = A_t(i, j), entries in 1..N.
 
     Only prime N is supported; prime powers would need finite-field arithmetic.
+    The pipeline inverts these squares in closed form (:func:`build_schedule`).
     """
-    if not _is_prime(N):
-        raise ValueError(f"N must be prime for the MOLS construction, got {N}")
+    _check_prime(N)
     t, i, j = np.ix_(np.arange(1, N), np.arange(N), np.arange(N))
     return (t * i + j) % N + 1
 
@@ -123,8 +123,8 @@ def hex_cell_grid(area_side: float, radius: float):
     return centers, axial
 
 
-def reuse_color(q: int, r: int, n_squares: int) -> int:
-    """Square index for the hex cell at axial (q, r).
+def reuse_color(q, r, n_squares: int):
+    """Square index for the hex cell at axial (q, r), ints or int arrays.
 
     Digit coloring (q mod a) + a*(r mod b) with a*b <= n_squares; for
     a, b >= 2 (available when n_squares >= 4) any two lattice-adjacent cells
@@ -136,19 +136,17 @@ def reuse_color(q: int, r: int, n_squares: int) -> int:
     return (q % a) + a * (r % b)
 
 
-def allocate_squares(layout: Layout, family: np.ndarray,
+def allocate_squares(layout: Layout, N: int,
                      cell_radius: float | None = None) -> SquareAssignment:
     """Bin UEs into hex cells and hand out (square, symbol) pairs.
 
-    Each cell uses the square given by its reuse color; inside a cell the N
-    symbols are assigned round-robin in UE-index order, wrapping when a cell
-    holds more than N UEs (those UEs share a full hopping sequence). A
-    radius that makes more than MAX_UE_CELL_PAIRS (UE, cell) pairs raises
-    ValueError (:func:`check_cell_count`).
+    Each cell uses the square of its reuse color among the N-1 of order N;
+    inside a cell the N symbols are assigned round-robin in UE-index order,
+    wrapping when a cell holds more than N UEs (those UEs share a full
+    hopping sequence). A radius that makes more than MAX_UE_CELL_PAIRS
+    (UE, cell) pairs raises ValueError (:func:`check_cell_count`).
     """
-    if len(family) == 0:
-        raise ValueError("MOLS family must be non-empty")
-    N = family.shape[1]
+    _check_prime(N)
     K = layout.num_ues
     if cell_radius is None:
         cell_radius = default_cell_radius(layout.area_side, K, N)
@@ -157,28 +155,24 @@ def allocate_squares(layout: Layout, family: np.ndarray,
     d = torus_distance(layout.ue_positions[:, None, :], centers[None, :, :],
                        layout.area_side)
     cell_of = np.argmin(d, axis=1)
-    square_id = np.empty(K, dtype=int)
+    # a UE's place in its cell: its rank in the stable cell order minus the
+    # rank of its cell's first UE
+    order = np.argsort(cell_of, kind="stable")
+    sorted_cells = cell_of[order]
     symbol_id = np.empty(K, dtype=int)
-    for c in np.unique(cell_of):
-        members = np.nonzero(cell_of == c)[0]
-        square_id[members] = reuse_color(int(axial[c, 0]), int(axial[c, 1]), len(family))
-        symbol_id[members] = np.arange(len(members)) % N + 1
+    symbol_id[order] = (np.arange(K) - np.searchsorted(sorted_cells, sorted_cells)) % N + 1
+    square_id = reuse_color(axial[cell_of, 0], axial[cell_of, 1], N - 1)
     return SquareAssignment(square_id=square_id, symbol_id=symbol_id)
 
 
-def build_schedule(assignment: SquareAssignment, family: np.ndarray,
-                   S: int) -> SrsSchedule:
-    """Hopping sequences: UE with (square, symbol n) sends on the subcarrier
-    (row) holding n in the current slot's column, repeating with period N."""
+def build_schedule(assignment: SquareAssignment, N: int, S: int) -> SrsSchedule:
+    """Hopping sequences: UE with (square t, symbol n) sends in slot s on the
+    row of A_t holding n in column s mod N, t^-1 * (n - 1 - s) mod N + 1,
+    repeating with period N."""
+    _check_prime(N)
     if S < 1:
         raise ValueError("S must be >= 1")
-    N = family.shape[1]
-    used, square = np.unique(assignment.square_id, return_inverse=True)
-    cells = family[used]
-    # row_of[u, n-1, j] = 1-based row of symbol n in column j of square used[u]
-    row_of = np.empty(cells.shape, dtype=int)
-    row_of[np.arange(len(used))[:, None, None], cells - 1, np.arange(N)] = \
-        np.arange(1, N + 1)[:, None]
-    cols = np.arange(S) % N
-    subcarriers = row_of[square[:, None], assignment.symbol_id[:, None] - 1, cols]
-    return SrsSchedule(subcarriers=subcarriers)
+    t_inv = np.array([pow(t, -1, N) for t in range(1, N)], dtype=int)
+    n = assignment.symbol_id[:, None]
+    return SrsSchedule(subcarriers=t_inv[assignment.square_id][:, None]
+                       * (n - 1 - np.arange(S)) % N + 1)

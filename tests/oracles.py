@@ -1,12 +1,12 @@
 """Closed forms and brute-force checks the tests hold the package against.
 
 The pipeline calls none of these: each is a reference for a quantity the
-package computes another way (Monte-Carlo covariances, hopping collisions,
-the rank read from the last ADMM step, the per-RU gain tables, the per-UE
-clustering loop, and the support grid, DMRS assignment, LMMSE directions,
-uplink SINR and CSV rows as they were computed before the package made them
-with fewer temporaries, and the ADMM loop as it ran before it had the settled
-stop) or a builder of test inputs.
+package computes another way (Monte-Carlo covariances, hopping collisions
+and colliders, the rank read from the last ADMM step, the per-RU gain
+tables, the per-UE clustering loop, and the support grid, DMRS assignment,
+LMMSE directions, uplink SINR and CSV rows as they were computed before the
+package made them with fewer temporaries, and the ADMM loop as it ran before
+it had the settled stop) or a builder of test inputs.
 """
 
 import csv
@@ -233,6 +233,12 @@ def are_orthogonal(a: np.ndarray, b: np.ndarray) -> bool:
     """All N^2 elementwise pairs (a_ij, b_ij) of two (N, N) squares are distinct."""
     pairs = {(int(x), int(y)) for x, y in zip(a.ravel(), b.ravel())}
     return len(pairs) == len(a) ** 2
+
+
+def colliders(schedule, k: int, s: int) -> np.ndarray:
+    """UEs other than k sharing UE k's subcarrier in slot s."""
+    hits = np.nonzero(schedule.subcarriers[:, s] == schedule.subcarriers[k, s])[0]
+    return hits[hits != k]
 
 
 def collision_slots(schedule, i: int, k: int) -> np.ndarray:

@@ -58,13 +58,12 @@ def test_criterion_01_mols_exactness():
 
 def test_criterion_02_collision_law():
     N = 19
-    family = mols_family(N)
 
     class _All:
         square_id = np.repeat(np.arange(N - 1), N)
         symbol_id = np.tile(np.arange(1, N + 1), N - 1)
 
-    sched = build_schedule(_All(), family, S=N)
+    sched = build_schedule(_All(), N, S=N)
     sub = sched.subcarriers  # ((N-1)*N, N)
     n_seq = sub.shape[0]
     counts = (sub[:, None, :] == sub[None, :, :]).sum(axis=2)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cfsubspace.geometry import generate_layout
+from cfsubspace.geometry import generate_layout, torus_distance
 from cfsubspace.hopping import (MAX_UE_CELL_PAIRS, allocate_squares, build_schedule,
                                 default_cell_radius, hex_cell_grid,
                                 hex_grid_shape, mols_family, reuse_color)
-from oracles import are_orthogonal, collision_slots, is_latin
+from oracles import are_orthogonal, colliders, collision_slots, is_latin
 
 # reference pair of mutually orthogonal order-5 squares (rows = subcarriers,
 # columns = slots); the first two members of the N=5 family
@@ -59,45 +59,37 @@ class _FixedAssignment:
 class TestBuildSchedule:
     def test_reference_sequence(self):
         # symbol 1 on the first square hops over subcarriers 1,5,4,3,2
-        family = mols_family(5)
-        sched = build_schedule(_FixedAssignment([0], [1]), family, S=5)
+        sched = build_schedule(_FixedAssignment([0], [1]), 5, S=5)
         assert sched.subcarriers[0].tolist() == [1, 5, 4, 3, 2]
 
     def test_same_square_never_collides(self):
-        family = mols_family(5)
-        sched = build_schedule(_FixedAssignment([0] * 5, list(range(1, 6))),
-                               family, S=20)
+        sched = build_schedule(_FixedAssignment([0] * 5, list(range(1, 6))), 5, S=20)
         for i in range(5):
             for j in range(i + 1, 5):
                 assert len(collision_slots(sched, i, j)) == 0
 
     def test_orthogonal_squares_collide_once_per_period(self):
-        family = mols_family(5)
         ids = [0] + [1] * 5
         symbols = [1] + list(range(1, 6))
-        sched = build_schedule(_FixedAssignment(ids, symbols), family, S=5)
+        sched = build_schedule(_FixedAssignment(ids, symbols), 5, S=5)
         for j in range(1, 6):
             assert len(collision_slots(sched, 0, j)) == 1
 
     def test_identical_assignment_always_collides(self):
-        family = mols_family(5)
-        sched = build_schedule(_FixedAssignment([2, 2], [3, 3]), family, S=15)
+        sched = build_schedule(_FixedAssignment([2, 2], [3, 3]), 5, S=15)
         assert len(collision_slots(sched, 0, 1)) == 15
 
     def test_periodicity(self):
-        family = mols_family(5)
-        sched = build_schedule(_FixedAssignment([1, 3], [2, 4]), family, S=13)
+        sched = build_schedule(_FixedAssignment([1, 3], [2, 4]), 5, S=13)
         sub = sched.subcarriers
         for s in range(13 - 5):
             assert np.array_equal(sub[:, s + 5], sub[:, s])
 
     def test_colliders_match_collision_slots(self):
-        family = mols_family(5)
-        sched = build_schedule(_FixedAssignment([0, 1, 1, 2], [1, 1, 2, 1]),
-                               family, S=10)
+        sched = build_schedule(_FixedAssignment([0, 1, 1, 2], [1, 1, 2, 1]), 5, S=10)
         for s in range(10):
             for k in range(4):
-                via_colliders = set(sched.colliders(k, s).tolist())
+                via_colliders = set(colliders(sched, k, s).tolist())
                 via_slots = {i for i in range(4)
                              if i != k and s in collision_slots(sched, i, k)}
                 assert via_colliders == via_slots
@@ -120,6 +112,19 @@ def per_symbol_schedule(assignment, family, S):
 
 
 class TestBuildScheduleBatched:
+    @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 19, 29])
+    def test_closed_form_equals_family_inversion(self, N):
+        # 300 random (square, symbol) assignments per order and length
+        family = mols_family(N)
+        rng = np.random.default_rng(N)
+        assignment = _FixedAssignment(rng.integers(0, N - 1, 300),
+                                      rng.integers(1, N + 1, 300))
+        for S in (1, N, 2 * N + 3):
+            got = build_schedule(assignment, N, S).subcarriers
+            want = per_symbol_schedule(assignment, family, S)
+            assert got.dtype == want.dtype and got.shape == (300, S)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("N,K,L", [(5, 60, 10), (7, 40, 10), (19, 100, 40),
                                        (29, 25, 10)])
     def test_equals_per_symbol_loop_on_real_drops(self, N, K, L):
@@ -129,10 +134,10 @@ class TestBuildScheduleBatched:
             layout = generate_layout(L, K, 2000.0, seed=seed)
             # the default radius and small cells, which use many squares
             for radius in (None, 150.0):
-                assignment = allocate_squares(layout, family, radius)
+                assignment = allocate_squares(layout, N, radius)
                 squares.add(len(np.unique(assignment.square_id)))
                 for S in (1, N - 1, N, 2 * N + 3):
-                    got = build_schedule(assignment, family, S).subcarriers
+                    got = build_schedule(assignment, N, S).subcarriers
                     want = per_symbol_schedule(assignment, family, S)
                     assert got.dtype == want.dtype and got.shape == (K, S)
                     assert got.flags.c_contiguous
@@ -140,9 +145,8 @@ class TestBuildScheduleBatched:
         assert max(squares) > 1
 
     def test_no_ues(self):
-        family = mols_family(5)
         empty = np.zeros(0, dtype=int)
-        sched = build_schedule(_FixedAssignment(empty, empty), family, S=7)
+        sched = build_schedule(_FixedAssignment(empty, empty), 5, S=7)
         assert sched.subcarriers.shape == (0, 7)
 
 
@@ -161,12 +165,11 @@ def loop_hex_cell_grid(area_side, radius):
 class TestAllocation:
     def test_single_cell_all_same_square(self):
         layout = generate_layout(2, 7, 400.0, seed=0)
-        family = mols_family(19)
         # radius much larger than the area: one hex cell
-        assignment = allocate_squares(layout, family, cell_radius=5000.0)
+        assignment = allocate_squares(layout, 19, cell_radius=5000.0)
         assert len(set(assignment.square_id.tolist())) == 1
         assert len(set(assignment.symbol_id.tolist())) == 7  # K <= N: distinct
-        sched = build_schedule(assignment, family, S=19)
+        sched = build_schedule(assignment, 19, S=19)
         for i in range(7):
             for j in range(i + 1, 7):
                 assert len(collision_slots(sched, i, j)) == 0
@@ -189,8 +192,7 @@ class TestAllocation:
 
     def test_full_scale_allocation(self):
         layout = generate_layout(40, 100, 2000.0, seed=7)
-        family = mols_family(19)
-        assignment = allocate_squares(layout, family, cell_radius=300.0)
+        assignment = allocate_squares(layout, 19, cell_radius=300.0)
         assert np.all(assignment.square_id >= 0)
         assert np.all(assignment.square_id < 18)
         assert np.all((assignment.symbol_id >= 1) & (assignment.symbol_id <= 19))
@@ -200,8 +202,7 @@ class TestAllocation:
         # cells share a square and the round-robin repeats (square, symbol)
         # pairs; those UE pairs collide in every slot and are countable
         layout = generate_layout(40, 100, 2000.0, seed=7)
-        family = mols_family(19)
-        assignment = allocate_squares(layout, family, cell_radius=200.0)
+        assignment = allocate_squares(layout, 19, cell_radius=200.0)
         pairs = list(zip(assignment.square_id.tolist(), assignment.symbol_id.tolist()))
         n_repeat_pairs = sum(pairs.count(p) > 1 for p in set(pairs))
         assert n_repeat_pairs > 0
@@ -232,19 +233,89 @@ class TestAllocation:
         # a 1 mm radius on a 400 m side would make ~6e10 cells; refused
         # before any cell is built, and so are 20 cm cells (~1.5e6 of them)
         layout = generate_layout(2, 10, 400.0, seed=1)
-        family = mols_family(5)
         with pytest.raises(ValueError, match="hex cells"):
-            allocate_squares(layout, family, cell_radius=0.001)
+            allocate_squares(layout, 5, cell_radius=0.001)
         n_rows, n_cols = hex_grid_shape(400.0, 0.2)
         assert 10 * n_rows * n_cols > MAX_UE_CELL_PAIRS
         with pytest.raises(ValueError, match="must not exceed 1e[+]07"):
-            allocate_squares(layout, family, cell_radius=0.2)
+            allocate_squares(layout, 5, cell_radius=0.2)
         n_rows, n_cols = hex_grid_shape(400.0, 2.0)
         assert 10 * n_rows * n_cols <= MAX_UE_CELL_PAIRS
-        assert len(allocate_squares(layout, family, cell_radius=2.0).square_id) == 10
+        assert len(allocate_squares(layout, 5, cell_radius=2.0).square_id) == 10
 
-    def test_rejects_empty_family(self):
+    def test_rejects_non_prime_order(self):
         layout = generate_layout(2, 3, 400.0, seed=1)
-        with pytest.raises(ValueError):
-            allocate_squares(layout, [], cell_radius=100.0)
+        assignment = _FixedAssignment([0, 0, 0], [1, 2, 3])
+        for N in (0, 1, 4, 6, 9, 15):
+            with pytest.raises(ValueError, match="prime"):
+                allocate_squares(layout, N, cell_radius=100.0)
+            with pytest.raises(ValueError, match="prime"):
+                build_schedule(assignment, N, S=5)
 
+    @pytest.mark.parametrize("N,K,L", [(5, 60, 10), (7, 40, 10), (19, 100, 40),
+                                       (29, 25, 10)])
+    def test_equals_per_cell_loop_on_real_drops(self, N, K, L):
+        for seed in range(3):
+            layout = generate_layout(L, K, 2000.0, seed=seed)
+            for radius in (5000.0, 300.0, 200.0, None):
+                got = allocate_squares(layout, N, radius)
+                want = per_cell_allocation(layout, N, radius)
+                for name in ("square_id", "symbol_id"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def per_cell_allocation(layout, N, cell_radius):
+    """Reference: UEs binned into hex cells, then (square, symbol) handed
+    out one cell at a time."""
+    K = layout.num_ues
+    if cell_radius is None:
+        cell_radius = default_cell_radius(layout.area_side, K, N)
+    centers, axial = hex_cell_grid(layout.area_side, cell_radius)
+    d = torus_distance(layout.ue_positions[:, None, :], centers[None, :, :],
+                       layout.area_side)
+    cell_of = np.argmin(d, axis=1)
+    square_id = np.empty(K, dtype=int)
+    symbol_id = np.empty(K, dtype=int)
+    for c in np.unique(cell_of):
+        members = np.nonzero(cell_of == c)[0]
+        square_id[members] = reuse_color(int(axial[c, 0]), int(axial[c, 1]), N - 1)
+        symbol_id[members] = np.arange(len(members)) % N + 1
+    return _FixedAssignment(square_id, symbol_id)
+
+
+class TestCollisionLaw:
+    def test_pipeline_schedules_obey_the_collision_law(self):
+        """On schedules of generated layouts: UEs on one square with distinct
+        symbols never share a subcarrier, UEs on distinct squares share one
+        slot in every N consecutive ones, equal pairs share every slot."""
+        rng = np.random.default_rng(23)
+        seen = {"one square": 0, "cross": 0, "equal": 0}
+        for N in (2, 3, 5, 7, 11, 19, 29):
+            # one cell; the default radius; small cells that reuse squares
+            for radius in (5000.0, None, 100.0) * 3:
+                K, seed = int(rng.integers(1, 201)), int(rng.integers(1 << 16))
+                layout = generate_layout(1, K, 1000.0, seed=seed)
+                assignment = allocate_squares(layout, N, radius)
+                square, symbol = assignment.square_id, assignment.symbol_id
+                same_square = square[:, None] == square[None, :]
+                same_symbol = symbol[:, None] == symbol[None, :]
+                one_square = same_square & ~same_symbol
+                equal = same_square & same_symbol & ~np.eye(K, dtype=bool)
+                seen["one square"] += one_square.any()
+                seen["cross"] += (~same_square).any()
+                seen["equal"] += equal.any()
+                for S in (1, N - 1, N, 2 * N + 3):
+                    case = f"K={K}, N={N}, S={S}, radius={radius}, seed={seed}"
+                    sub = build_schedule(assignment, N, S).subcarriers
+                    hits = (sub[:, None, :] == sub[None, :, :]).astype(int)
+                    assert np.all(hits[one_square] == 0), case
+                    assert np.all(hits[equal] == 1), case
+                    # shared slots per window of N consecutive slots; the
+                    # whole schedule when S < N, which holds at most one
+                    run = np.concatenate([np.zeros((K, K, 1), dtype=int),
+                                          hits.cumsum(axis=2)], axis=2)
+                    width = min(N, S)
+                    cross = (run[..., width:] - run[..., :-width])[~same_square]
+                    assert np.all(cross == 1 if S >= N else cross <= 1), case
+        assert min(seen.values()) > 0, seen

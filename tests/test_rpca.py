@@ -10,14 +10,13 @@ from cfsubspace.channel import dft_columns, dft_matrix, network_supports, \
     sample_channel
 from cfsubspace.experiment import ExperimentConfig, run_experiment
 from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
-from cfsubspace.hopping import (SrsSchedule, allocate_squares, build_schedule,
-                                mols_family)
+from cfsubspace.hopping import SrsSchedule, allocate_squares, build_schedule
 from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
                              _rank_zero_lambda, _row_norms, collect_srs, dft_project,
                              outlier_pursuit, outlier_pursuit_tuned,
                              power_efficiency, select_rank, subspace_estimates)
-from oracles import (admm_stopping_on_tol, estimated_covariance, from_supports,
-                     make_support, numerical_rank, objective_trace,
+from oracles import (admm_stopping_on_tol, colliders, estimated_covariance,
+                     from_supports, make_support, numerical_rank, objective_trace,
                      true_covariance)
 
 
@@ -55,9 +54,7 @@ class TestCollectSrs:
         layout = generate_layout(1, 1, 500.0, seed=seed)
         layout.lsfc[0, 0] = 1.0  # unit gain so the noise floor is relative
         supports = network_supports(layout, np.pi / 8, M)
-        family = mols_family(5)
-        assignment = allocate_squares(layout, family)
-        schedule = build_schedule(assignment, family, S=S)
+        schedule = build_schedule(allocate_squares(layout, 5), 5, S=S)
         rng = np.random.default_rng(seed)
         Y = collect_srs(schedule, layout, supports, (0, 0), snr, rng)
         return supports, schedule, Y
@@ -70,7 +67,7 @@ class TestCollectSrs:
         for s in range(Y.shape[1]):
             col = Y[:, s]
             assert np.linalg.norm(P_perp @ col) < 1e-10 * np.linalg.norm(col)
-            assert len(schedule.colliders(0, s)) == 0
+            assert len(colliders(schedule, 0, s)) == 0
 
     def test_energy_accounting(self):
         # two UEs with identical (square, symbol) collide every slot:
@@ -78,13 +75,12 @@ class TestCollectSrs:
         M, S, snr = 4, 4000, 50.0
         layout = generate_layout(1, 2, 500.0, seed=6)
         supports = network_supports(layout, np.pi / 2, M)
-        family = mols_family(5)
 
         class _Fixed:
             square_id = np.array([0, 0])
             symbol_id = np.array([2, 2])
 
-        schedule = build_schedule(_Fixed(), family, S=S)
+        schedule = build_schedule(_Fixed(), 5, S=S)
         Y = collect_srs(schedule, layout, supports, (0, 0), snr,
                         np.random.default_rng(7))
         energy = np.mean(np.abs(Y) ** 2) * M
@@ -101,7 +97,7 @@ def per_slot_srs(schedule, layout, supports, pair, snr, rng):
     Y = np.empty((M, S), dtype=complex)
     for s in range(S):
         col = sample_channel(M, supports[l, k], layout.lsfc[l, k], rng)
-        for i in schedule.colliders(k, s):
+        for i in colliders(schedule, k, s):
             col = col + sample_channel(M, supports[l, i], layout.lsfc[l, i], rng)
         noise = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * snr)
         Y[:, s] = col + noise
@@ -129,7 +125,7 @@ class TestBatchedCollectSrs:
     @pytest.mark.parametrize("M", [8, 16])
     def test_matches_per_slot_loop(self, M):
         schedule, layout, supports = self._network(M, seed=M)
-        counts = [len(schedule.colliders(0, s)) for s in range(6)]
+        counts = [len(colliders(schedule, 0, s)) for s in range(6)]
         assert counts == [0, 1, 3, 1, 2, 0]
         for l in range(2):
             for k in range(7):
@@ -145,9 +141,8 @@ class TestBatchedCollectSrs:
     def test_matches_per_slot_loop_on_a_real_schedule(self):
         layout = generate_layout(3, 60, 800.0, seed=11)
         supports = network_supports(layout, np.pi / 3, 8)
-        family = mols_family(5)
-        schedule = build_schedule(allocate_squares(layout, family), family, S=8)
-        assert max(len(schedule.colliders(k, s)) for k in range(60)
+        schedule = build_schedule(allocate_squares(layout, 5), 5, S=8)
+        assert max(len(colliders(schedule, k, s)) for k in range(60)
                    for s in range(8)) >= 3
         for l, k in [(0, 0), (1, 17), (2, 59)]:
             batched, looped = np.random.default_rng(k), np.random.default_rng(k)
@@ -476,9 +471,8 @@ def real_observation(K, N, seed=3, L=10, M=8):
     snr = calibrate_snr(L, M, 2000.0)
     graph = form_clusters(layout.lsfc, snr, M, 10)
     supports = network_supports(layout, np.pi / 8, M)
-    family = mols_family(N)
-    schedule = build_schedule(allocate_squares(layout, family), family, N)
-    hits = {(l, k): sum(len(schedule.colliders(k, s)) for s in range(N))
+    schedule = build_schedule(allocate_squares(layout, N), N, N)
+    hits = {(l, k): sum(len(colliders(schedule, k, s)) for s in range(N))
             for l, k in sorted(graph.edges)}
     edge = max(hits, key=hits.get)
     assert hits[edge] > 0
@@ -545,8 +539,7 @@ def collider_observations():
     N = 7 reduced network, every one with colliders in some slots."""
     layout = generate_layout(3, 60, 800.0, seed=11)
     supports = network_supports(layout, np.pi / 3, 8)
-    family = mols_family(5)
-    schedule = build_schedule(allocate_squares(layout, family), family, S=8)
+    schedule = build_schedule(allocate_squares(layout, 5), 5, S=8)
     return [collect_srs(schedule, layout, supports, (l, k), 50.0,
                         np.random.default_rng(k))
             for l, k in [(0, 0), (1, 17), (2, 59)]] + [real_observation(40, 7)]
