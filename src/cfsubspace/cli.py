@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fading draws per layout")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--kinds", help="comma list from: ideal,sp,pp,pm")
-    p.add_argument("--cell-radius", dest="cell_radius", type=float,
-                   help="hex cell radius (m); default sized from K and N")
     p.add_argument("--workers", type=int, help="parallel layout workers")
     p.add_argument("--out", dest="output_dir", help="output directory")
     return p

@@ -22,8 +22,7 @@ from ._fields import check_field_types
 from .channel import SupportTable, network_supports
 from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters, \
     generate_layout
-from .hopping import _is_prime, allocate_squares, build_schedule, check_cell_count, \
-    default_cell_radius
+from .hopping import _is_prime, allocate_squares, build_schedule
 # mols_family is not called here; perfbench/tracing.py patches this name
 from .hopping import mols_family
 from .receiver import ESTIMATOR_KINDS, ergodic_rates
@@ -54,7 +53,6 @@ class ExperimentConfig:
     N: int = 19
     S: int | None = None        # SRS sequence length; defaults to N
     lam: float = 0.25
-    cell_radius: float | None = None
     # experiment control
     n_layouts: int = 100
     n_fading: int = 100
@@ -91,8 +89,6 @@ class ExperimentConfig:
             raise ValueError("tau_p must be smaller than the block size T")
         if not 0 < self.area_side < np.inf:
             raise ValueError("area_side must be positive and finite")
-        if self.cell_radius is not None and not 0 < self.cell_radius < np.inf:
-            raise ValueError("cell_radius must be positive and finite")
         bad = [k for k in self.kinds if k not in ESTIMATOR_KINDS]
         if bad:
             raise ValueError(f"unknown estimator kinds {bad}; "
@@ -101,11 +97,6 @@ class ExperimentConfig:
             raise ValueError("kinds must name at least one estimator kind")
         if len(set(self.kinds)) < len(self.kinds):
             raise ValueError(f"kinds must not repeat a kind: {list(self.kinds)}")
-        if "pp" in self.kinds:
-            radius = self.cell_radius
-            if radius is None:
-                radius = default_cell_radius(self.area_side, self.K, self.N)
-            check_cell_count(self.K, self.area_side, radius)
 
 
 @dataclass
@@ -224,7 +215,7 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
     estimated = None
     not_converged = 0
     if "pp" in config.kinds:
-        assignment = allocate_squares(layout, config.N, config.cell_radius)
+        assignment = allocate_squares(layout, config.N)
         schedule = build_schedule(assignment, config.N, config.S)
         # the estimated supports, pair by pair in (l, k) row-major order as
         # sorted(graph.edges) visits them; pairs that are not edges get none
@@ -279,12 +270,12 @@ def run_experiment(config: ExperimentConfig, progress: bool = False) -> Experime
 
     With ``progress`` a line is printed as each layout finishes; on several
     workers that is completion order, while the records are always merged
-    in layout order. A pool never gets more workers than there are layouts,
-    since it may start all of them at once.
+    in layout order. A pool never gets more workers than there are layouts
+    or CPUs, since it may start all of them at once.
     """
     ids = list(range(config.n_layouts))
     outputs = [None] * len(ids)
-    workers = min(config.workers, len(ids))
+    workers = min(config.workers, len(ids), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool machinery is a noticeable share of the
         # package's import time and one-worker runs never use it

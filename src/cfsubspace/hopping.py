@@ -7,18 +7,11 @@ N symbols of its square round-robin. Two UEs on the same square never
 collide; UEs on distinct squares collide exactly once per N slots.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Layout, torus_distance
-
-# allocate_squares holds the distance of every UE to every hex cell: 16 bytes
-# a pair before temporaries, so a cell radius that makes more pairs than this
-# is refused rather than left to exhaust memory
-MAX_UE_CELL_PAIRS = 10 ** 7
-
 
 @dataclass
 class SquareAssignment:
@@ -77,50 +70,41 @@ def default_cell_radius(area_side: float, K: int, N: int) -> float:
     return float(np.sqrt(2.0 * area_side ** 2 / (3.0 * np.sqrt(3.0) * n_cells)))
 
 
-def hex_grid_shape(area_side: float, radius: float) -> tuple:
-    """Rows and columns of the hex lattice :func:`hex_cell_grid` lays over
-    the torus: the nearest whole counts to side / (1.5*radius) and
-    side / (sqrt(3)*radius), at least 1 each.
+def nearest_cells(points, area_side: float, radius: float):
+    """Row-major index (K,) and odd-r axial coordinates (K, 2) of the hex
+    cell whose center is nearest each point on the torus, ties going to the
+    lowest index.
 
-    Returned as floats, so that a radius too small for any grid to be built
-    still gives a count (up to inf) that can be checked first.
+    Pointy-top rows at spacing dy ~ 1.5*radius, columns at dx ~ sqrt(3)*radius,
+    both stretched so an integer number of cells tiles the torus seamlessly;
+    odd rows are offset by half a column, and in the odd-r convention lattice
+    neighbors differ by the usual axial steps.
+
+    Each point is searched among 6 centers, never all of them. The counts
+    always give n_rows <= 2*n_cols, so dx <= 2*dy. The nearest row, rint(y/dy),
+    holds a center within sqrt(dy^2 + dx^2)/2 <= 1.12*dy of the point, while
+    every row two or more away is at least 1.5*dy off: the nearest center
+    lies in one of the 3 rows around rint(y/dy). Within a row it is one of
+    the 2 columns bracketing x, floor(x/dx - offset) and the next, since any
+    other column is at least dx off against dx/2. Both margins dwarf rounding,
+    and the candidates are placed by the same arithmetic as the full lattice,
+    so the result equals the argmin over every cell bit for bit.
     """
-    n_rows = max(1.0, float(np.rint(area_side / (1.5 * radius))))
-    # math.sqrt, bitwise np.sqrt, keeps the quotient a Python float, which
-    # overflows to inf without a numpy warning
-    n_cols = max(1.0, float(np.rint(area_side / (math.sqrt(3.0) * radius))))
-    return n_rows, n_cols
-
-
-def check_cell_count(K: int, area_side: float, radius: float) -> None:
-    """Raise ValueError when K UEs and the hex cells of this radius make
-    more than MAX_UE_CELL_PAIRS pairs, the UE-to-cell distances
-    :func:`allocate_squares` computes."""
-    n_rows, n_cols = hex_grid_shape(area_side, radius)
-    pairs = K * n_rows * n_cols
-    if pairs > MAX_UE_CELL_PAIRS:
-        raise ValueError(f"cell_radius {radius:g} m gives {n_rows * n_cols:.3g} hex "
-                         f"cells on a {area_side:g} m side; K x cells = {pairs:.3g} "
-                         f"must not exceed {MAX_UE_CELL_PAIRS:.0e}")
-
-
-def hex_cell_grid(area_side: float, radius: float):
-    """Hex lattice covering the torus: centers (n, 2) and axial coords (n, 2).
-
-    Pointy-top rows at spacing 1.5*radius, columns at sqrt(3)*radius, both
-    stretched so an integer number of cells tiles the torus seamlessly
-    (:func:`hex_grid_shape`). Odd rows are offset by half a column; axial
-    coordinates use the odd-r convention so lattice neighbors differ by the
-    usual axial steps.
-    """
-    n_rows, n_cols = map(int, hex_grid_shape(area_side, radius))
+    n_rows = max(1, int(np.rint(area_side / (1.5 * radius))))
+    n_cols = max(1, int(np.rint(area_side / (np.sqrt(3.0) * radius))))
     dy = area_side / n_rows
     dx = area_side / n_cols
-    row, col = np.divmod(np.arange(n_rows * n_cols), n_cols)   # row-major
+    x, y = points[:, :1], points[:, 1:]
+    row = (np.rint(y / dy).astype(int) + [-1, -1, 0, 0, 1, 1]) % n_rows
     odd = row % 2
-    centers = np.column_stack([(col + 0.5 * odd) * dx % area_side, row * dy])
-    axial = np.column_stack([col - (row - odd) // 2, row])
-    return centers, axial
+    col = (np.floor(x / dx - 0.5 * odd).astype(int) + [0, 1, 0, 1, 0, 1]) % n_cols
+    centers = np.stack([(col + 0.5 * odd) * dx % area_side, row * dy], axis=-1)
+    d = torus_distance(points[:, None, :], centers, area_side)
+    # the sentinel exceeds every cell index, not only the candidates' count
+    cell = np.where(d == d.min(axis=1, keepdims=True), row * n_cols + col,
+                    n_rows * n_cols).min(axis=1)
+    row, col = np.divmod(cell, n_cols)
+    return cell, np.column_stack([col - (row - row % 2) // 2, row])
 
 
 def reuse_color(q, r, n_squares: int):
@@ -136,32 +120,26 @@ def reuse_color(q, r, n_squares: int):
     return (q % a) + a * (r % b)
 
 
-def allocate_squares(layout: Layout, N: int,
-                     cell_radius: float | None = None) -> SquareAssignment:
+def allocate_squares(layout: Layout, N: int) -> SquareAssignment:
     """Bin UEs into hex cells and hand out (square, symbol) pairs.
 
-    Each cell uses the square of its reuse color among the N-1 of order N;
+    The cells take :func:`default_cell_radius` of the area, K and N. Each
+    cell uses the square of its reuse color among the N-1 of order N;
     inside a cell the N symbols are assigned round-robin in UE-index order,
     wrapping when a cell holds more than N UEs (those UEs share a full
-    hopping sequence). A radius that makes more than MAX_UE_CELL_PAIRS
-    (UE, cell) pairs raises ValueError (:func:`check_cell_count`).
+    hopping sequence).
     """
     _check_prime(N)
     K = layout.num_ues
-    if cell_radius is None:
-        cell_radius = default_cell_radius(layout.area_side, K, N)
-    check_cell_count(K, layout.area_side, cell_radius)
-    centers, axial = hex_cell_grid(layout.area_side, cell_radius)
-    d = torus_distance(layout.ue_positions[:, None, :], centers[None, :, :],
-                       layout.area_side)
-    cell_of = np.argmin(d, axis=1)
+    cell_of, axial = nearest_cells(layout.ue_positions, layout.area_side,
+                                   default_cell_radius(layout.area_side, K, N))
     # a UE's place in its cell: its rank in the stable cell order minus the
     # rank of its cell's first UE
     order = np.argsort(cell_of, kind="stable")
     sorted_cells = cell_of[order]
     symbol_id = np.empty(K, dtype=int)
     symbol_id[order] = (np.arange(K) - np.searchsorted(sorted_cells, sorted_cells)) % N + 1
-    square_id = reuse_color(axial[cell_of, 0], axial[cell_of, 1], N - 1)
+    square_id = reuse_color(axial[:, 0], axial[:, 1], N - 1)
     return SquareAssignment(square_id=square_id, symbol_id=symbol_id)
 
 

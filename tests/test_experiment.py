@@ -75,7 +75,7 @@ class TestConfig:
         ({"lam": "0.25"}, "lam must be a number"),
         ({"delta": None}, "delta must be a number"),
         ({"S": 2.0}, "S must be an integer"),
-        ({"cell_radius": 0}, "cell_radius must be positive"),
+        ({"cell_radius": 300.0}, r"unknown config keys: \['cell_radius'\]"),
         ({"lam": True}, "lam must be a number"),
         ({"kinds": "pp"}, "kinds must be a list"),
         ({"output_dir": 3}, "output_dir must be a string"),
@@ -94,21 +94,20 @@ class TestConfig:
         ({"pathloss": {"los_offset": float("inf")}}, "los_offset must be finite"),
         ({"area_side": float("inf")}, "area_side must be positive and finite"),
         ({"lam": float("inf")}, "lam must be positive and finite"),
-        ({"cell_radius": float("inf")}, "cell_radius must be positive and finite"),
+        # the value an echoed config.json of a run before the key was removed holds
+        ({"cell_radius": None}, r"unknown config keys: \['cell_radius'\]"),
         ({"solver": {"tol": float("inf")}}, "'solver': tol must be positive and finite"),
         ({"solver": {"rho": float("inf")}}, "'solver': rho must be positive and finite"),
-        ({"cell_radius": 0.001, "area_side": 400.0}, "hex cells on a 400 m side"),
-        ({"cell_radius": 1e-310}, "gives inf hex cells"),
-        ({"K": 10000, "N": 2}, "K x cells = 5.02e[+]07 must not exceed 1e[+]07"),
     ])
     def test_wrong_type_or_range_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
             config_from_dict(entry)
 
-    def test_cell_count_checked_only_when_pp_runs(self):
-        # without pp no hopping schedule, and so no hex grid, is built
-        cfg = config_from_dict({"cell_radius": 0.001, "kinds": ["ideal", "sp"]})
-        assert cfg.cell_radius == 0.001
+    def test_many_ues_on_few_subcarriers_build_with_pp(self):
+        # 10000 UEs on N=2 make 5000 hex cells; hopping bins each UE among 6
+        # of them, so no UE-cell count is refused
+        cfg = ExperimentConfig(K=10000, N=2, kinds=["pp"])
+        assert (cfg.K, cfg.N, cfg.kinds) == (10000, 2, ("pp",))
 
     def test_numbers_of_any_kind_accepted(self):
         cfg = config_from_dict({"eta": 1, "area_side": 600, "seed": np.int64(3),
@@ -187,9 +186,10 @@ class TestRunExperiment:
         assert serial.rate_records == parallel.rate_records
 
     @pytest.mark.parametrize("n_layouts,workers,pool", [(1, 64, None), (2, 64, 2),
-                                                        (3, 2, 2)])
+                                                        (3, 2, 2), (5, 5000, 3)])
     def test_pool_never_outnumbers_the_layouts(self, monkeypatch, n_layouts,
                                                workers, pool):
+        # nor the CPUs, which os.cpu_count is made to report as 3
         sizes = []
 
         class RecordingPool:
@@ -210,6 +210,7 @@ class TestRunExperiment:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         settings = dict(kinds=("ideal",), n_layouts=n_layouts)
         result = run_experiment(tiny_config(workers=workers, **settings))
         assert sizes == ([] if pool is None else [pool])
@@ -579,6 +580,7 @@ class TestCli:
         ({"cell_radius": 0.001, "area_side": 400.0}, "cell_radius"),
         ({"solver": {"max_iter": 0}}, "max_iter"),
         ({"tune_lambda": False}, "tune_lambda"),
+        ({"cell_radius": None}, "cell_radius"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"
@@ -596,7 +598,8 @@ class TestCli:
         assert key in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("flag", ["--tune-lambda", "--no-tune-lambda"])
+    @pytest.mark.parametrize("flag", ["--tune-lambda", "--no-tune-lambda",
+                                      "--cell-radius=300"])
     def test_removed_flag_exits_2(self, tmp_path, flag):
         with pytest.raises(SystemExit) as info:
             cli_main([flag, "--out", str(tmp_path / "x")])
