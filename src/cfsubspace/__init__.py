@@ -6,9 +6,9 @@ from .channel import (NetworkChannelSampler, SupportTable, angular_support,
 from .dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
 from .experiment import (ExperimentConfig, ExperimentResult, load_config,
                          run_experiment, stage_rng, write_results)
-from .geometry import (AssociationGraph, Layout, PathlossParams, assign_dmrs,
-                       calibrate_snr, form_clusters, generate_layout,
-                       lsfc_matrix, torus_distance)
+from .geometry import (AssociationGraph, Layout, assign_dmrs, calibrate_snr,
+                       form_clusters, generate_layout, lsfc_matrix,
+                       torus_distance)
 from .hopping import (SrsSchedule, allocate_squares, build_schedule,
                       default_cell_radius, mols_family)
 from .receiver import (RateReport, cluster_combiner, ergodic_rates, local_lmmse,

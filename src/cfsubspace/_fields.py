@@ -4,6 +4,8 @@ import dataclasses
 import numbers
 import types
 
+import numpy as np
+
 # annotation -> (accepted class, wording for the error message)
 _ACCEPTED = {
     int: (numbers.Integral, "an integer"),
@@ -19,7 +21,9 @@ def check_field_types(obj) -> None:
 
     An ``int`` field takes any integer, a ``float`` field any real number, and
     ``X | None`` also takes None. True and False are never numbers. A field
-    annotated with a class takes instances of it.
+    annotated with a class takes instances of it. A numpy scalar that passes
+    is replaced by the equal Python number, so that the config computes and
+    echoes to JSON as that number does.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -31,3 +35,6 @@ def check_field_types(obj) -> None:
         if isinstance(value, bool) or not isinstance(value, cls):
             raise ValueError(f"{f.name} must be {wording}, "
                              f"not {type(value).__name__} {value!r}")
+        if isinstance(value, np.generic):
+            # object.__setattr__ also sets the field of a frozen dataclass
+            object.__setattr__(obj, f.name, value.item())

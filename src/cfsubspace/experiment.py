@@ -20,8 +20,7 @@ import numpy as np
 
 from ._fields import check_field_types
 from .channel import SupportTable, network_supports
-from .geometry import PathlossParams, assign_dmrs, calibrate_snr, form_clusters, \
-    generate_layout
+from .geometry import assign_dmrs, calibrate_snr, form_clusters, generate_layout
 from .hopping import _is_prime, allocate_squares, build_schedule
 # mols_family is not called here; perfbench/tracing.py patches this name
 from .hopping import mols_family
@@ -60,7 +59,6 @@ class ExperimentConfig:
     kinds: tuple = ESTIMATOR_KINDS
     workers: int = 1
     output_dir: str = "results"
-    pathloss: PathlossParams = field(default_factory=PathlossParams)
     solver: RpcaParams = field(default_factory=RpcaParams)
 
     def __post_init__(self):
@@ -137,27 +135,26 @@ def stage_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     return np.random.default_rng(stage_seed_sequence(seed, label, *indices))
 
 
-def _section(name: str, value, cls):
-    """A nested config section (``pathloss``, ``solver``) from its dict form."""
-    if isinstance(value, cls):
+def _solver_section(value) -> RpcaParams:
+    """The nested ``solver`` config section from its dict form."""
+    if isinstance(value, RpcaParams):
         return value
     if not isinstance(value, dict):
-        raise ValueError(f"config section {name!r} must be an object, "
+        raise ValueError(f"config section 'solver' must be an object, "
                          f"not {type(value).__name__}")
-    unknown = set(value) - {f.name for f in dataclasses.fields(cls)}
+    unknown = set(value) - {f.name for f in dataclasses.fields(RpcaParams)}
     if unknown:
-        raise ValueError(f"unknown config keys in {name!r}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys in 'solver': {sorted(unknown)}")
     try:
-        return cls(**value)
+        return RpcaParams(**value)
     except ValueError as exc:
-        raise ValueError(f"config section {name!r}: {exc}") from exc
+        raise ValueError(f"config section 'solver': {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    for name, cls in (("pathloss", PathlossParams), ("solver", RpcaParams)):
-        if name in data:
-            data[name] = _section(name, data[name], cls)
+    if "solver" in data:
+        data["solver"] = _solver_section(data["solver"])
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
@@ -204,9 +201,8 @@ def _run_layout(config: ExperimentConfig, layout_id: int):
 def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
     """The stages of one layout; ``where["edge"]`` tracks the rpca edge."""
     layout = generate_layout(config.L, config.K, config.area_side,
-                             seed=_layout_seed(config, "layout", layout_id),
-                             params=config.pathloss)
-    snr = calibrate_snr(config.L, config.M, config.area_side, config.pathloss)
+                             seed=_layout_seed(config, "layout", layout_id))
+    snr = calibrate_snr(config.L, config.M, config.area_side)
     graph = form_clusters(layout.lsfc, snr, config.M, config.Q, config.eta)
     graph.dmrs_pilot = assign_dmrs(graph, layout.lsfc, config.tau_p)
     supports = network_supports(layout, config.delta, config.M)

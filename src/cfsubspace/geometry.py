@@ -1,53 +1,29 @@
 """Network geometry: torus layouts, pathloss, SNR calibration and clustering.
 
 Radio units (RUs) and user equipments (UEs) are dropped uniformly on a square
-torus. Large-scale fading coefficients (LSFCs) follow a configurable 3GPP-style
-urban-microcell pathloss model with a Bernoulli LOS/NLOS state per RU-UE pair,
-drawn once per layout.
+torus. Large-scale fading coefficients (LSFCs) follow the paper's 3GPP-style
+urban-microcell (street-canyon) pathloss model with a Bernoulli LOS/NLOS state
+per RU-UE pair, drawn once per layout. The model is fixed: its coefficients
+are the module constants below.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import check_field_types
-
-
-@dataclass
-class PathlossParams:
-    """Urban-microcell pathloss model (street-canyon style coefficients).
-
-    LOS  PL = los_offset  + los_dist_coef  * log10(d3d) + los_freq_coef  * log10(fc)
-    NLOS PL = max(LOS, nlos_offset + nlos_dist_coef * log10(d3d) + nlos_freq_coef * log10(fc))
-
-    with d3d in meters and fc in GHz. The LOS probability curve is
-    min(d0/d2d, 1) * (1 - exp(-d2d/decay)) + exp(-d2d/decay).
-    """
-
-    carrier_freq_ghz: float = 3.7
-    ru_height_m: float = 10.0
-    ue_height_m: float = 1.5
-    los_offset: float = 32.4
-    los_dist_coef: float = 21.0
-    los_freq_coef: float = 20.0
-    nlos_offset: float = 22.4
-    nlos_dist_coef: float = 35.3
-    nlos_freq_coef: float = 21.3
-    los_prob_d0: float = 18.0
-    los_prob_decay: float = 36.0
-    shadowing_std_db: float = 0.0  # 0 disables the log-normal shadowing term
-
-    def __post_init__(self):
-        check_field_types(self)
-        for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if self.carrier_freq_ghz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.ru_height_m <= 0 or self.ue_height_m <= 0:
-            raise ValueError("antenna heights must be positive")
-        if not self.shadowing_std_db >= 0:
-            raise ValueError("shadowing_std_db must be >= 0")
+# The formulas read these one by one; folding them ahead of time, such as
+# LOS_OFFSET + LOS_FREQ_COEF * log10(fc), would move the last bits of every LSFC.
+CARRIER_FREQ_GHZ = 3.7
+RU_HEIGHT_M = 10.0
+UE_HEIGHT_M = 1.5
+LOS_OFFSET = 32.4
+LOS_DIST_COEF = 21.0
+LOS_FREQ_COEF = 20.0
+NLOS_OFFSET = 22.4
+NLOS_DIST_COEF = 35.3
+NLOS_FREQ_COEF = 21.3
+LOS_PROB_D0 = 18.0      # meters
+LOS_PROB_DECAY = 36.0   # meters
 
 
 @dataclass
@@ -101,35 +77,40 @@ def torus_distance(p, q, area_side: float):
     return np.sqrt((d ** 2).sum(axis=-1))
 
 
-def los_probability(d2d, params: PathlossParams):
-    """LOS probability as a function of 2-D distance in meters."""
+def los_probability(d2d):
+    """LOS probability as a function of 2-D distance in meters:
+    min(LOS_PROB_D0/d2d, 1) * (1 - e) + e with e = exp(-d2d/LOS_PROB_DECAY).
+    """
     d2d = np.asarray(d2d, dtype=float)
-    decay = np.exp(-d2d / params.los_prob_decay)
+    decay = np.exp(-d2d / LOS_PROB_DECAY)
     with np.errstate(divide="ignore"):
-        ratio = np.where(d2d > 0, params.los_prob_d0 / np.maximum(d2d, 1e-12), np.inf)
+        ratio = np.where(d2d > 0, LOS_PROB_D0 / np.maximum(d2d, 1e-12), np.inf)
     return np.minimum(ratio, 1.0) * (1.0 - decay) + decay
 
 
-def pathloss_db(d2d, los, params: PathlossParams):
+def pathloss_db(d2d, los):
     """Pathloss in dB for given 2-D distances and LOS states.
 
-    Distances below 1 m are clamped (degenerate co-location). The 3-D distance
-    includes the RU/UE height difference. NLOS pathloss is lower-bounded by the
-    LOS value.
+        LOS  PL = LOS_OFFSET + LOS_DIST_COEF * log10(d3d) + LOS_FREQ_COEF * log10(fc)
+        NLOS PL = max(LOS PL, NLOS_OFFSET + NLOS_DIST_COEF * log10(d3d)
+                              + NLOS_FREQ_COEF * log10(fc))
+
+    with d3d in meters and fc = CARRIER_FREQ_GHZ in GHz. Distances below 1 m
+    are clamped (degenerate co-location). The 3-D distance includes the RU/UE
+    height difference.
     """
     d2d = np.maximum(np.asarray(d2d, dtype=float), 1.0)
-    dh = params.ru_height_m - params.ue_height_m
+    dh = RU_HEIGHT_M - UE_HEIGHT_M
     d3d = np.sqrt(d2d ** 2 + dh ** 2)
     logd = np.log10(d3d)
-    logf = np.log10(params.carrier_freq_ghz)
-    pl_los = params.los_offset + params.los_dist_coef * logd + params.los_freq_coef * logf
-    pl_nlos = params.nlos_offset + params.nlos_dist_coef * logd + params.nlos_freq_coef * logf
+    logf = np.log10(CARRIER_FREQ_GHZ)
+    pl_los = LOS_OFFSET + LOS_DIST_COEF * logd + LOS_FREQ_COEF * logf
+    pl_nlos = NLOS_OFFSET + NLOS_DIST_COEF * logd + NLOS_FREQ_COEF * logf
     pl_nlos = np.maximum(pl_los, pl_nlos)
     return np.where(los, pl_los, pl_nlos)
 
 
-def lsfc_matrix(ru_positions, ue_positions, area_side: float,
-                params: PathlossParams, seed: int):
+def lsfc_matrix(ru_positions, ue_positions, area_side: float, seed: int):
     """LSFC gains and LOS flags for every RU-UE pair.
 
     The LOS state of each pair is a Bernoulli draw from the LOS-probability
@@ -140,31 +121,25 @@ def lsfc_matrix(ru_positions, ue_positions, area_side: float,
     ru = np.asarray(ru_positions, dtype=float)
     ue = np.asarray(ue_positions, dtype=float)
     d2d = torus_distance(ru[:, None, :], ue[None, :, :], area_side)
-    los = rng.random(d2d.shape) < los_probability(d2d, params)
-    pl = pathloss_db(d2d, los, params)
-    if params.shadowing_std_db > 0:
-        pl = pl + rng.normal(0.0, params.shadowing_std_db, size=pl.shape)
+    los = rng.random(d2d.shape) < los_probability(d2d)
+    pl = pathloss_db(d2d, los)
     return 10.0 ** (-pl / 10.0), los
 
 
-def generate_layout(L: int, K: int, area_side: float, seed: int,
-                    params: PathlossParams | None = None) -> Layout:
+def generate_layout(L: int, K: int, area_side: float, seed: int) -> Layout:
     """Drop L RUs and K UEs uniformly on the torus and compute their LSFCs."""
     if L < 1 or K < 1 or area_side <= 0:
         raise ValueError("L, K must be >= 1 and area_side > 0")
-    if params is None:
-        params = PathlossParams()
     rng = np.random.default_rng(seed)
     ru_pos = rng.uniform(0.0, area_side, size=(L, 2))
     ue_pos = rng.uniform(0.0, area_side, size=(K, 2))
     # independent stream for the LOS draws so L, K changes do not reshuffle them
-    beta, los = lsfc_matrix(ru_pos, ue_pos, area_side, params, seed=rng.integers(2 ** 63))
+    beta, los = lsfc_matrix(ru_pos, ue_pos, area_side, seed=rng.integers(2 ** 63))
     return Layout(area_side=area_side, ru_positions=ru_pos, ue_positions=ue_pos,
                   lsfc=beta, los_flags=los)
 
 
-def calibrate_snr(L: int, M: int, area_side: float,
-                  params: PathlossParams | None = None) -> float:
+def calibrate_snr(L: int, M: int, area_side: float) -> float:
     """Transmit SNR making mean_pathloss * M * SNR = 1 at the reference distance.
 
     The reference distance is 3 * d_L where d_L = sqrt(A / (pi L)) is the radius
@@ -173,13 +148,11 @@ def calibrate_snr(L: int, M: int, area_side: float,
     """
     if L < 1 or M < 1:
         raise ValueError("L and M must be >= 1")
-    if params is None:
-        params = PathlossParams()
     area = area_side ** 2
     d_ref = 3.0 * np.sqrt(area / (np.pi * L))
-    p_los = los_probability(d_ref, params)
-    beta_los = 10.0 ** (-pathloss_db(d_ref, True, params) / 10.0)
-    beta_nlos = 10.0 ** (-pathloss_db(d_ref, False, params) / 10.0)
+    p_los = los_probability(d_ref)
+    beta_los = 10.0 ** (-pathloss_db(d_ref, True) / 10.0)
+    beta_nlos = 10.0 ** (-pathloss_db(d_ref, False) / 10.0)
     beta_bar = p_los * beta_los + (1.0 - p_los) * beta_nlos
     return float(1.0 / (beta_bar * M))
 

@@ -18,9 +18,16 @@ from cfsubspace.cli import main as cli_main
 from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
                                    write_results)
-from cfsubspace.geometry import PathlossParams
 from cfsubspace.rpca import RpcaParams, SubspaceEstimate, power_efficiency
 from oracles import write_csv_rows_one_by_one
+
+
+# the pathloss section of every config.json echoed before the model was fixed
+ECHOED_PATHLOSS = {"carrier_freq_ghz": 3.7, "ru_height_m": 10.0, "ue_height_m": 1.5,
+                   "los_offset": 32.4, "los_dist_coef": 21.0, "los_freq_coef": 20.0,
+                   "nlos_offset": 22.4, "nlos_dist_coef": 35.3, "nlos_freq_coef": 21.3,
+                   "los_prob_d0": 18.0, "los_prob_decay": 36.0, "shadowing_std_db": 0.0}
+NO_PATHLOSS = r"unknown config keys: \['pathloss'\]"
 
 
 def tiny_config(**overrides):
@@ -62,10 +69,8 @@ class TestConfig:
             config_from_dict({"LL": 4})
 
     def test_nested_sections_from_dicts(self):
-        cfg = config_from_dict({"solver": {"max_iter": 50},
-                                "pathloss": {"shadowing_std_db": 4.0}})
+        cfg = config_from_dict({"solver": {"max_iter": 50}})
         assert cfg.solver == RpcaParams(max_iter=50)
-        assert cfg.pathloss == PathlossParams(shadowing_std_db=4.0)
 
     @pytest.mark.parametrize("entry,message", [
         ({"L": "5"}, "L must be an integer"),
@@ -83,15 +88,17 @@ class TestConfig:
         ({"solver": {"max_iter": 0}}, "config section 'solver': max_iter must be >= 1"),
         ({"solver": {"tol": 0.0}}, "'solver': tol must be positive"),
         ({"solver": {"rho": -1}}, "'solver': rho must be positive"),
-        ({"pathloss": {"los_offset": "32"}}, "'pathloss': los_offset must be a number"),
-        ({"pathloss": {"shadowing_std_db": -2.0}}, "shadowing_std_db must be >= 0"),
+        # the pathloss model is fixed: any pathloss section is an unknown key,
+        # the one an echoed config.json of an earlier run holds included
+        ({"pathloss": ECHOED_PATHLOSS}, NO_PATHLOSS),
+        ({"pathloss": {}}, NO_PATHLOSS),
         ({"kinds": ["ideal", "ideal"]}, "kinds must not repeat a kind"),
         ({"kinds": []}, "kinds must name at least one"),
         ({"eta": float("nan")}, "eta must be finite and >= 0"),
         ({"eta": -1.0}, "eta must be finite and >= 0"),
-        ({"pathloss": {"carrier_freq_ghz": float("nan")}}, "carrier_freq_ghz must be finite"),
-        ({"pathloss": {"ru_height_m": float("nan")}}, "ru_height_m must be finite"),
-        ({"pathloss": {"los_offset": float("inf")}}, "los_offset must be finite"),
+        ({"pathloss": None}, NO_PATHLOSS),
+        ({"pathloss": {"shadowing_std_db": 4.0}}, NO_PATHLOSS),
+        ({"pathloss": {"los_offset": float("inf")}}, NO_PATHLOSS),
         ({"area_side": float("inf")}, "area_side must be positive and finite"),
         ({"lam": float("inf")}, "lam must be positive and finite"),
         # the value an echoed config.json of a run before the key was removed holds
@@ -115,6 +122,7 @@ class TestConfig:
                                 "solver": {"tol": 1e-5, "rho": 2}})
         assert (cfg.eta, cfg.area_side, cfg.seed, cfg.kinds) == \
             (1, 600, 3, ("ideal",))
+        assert type(cfg.seed) is int and type(cfg.lam) is float
         assert cfg.solver == RpcaParams(tol=1e-5, rho=2)
 
     def test_load_config_precedence(self, tmp_path):
@@ -139,8 +147,14 @@ class TestConfig:
         assert (cfg.L, cfg.M, cfg.K, cfg.N) == (40, 16, 100, 19)
 
     def test_echoed_config_round_trips(self, tmp_path):
-        cfg = tiny_config(kinds=("ideal",))
+        # numpy scalars are taken as the Python numbers they equal, so the
+        # echo of such a config is plain JSON and every file is written
+        cfg = tiny_config(kinds=("ideal",), seed=np.int64(9), K=np.int64(5),
+                          lam=np.float32(0.3),
+                          solver=RpcaParams(max_iter=np.int64(50)))
         write_results(run_experiment(cfg), tmp_path, cfg)
+        assert {"rates.csv", "subspace.csv", "summary.json", "config.json",
+                "cdf_se_ideal.csv"} <= {p.name for p in tmp_path.iterdir()}
         reloaded = load_config(tmp_path / "config.json")
         assert reloaded == cfg
 
@@ -557,7 +571,7 @@ class TestCli:
 
     @pytest.mark.parametrize("entry,key", [
         ({"solver": {"bogus": 1}}, "bogus"),
-        ({"pathloss": {"bogus": 1}}, "bogus"),
+        ({"pathloss": {}}, "pathloss"),
         ({"solver": [1]}, "solver"),
         ({"pathloss": None}, "pathloss"),
         ({"strong_threshold": 1.0}, "strong_threshold"),
@@ -569,8 +583,8 @@ class TestCli:
         ({"kinds": ["ideal", "ideal"]}, "kinds"),
         ({"kinds": []}, "kinds"),
         ({"eta": float("nan")}, "eta"),
-        ({"pathloss": {"carrier_freq_ghz": float("nan")}}, "carrier_freq_ghz"),
-        ({"pathloss": {"ru_height_m": float("nan")}}, "ru_height_m"),
+        ({"pathloss": ECHOED_PATHLOSS}, "pathloss"),
+        ({"pathloss": {"ru_height_m": float("nan")}}, "pathloss"),
         ({"area_side": float("inf")}, "area_side"),
         ({"lam": float("inf")}, "lam"),
         ({"cell_radius": float("inf")}, "cell_radius"),

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from cfsubspace.geometry import (AssociationGraph, PathlossParams, assign_dmrs,
-                                 calibrate_snr, form_clusters, generate_layout,
-                                 los_probability, lsfc_matrix, pathloss_db,
-                                 torus_distance)
+from cfsubspace.geometry import (AssociationGraph, assign_dmrs, calibrate_snr,
+                                 form_clusters, generate_layout, los_probability,
+                                 lsfc_matrix, pathloss_db, torus_distance)
 from oracles import dmrs_pilots_per_ue, per_ue_clusters
 
 
@@ -34,54 +33,39 @@ class TestTorusDistance:
 class TestPathloss:
     def test_los_reference_value(self):
         # PL = 32.4 + 21*log10(sqrt(100^2 + 8.5^2)) + 20*log10(3.7) ~ 85.80 dB
-        params = PathlossParams()
-        pl = pathloss_db(100.0, True, params)
+        pl = pathloss_db(100.0, True)
         assert pl == pytest.approx(85.80, abs=0.01)
         beta = 10 ** (-pl / 10)
         assert beta == pytest.approx(2.63e-9, rel=5e-3)
 
     def test_monotone_in_distance(self):
-        params = PathlossParams()
         for los in (True, False):
-            b1 = 10 ** (-pathloss_db(100.0, los, params) / 10)
-            b2 = 10 ** (-pathloss_db(200.0, los, params) / 10)
+            b1 = 10 ** (-pathloss_db(100.0, los) / 10)
+            b2 = 10 ** (-pathloss_db(200.0, los) / 10)
             assert b2 < b1
 
     def test_nlos_never_above_los(self):
-        params = PathlossParams()
         d = np.linspace(1, 3000, 50)
-        assert np.all(pathloss_db(d, False, params) >= pathloss_db(d, True, params))
+        assert np.all(pathloss_db(d, False) >= pathloss_db(d, True))
 
     def test_los_probability_limits(self):
-        params = PathlossParams()
-        assert los_probability(0.5, params) == pytest.approx(1.0)
-        assert los_probability(10.0, params) == pytest.approx(1.0)
-        assert los_probability(5000.0, params) < 0.01
+        assert los_probability(0.5) == pytest.approx(1.0)
+        assert los_probability(10.0) == pytest.approx(1.0)
+        assert los_probability(5000.0) < 0.01
 
     def test_zero_distance_clamped(self):
-        params = PathlossParams()
         ru = np.zeros((1, 2))
         ue = np.zeros((1, 2))  # co-located: 2-D distance clamps to 1 m
-        beta, _ = lsfc_matrix(ru, ue, 100.0, params, seed=0)
+        beta, _ = lsfc_matrix(ru, ue, 100.0, seed=0)
         assert np.isfinite(beta[0, 0]) and beta[0, 0] > 0
 
     def test_los_flags_deterministic(self):
-        params = PathlossParams()
         rng = np.random.default_rng(1)
         ru = rng.uniform(0, 500, (4, 2))
         ue = rng.uniform(0, 500, (6, 2))
-        _, f1 = lsfc_matrix(ru, ue, 500.0, params, seed=42)
-        _, f2 = lsfc_matrix(ru, ue, 500.0, params, seed=42)
+        _, f1 = lsfc_matrix(ru, ue, 500.0, seed=42)
+        _, f2 = lsfc_matrix(ru, ue, 500.0, seed=42)
         assert np.array_equal(f1, f2)
-
-    def test_shadowing_flag(self):
-        params = PathlossParams(shadowing_std_db=8.0)
-        rng = np.random.default_rng(1)
-        ru = rng.uniform(0, 500, (3, 2))
-        ue = rng.uniform(0, 500, (5, 2))
-        b_shadow, _ = lsfc_matrix(ru, ue, 500.0, params, seed=3)
-        b_plain, _ = lsfc_matrix(ru, ue, 500.0, PathlossParams(), seed=3)
-        assert not np.allclose(b_shadow, b_plain)
 
 
 class TestGenerateLayout:
@@ -119,13 +103,12 @@ class TestCalibrateSnr:
         assert 3 * d_l == pytest.approx(535.24, abs=0.01)
 
     def test_defining_identity(self):
-        params = PathlossParams()
         M = 16
-        snr = calibrate_snr(40, M, 2000.0, params)
+        snr = calibrate_snr(40, M, 2000.0)
         d_ref = 3 * np.sqrt(2000.0 ** 2 / (np.pi * 40))
-        p = los_probability(d_ref, params)
-        beta_bar = p * 10 ** (-pathloss_db(d_ref, True, params) / 10) \
-            + (1 - p) * 10 ** (-pathloss_db(d_ref, False, params) / 10)
+        p = los_probability(d_ref)
+        beta_bar = p * 10 ** (-pathloss_db(d_ref, True) / 10) \
+            + (1 - p) * 10 ** (-pathloss_db(d_ref, False) / 10)
         assert beta_bar * M * snr == pytest.approx(1.0, rel=1e-12)
 
     def test_snr_inverse_in_antennas(self):

@@ -16,9 +16,8 @@ def test_public_names():
         "ExperimentConfig", "ExperimentResult", "load_config", "run_experiment",
         "stage_rng", "write_results",
         # geometry
-        "AssociationGraph", "Layout", "PathlossParams", "assign_dmrs",
-        "calibrate_snr", "form_clusters", "generate_layout", "lsfc_matrix",
-        "torus_distance",
+        "AssociationGraph", "Layout", "assign_dmrs", "calibrate_snr",
+        "form_clusters", "generate_layout", "lsfc_matrix", "torus_distance",
         # hopping
         "SrsSchedule", "allocate_squares", "build_schedule", "default_cell_radius",
         "mols_family",
@@ -30,4 +29,4 @@ def test_public_names():
         "dft_project", "outlier_pursuit", "outlier_pursuit_tuned",
         "power_efficiency", "select_rank", "subspace_estimates",
     }
-    assert len(names) == 46
+    assert len(names) == 45
