@@ -20,10 +20,9 @@ def check_field_types(obj) -> None:
     wrong type for its annotation.
 
     An ``int`` field takes any integer, a ``float`` field any real number, and
-    ``X | None`` also takes None. True and False are never numbers. A field
-    annotated with a class takes instances of it. A numpy scalar that passes
-    is replaced by the equal Python number, so that the config computes and
-    echoes to JSON as that number does.
+    ``X | None`` also takes None. True and False are never numbers. A numpy
+    scalar that passes is replaced by the equal Python number, so that the
+    config computes and echoes to JSON as that number does.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -31,7 +30,7 @@ def check_field_types(obj) -> None:
         if value is None and type(None) in allowed:
             continue
         base = allowed[0]
-        cls, wording = _ACCEPTED.get(base, (base, f"a {base.__name__}"))
+        cls, wording = _ACCEPTED[base]
         if isinstance(value, bool) or not isinstance(value, cls):
             raise ValueError(f"{f.name} must be {wording}, "
                              f"not {type(value).__name__} {value!r}")

@@ -82,9 +82,9 @@ def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
 
     One array pass over the (L, K, M) grid distances serves every pair; it does
     the same elementwise arithmetic as a pair at a time, so the supports agree
-    bit for bit with the one-pair form. The angular distances of the grid
-    points, |((grid - theta + pi) mod 2*pi) - pi|, are made in place on one
-    (L, K, M) grid.
+    bit for bit with the one-pair form (``angular_support``, tests/oracles.py).
+    The angular distances of the grid points, |((grid - theta + pi) mod 2*pi)
+    - pi|, are made in place on one (L, K, M) grid.
     """
     if not 0 < delta <= 2.0 * np.pi:
         raise ValueError("delta must lie in (0, 2*pi]")
@@ -106,35 +106,6 @@ def _support_table(ru_positions, ue_positions, area_side: float, delta: float,
                         num_antennas=M)
 
 
-def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
-                    M: int) -> np.ndarray:
-    """Angular support, as sorted DFT column indices, for the direction joining
-    an RU-UE pair on the torus.
-
-    Grid angles 2*pi*m/M within angular distance delta/2 of the center angle
-    are included (closed interval: points at exactly delta/2 count, with a
-    1e-12 rad slack so the wrap arithmetic cannot drop an endpoint). When the
-    window is narrower than the grid spacing and captures no point, the support
-    is padded with the single nearest grid index.
-    """
-    return _support_table(np.asarray(ru_pos, dtype=float)[None, :],
-                          np.asarray(ue_pos, dtype=float)[None, :],
-                          area_side, delta, M)[0, 0]
-
-
-def sample_channel(M: int, support, beta: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One channel vector draw: sqrt(beta*M/|S|) * F_S @ nu, nu ~ CN(0, I),
-    for the DFT column indices S = ``support``."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    r = len(support)
-    if r < 1:
-        raise ValueError("support must contain at least one index")
-    nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
-    return np.sqrt(beta * M / r) * (dft_columns(M, support) @ nu)
-
-
 def network_supports(layout, delta: float, M: int) -> SupportTable:
     """Angular supports for every RU-UE pair; ``supports[l, k]`` is one pair."""
     return _support_table(layout.ru_positions, layout.ue_positions,
@@ -142,9 +113,9 @@ def network_supports(layout, delta: float, M: int) -> SupportTable:
 
 
 def _channel_draws(bases, beta, z, starts) -> np.ndarray:
-    """sqrt(beta * M / r) * (F_S @ nu), as :func:`sample_channel` draws it, for
-    n pairs of one support size r: ``bases`` (n, M, r), ``beta`` (n,), and
-    pair i's r real then r imaginary coefficients from ``z[starts[i]:]``."""
+    """sqrt(beta * M / r) * (F_S @ nu), as ``sample_channel`` (tests/oracles.py)
+    draws it, for n pairs of one support size r: ``bases`` (n, M, r), ``beta``
+    (n,), and pair i's r real then r imaginary coefficients from ``z[starts[i]:]``."""
     _, M, r = bases.shape
     at = starts[:, None] + np.arange(r)
     nu = (z[at] + 1j * z[at + r]) / np.sqrt(2.0)
@@ -160,8 +131,9 @@ class NetworkChannelSampler:
     a fading draw costs one Gaussian draw and one batched matmul per
     distinct size. Pair (l, k) takes its real then its imaginary coefficients
     from the draw in (l, k) row-major order, so each block is bitwise the
-    :func:`sample_channel` draw of its pair. A caller-supplied generator
-    keeps the draws reproducible; use independent streams for parallel workers.
+    draw of its pair by ``sample_channel`` (tests/oracles.py). A caller-supplied
+    generator keeps the draws reproducible; use independent streams for
+    parallel workers.
     """
 
     def __init__(self, layout, supports: SupportTable):

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .hopping import _is_prime, allocate_squares, build_schedule
 from .hopping import mols_family
 from .receiver import ESTIMATOR_KINDS, ergodic_rates
 # outlier_pursuit is not called here; perfbench/tracing.py patches this name
-from .rpca import RpcaParams, collect_srs, outlier_pursuit, outlier_pursuit_tuned, \
+from .rpca import collect_srs, outlier_pursuit, outlier_pursuit_tuned, \
     power_efficiency, subspace_estimates
 
 # every file write_results can write; a run removes those it did not write
@@ -59,7 +59,6 @@ class ExperimentConfig:
     kinds: tuple = ESTIMATOR_KINDS
     workers: int = 1
     output_dir: str = "results"
-    solver: RpcaParams = field(default_factory=RpcaParams)
 
     def __post_init__(self):
         if isinstance(self.kinds, list):
@@ -85,8 +84,11 @@ class ExperimentConfig:
             raise ValueError("S must be >= 1")
         if self.tau_p >= self.T:
             raise ValueError("tau_p must be smaller than the block size T")
-        if not 0 < self.area_side < np.inf:
-            raise ValueError("area_side must be positive and finite")
+        # the geometry is computable there: a finite calibrated SNR up to 1e50 m
+        # and a positive hex-cell radius down to 1e-100 m for any K below 1e100
+        if not 1e-100 <= self.area_side <= 1e50:
+            raise ValueError("area_side must be positive and finite, within "
+                             "[1e-100, 1e50] m")
         bad = [k for k in self.kinds if k not in ESTIMATOR_KINDS]
         if bad:
             raise ValueError(f"unknown estimator kinds {bad}; "
@@ -135,26 +137,7 @@ def stage_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     return np.random.default_rng(stage_seed_sequence(seed, label, *indices))
 
 
-def _solver_section(value) -> RpcaParams:
-    """The nested ``solver`` config section from its dict form."""
-    if isinstance(value, RpcaParams):
-        return value
-    if not isinstance(value, dict):
-        raise ValueError(f"config section 'solver' must be an object, "
-                         f"not {type(value).__name__}")
-    unknown = set(value) - {f.name for f in dataclasses.fields(RpcaParams)}
-    if unknown:
-        raise ValueError(f"unknown config keys in 'solver': {sorted(unknown)}")
-    try:
-        return RpcaParams(**value)
-    except ValueError as exc:
-        raise ValueError(f"config section 'solver': {exc}") from exc
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    if "solver" in data:
-        data["solver"] = _solver_section(data["solver"])
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
@@ -221,7 +204,7 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
             where["edge"] = (l, k)
             rng = stage_rng(config.seed, "srs", layout_id, l, k)
             Y = collect_srs(schedule, layout, supports, (l, k), snr, rng)
-            res = outlier_pursuit_tuned(Y, config.lam, config.solver)
+            res = outlier_pursuit_tuned(Y, config.lam)
             not_converged += not res.converged
             pca, idx = subspace_estimates(res.left_vectors, res.singular_values)
             edge_records.append(EdgeRecord(

@@ -30,22 +30,12 @@ class RateReport:
     se: np.ndarray            # (K,)
 
 
-def local_lmmse(estimates: np.ndarray, snr: float, index: int) -> np.ndarray:
-    """Unit-norm local LMMSE direction for one user at one RU.
-
-    ``estimates`` holds the RU's channel estimates as rows (n_users, M); the
-    direction is (I/snr + sum_j h_j h_j^H)^-1 h_index, normalized. A zero
-    estimate yields the zero vector (the edge contributes nothing). This is
-    one column of :func:`_lmmse_directions`.
-    """
-    return _lmmse_directions(np.asarray(estimates).T, snr)[:, index]
-
-
 def _lmmse_directions(estimates: np.ndarray, snr: float) -> np.ndarray:
     """All local LMMSE directions at once; columns of the result are unit norm.
 
     ``estimates`` is (..., M, n_users) with users as columns, one stack per
-    RU; zero-estimate columns (absent users) stay zero.
+    RU; zero-estimate columns (absent users) stay zero. One column is
+    ``local_lmmse`` (tests/oracles.py).
     """
     M = estimates.shape[-2]
     A = estimates @ estimates.conj().swapaxes(-1, -2)

@@ -84,6 +84,10 @@ class RpcaParams:
                 raise ValueError(f"{name} must be positive and finite")
 
 
+# checked once here, not on each of the dozens of solves of an edge set
+_DEFAULT_PARAMS = RpcaParams()
+
+
 @dataclass
 class RpcaResult:
     low_rank: np.ndarray   # H_hat, (M, S)
@@ -124,7 +128,7 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     (slots live in different fading blocks).
 
     All of it comes from one Gaussian draw, in the order of drawing slot by
-    slot with :func:`sample_channel`: per slot the desired UE, then each
+    slot with the oracle ``sample_channel``: per slot the desired UE, then each
     collider in ascending index (real then imaginary coefficients each), then
     the noise (M real, M imaginary). One batched product per support size
     then makes every channel term, and the terms of a slot are summed in that
@@ -207,7 +211,7 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
     if params is None:
-        params = RpcaParams()
+        params = _DEFAULT_PARAMS
     M, S = Y.shape
     scale = _fro(Y) / np.sqrt(S)
     if scale == 0:

@@ -3,10 +3,11 @@
 The pipeline calls none of these: each is a reference for a quantity the
 package computes another way (Monte-Carlo covariances, hopping collisions
 and colliders, the rank read from the last ADMM step, the per-RU gain
-tables, the per-UE clustering loop, and the support grid, DMRS assignment,
-LMMSE directions, uplink SINR and CSV rows as they were computed before the
-package made them with fewer temporaries, and the ADMM loop as it ran before
-it had the settled stop) or a builder of test inputs.
+tables, the per-UE clustering loop, the one-pair views of the support
+table, the channel draws and the LMMSE directions, and the support grid,
+DMRS assignment, LMMSE directions, uplink SINR and CSV rows as they were
+computed before the package made them with fewer temporaries, and the ADMM
+loop as it ran before it had the settled stop) or a builder of test inputs.
 """
 
 import csv
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cfsubspace.channel import SupportTable, dft_columns
+from cfsubspace.channel import SupportTable, _support_table, dft_columns
 from cfsubspace.dmrs import pilot_book
 from cfsubspace.geometry import AssociationGraph
 from cfsubspace.receiver import _lmmse_directions
@@ -25,6 +26,46 @@ from cfsubspace.rpca import _RELAXATION, _RESIDUAL_RATIO, _admm, _col_norms, _fr
 def make_support(indices):
     """An angular support: its DFT column indices as an int array."""
     return np.asarray(indices, dtype=int)
+
+
+def angular_support(ru_pos, ue_pos, area_side: float, delta: float,
+                    M: int) -> np.ndarray:
+    """Angular support, as sorted DFT column indices, for the direction joining
+    an RU-UE pair on the torus.
+
+    Grid angles 2*pi*m/M within angular distance delta/2 of the center angle
+    are included (closed interval: points at exactly delta/2 count, with a
+    1e-12 rad slack so the wrap arithmetic cannot drop an endpoint). When the
+    window is narrower than the grid spacing and captures no point, the support
+    is padded with the single nearest grid index.
+    """
+    return _support_table(np.asarray(ru_pos, dtype=float)[None, :],
+                          np.asarray(ue_pos, dtype=float)[None, :],
+                          area_side, delta, M)[0, 0]
+
+
+def sample_channel(M: int, support, beta: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """One channel vector draw: sqrt(beta*M/|S|) * F_S @ nu, nu ~ CN(0, I),
+    for the DFT column indices S = ``support``."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    r = len(support)
+    if r < 1:
+        raise ValueError("support must contain at least one index")
+    nu = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
+    return np.sqrt(beta * M / r) * (dft_columns(M, support) @ nu)
+
+
+def local_lmmse(estimates: np.ndarray, snr: float, index: int) -> np.ndarray:
+    """Unit-norm local LMMSE direction for one user at one RU.
+
+    ``estimates`` holds the RU's channel estimates as rows (n_users, M); the
+    direction is (I/snr + sum_j h_j h_j^H)^-1 h_index, normalized. A zero
+    estimate yields the zero vector (the edge contributes nothing). This is
+    one column of ``_lmmse_directions``.
+    """
+    return _lmmse_directions(np.asarray(estimates).T, snr)[:, index]
 
 
 def from_supports(rows, M) -> SupportTable:

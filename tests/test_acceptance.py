@@ -10,13 +10,12 @@ import filecmp
 import numpy as np
 import pytest
 
-from cfsubspace.channel import dft_columns, dft_matrix, sample_channel
+from cfsubspace.channel import dft_columns, dft_matrix
 from cfsubspace.experiment import ExperimentConfig, run_experiment, write_results
 from cfsubspace.hopping import build_schedule, mols_family
-from cfsubspace.receiver import local_lmmse
 from cfsubspace.rpca import RpcaParams, outlier_pursuit
-from oracles import (are_orthogonal, contamination_covariance, is_latin,
-                     make_support, objective_trace, true_covariance)
+from oracles import (are_orthogonal, contamination_covariance, is_latin, local_lmmse,
+                     make_support, objective_trace, sample_channel, true_covariance)
 
 REFERENCE_A = np.array([[1, 2, 3, 4, 5],
                         [2, 3, 4, 5, 1],

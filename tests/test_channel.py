@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfsubspace.channel import (NetworkChannelSampler, _support_table,
-                                angular_support, dft_columns, dft_matrix,
-                                network_supports, sample_channel)
+from cfsubspace.channel import (NetworkChannelSampler, _support_table, dft_columns,
+                                dft_matrix, network_supports)
 from cfsubspace.geometry import generate_layout
-from oracles import (from_supports, make_support, support_table_by_temporaries,
-                     true_covariance)
+from oracles import (angular_support, from_supports, make_support, sample_channel,
+                     support_table_by_temporaries, true_covariance)
 
 
 def one_pair_support(ru, ue, area_side, delta, M):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cfsubspace.channel import dft_columns, sample_channel
+from cfsubspace.channel import dft_columns
 from cfsubspace.dmrs import dmrs_field, pilot_book, pm_estimate, sp_estimate
-from oracles import contamination_covariance, make_support, pilot_rows
+from oracles import contamination_covariance, make_support, pilot_rows, sample_channel
 
 
 class _ZeroNoise:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -18,7 +19,8 @@ from cfsubspace.cli import main as cli_main
 from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
                                    write_results)
-from cfsubspace.rpca import RpcaParams, SubspaceEstimate, power_efficiency
+from cfsubspace.rpca import RpcaParams, SubspaceEstimate, outlier_pursuit_tuned, \
+    power_efficiency
 from oracles import write_csv_rows_one_by_one
 
 
@@ -28,6 +30,14 @@ ECHOED_PATHLOSS = {"carrier_freq_ghz": 3.7, "ru_height_m": 10.0, "ue_height_m": 
                    "nlos_offset": 22.4, "nlos_dist_coef": 35.3, "nlos_freq_coef": 21.3,
                    "los_prob_d0": 18.0, "los_prob_decay": 36.0, "shadowing_std_db": 0.0}
 NO_PATHLOSS = r"unknown config keys: \['pathloss'\]"
+# the solver section of every config.json echoed before the solver knobs
+# left the config
+ECHOED_SOLVER = {"max_iter": 500, "tol": 0.0001, "rho": 1.0}
+NO_SOLVER = r"unknown config keys: \['solver'\]"
+# the area sides just outside the range at which the geometry is computable
+AREA_ABOVE = math.nextafter(1e50, math.inf)
+AREA_BELOW = math.nextafter(1e-100, 0.0)
+AREA_RANGE = r"area_side must be positive and finite, within \[1e-100, 1e50\] m"
 
 
 def tiny_config(**overrides):
@@ -68,10 +78,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"LL": 4})
 
-    def test_nested_sections_from_dicts(self):
-        cfg = config_from_dict({"solver": {"max_iter": 50}})
-        assert cfg.solver == RpcaParams(max_iter=50)
-
     @pytest.mark.parametrize("entry,message", [
         ({"L": "5"}, "L must be an integer"),
         ({"L": 5.5}, "L must be an integer"),
@@ -84,10 +90,14 @@ class TestConfig:
         ({"lam": True}, "lam must be a number"),
         ({"kinds": "pp"}, "kinds must be a list"),
         ({"output_dir": 3}, "output_dir must be a string"),
-        ({"solver": {"max_iter": "abc"}}, "'solver': max_iter must be an integer"),
-        ({"solver": {"max_iter": 0}}, "config section 'solver': max_iter must be >= 1"),
-        ({"solver": {"tol": 0.0}}, "'solver': tol must be positive"),
-        ({"solver": {"rho": -1}}, "'solver': rho must be positive"),
+        # the solver knobs are no config entries (TestRpcaParams in
+        # test_rpca.py checks them), so a solver section is an unknown key,
+        # the one an echoed config.json of an earlier run holds included
+        ({"solver": ECHOED_SOLVER}, NO_SOLVER),
+        ({"solver": {}}, NO_SOLVER),
+        # area sides outside [1e-100, 1e50] m, where runs used to crash
+        ({"area_side": AREA_ABOVE}, AREA_RANGE),
+        ({"area_side": AREA_BELOW}, AREA_RANGE),
         # the pathloss model is fixed: any pathloss section is an unknown key,
         # the one an echoed config.json of an earlier run holds included
         ({"pathloss": ECHOED_PATHLOSS}, NO_PATHLOSS),
@@ -103,8 +113,8 @@ class TestConfig:
         ({"lam": float("inf")}, "lam must be positive and finite"),
         # the value an echoed config.json of a run before the key was removed holds
         ({"cell_radius": None}, r"unknown config keys: \['cell_radius'\]"),
-        ({"solver": {"tol": float("inf")}}, "'solver': tol must be positive and finite"),
-        ({"solver": {"rho": float("inf")}}, "'solver': rho must be positive and finite"),
+        ({"area_side": 10 ** 400}, AREA_RANGE),
+        ({"area_side": 1e-300}, AREA_RANGE),
     ])
     def test_wrong_type_or_range_rejected(self, entry, message):
         with pytest.raises(ValueError, match=message):
@@ -118,12 +128,10 @@ class TestConfig:
 
     def test_numbers_of_any_kind_accepted(self):
         cfg = config_from_dict({"eta": 1, "area_side": 600, "seed": np.int64(3),
-                                "lam": np.float64(0.3), "kinds": ["ideal"],
-                                "solver": {"tol": 1e-5, "rho": 2}})
+                                "lam": np.float64(0.3), "kinds": ["ideal"]})
         assert (cfg.eta, cfg.area_side, cfg.seed, cfg.kinds) == \
             (1, 600, 3, ("ideal",))
         assert type(cfg.seed) is int and type(cfg.lam) is float
-        assert cfg.solver == RpcaParams(tol=1e-5, rho=2)
 
     def test_load_config_precedence(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -150,8 +158,7 @@ class TestConfig:
         # numpy scalars are taken as the Python numbers they equal, so the
         # echo of such a config is plain JSON and every file is written
         cfg = tiny_config(kinds=("ideal",), seed=np.int64(9), K=np.int64(5),
-                          lam=np.float32(0.3),
-                          solver=RpcaParams(max_iter=np.int64(50)))
+                          lam=np.float32(0.3), area_side=np.float32(600.0))
         write_results(run_experiment(cfg), tmp_path, cfg)
         assert {"rates.csv", "subspace.csv", "summary.json", "config.json",
                 "cdf_se_ideal.csv"} <= {p.name for p in tmp_path.iterdir()}
@@ -345,17 +352,27 @@ class TestRunExperiment:
         assert sum(solves for _, _, solves, _ in edges) > len(edges)
 
     @pytest.mark.parametrize("K,N", [(25, 29), (40, 7)])
-    def test_default_tol_takes_fewer_steps(self, K, N):
-        # the last solve of an edge takes at most 0.7 times the ADMM steps it
-        # took at the former default tolerance 1e-6, and still converges
+    def test_default_tol_takes_fewer_steps(self, monkeypatch, K, N):
+        # on the pipeline's own SRS observations, the last solve of an edge
+        # takes at most 0.7 times the ADMM steps it took at the former default
+        # tolerance 1e-6, and still converges
+        observed = []
+        collect = experiment_mod.collect_srs
+
+        def capture(*args, **kwargs):
+            observed.append(collect(*args, **kwargs))
+            return observed[-1]
+
+        monkeypatch.setattr(experiment_mod, "collect_srs", capture)
+        cfg = ExperimentConfig(L=10, M=8, K=K, tau_p=5, N=N, n_layouts=1,
+                               n_fading=1, seed=3, kinds=("pp",))
+        run_experiment(cfg)
+        assert observed
         steps = []
-        for solver in (RpcaParams(), RpcaParams(tol=1e-6)):
-            cfg = ExperimentConfig(L=10, M=8, K=K, tau_p=5, N=N, n_layouts=1,
-                                   n_fading=1, seed=3, kinds=("pp",),
-                                   solver=solver)
-            edges = run_experiment(cfg).edge_records
-            assert edges and all(e.converged for e in edges)
-            steps.append(np.mean([e.iterations for e in edges]))
+        for params in (RpcaParams(), RpcaParams(tol=1e-6)):
+            results = [outlier_pursuit_tuned(Y, cfg.lam, params) for Y in observed]
+            assert all(r.converged for r in results)
+            steps.append(np.mean([r.iterations for r in results]))
         assert steps[0] <= 0.7 * steps[1]
 
     def test_import_leaves_the_process_pool_unloaded(self):
@@ -570,15 +587,16 @@ class TestCli:
         assert code == 2  # the override (invalid) took precedence
 
     @pytest.mark.parametrize("entry,key", [
-        ({"solver": {"bogus": 1}}, "bogus"),
+        # the solver knobs are no config keys, in a solver section or not
+        ({"bogus": 1}, "bogus"),
         ({"pathloss": {}}, "pathloss"),
         ({"solver": [1]}, "solver"),
         ({"pathloss": None}, "pathloss"),
         ({"strong_threshold": 1.0}, "strong_threshold"),
-        ({"solver": {"max_iter": 50, "adaptive_rho": True}}, "adaptive_rho"),
+        ({"max_iter": 50, "adaptive_rho": True}, "adaptive_rho"),
         ({"T": "200"}, "T must be an integer"),
         ({"seed": True}, "seed"),
-        ({"solver": {"max_iter": "abc"}}, "max_iter"),
+        ({"max_iter": "abc"}, "max_iter"),
         ({"natural_log": True}, "natural_log"),
         ({"kinds": ["ideal", "ideal"]}, "kinds"),
         ({"kinds": []}, "kinds"),
@@ -588,13 +606,18 @@ class TestCli:
         ({"area_side": float("inf")}, "area_side"),
         ({"lam": float("inf")}, "lam"),
         ({"cell_radius": float("inf")}, "cell_radius"),
-        ({"solver": {"tol": float("inf")}}, "tol"),
-        ({"solver": {"rho": float("inf")}}, "rho"),
+        ({"tol": float("inf")}, "tol"),
+        ({"rho": float("inf")}, "rho"),
         ({"cell_radius": 0.001}, "cell_radius"),
         ({"cell_radius": 0.001, "area_side": 400.0}, "cell_radius"),
-        ({"solver": {"max_iter": 0}}, "max_iter"),
+        ({"max_iter": 0}, "max_iter"),
         ({"tune_lambda": False}, "tune_lambda"),
         ({"cell_radius": None}, "cell_radius"),
+        ({"solver": ECHOED_SOLVER}, "solver"),
+        ({"area_side": 1e300}, "area_side"),
+        ({"area_side": 1e-300}, "area_side"),
+        ({"area_side": AREA_ABOVE}, "area_side"),
+        ({"area_side": AREA_BELOW}, "area_side"),
     ])
     def test_bad_config_entry_exits_2(self, tmp_path, capsys, entry, key):
         cfg_path = tmp_path / "cfg.json"
@@ -611,6 +634,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("area_side", [1e-100, 1e50])
+    def test_area_side_bounds_run(self, tmp_path, area_side):
+        # the run completes at both ends of the accepted range: at 1e-100 m
+        # UEs are served, at 1e50 m none passes the association threshold
+        out = tmp_path / "res"
+        code = cli_main(["--L", "6", "--M", "4", "--K", "12", "--N", "5",
+                         "--tau-p", "3", "--area", repr(area_side), "--layouts", "1",
+                         "--fading", "2", "--seed", "7", "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        edges = summary["diagnostics"]["layouts"][0]["edges"]
+        assert (edges > 0) == (area_side < 1.0)
+        for row in read_csv(out / "rates.csv")[1:]:
+            assert row[4] == "" or 0.0 <= float(row[4]) < np.inf
 
     @pytest.mark.parametrize("flag", ["--tune-lambda", "--no-tune-lambda",
                                       "--cell-radius=300"])

@@ -8,8 +8,8 @@ def test_public_names():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == {
         # channel
-        "NetworkChannelSampler", "SupportTable", "angular_support", "dft_columns",
-        "dft_matrix", "network_supports", "sample_channel",
+        "NetworkChannelSampler", "SupportTable", "dft_columns", "dft_matrix",
+        "network_supports",
         # dmrs
         "dmrs_field", "pilot_book", "pm_estimate", "sp_estimate",
         # experiment
@@ -22,11 +22,10 @@ def test_public_names():
         "SrsSchedule", "allocate_squares", "build_schedule", "default_cell_radius",
         "mols_family",
         # receiver
-        "RateReport", "cluster_combiner", "ergodic_rates", "local_lmmse",
-        "uplink_sinr",
+        "RateReport", "cluster_combiner", "ergodic_rates", "uplink_sinr",
         # rpca
         "RpcaParams", "RpcaResult", "SubspaceEstimate", "collect_srs",
         "dft_project", "outlier_pursuit", "outlier_pursuit_tuned",
         "power_efficiency", "select_rank", "subspace_estimates",
     }
-    assert len(names) == 45
+    assert len(names) == 42

@@ -7,9 +7,10 @@ from cfsubspace.geometry import (assign_dmrs, calibrate_snr, form_clusters,
                                  generate_layout)
 from cfsubspace.receiver import (_cluster_sinrs, _cluster_systems, _EdgeLayout,
                                  _gain_tables, _lmmse_directions, cluster_combiner,
-                                 ergodic_rates, local_lmmse, uplink_sinr)
-from oracles import (from_supports, lmmse_directions_by_temporaries, make_support,
-                     per_ru_gain_tables, pilot_rows, uplink_sinr_by_temporaries)
+                                 ergodic_rates, uplink_sinr)
+from oracles import (from_supports, lmmse_directions_by_temporaries, local_lmmse,
+                     make_support, per_ru_gain_tables, pilot_rows,
+                     uplink_sinr_by_temporaries)
 
 
 def random_unit_vectors(rng, n, M):

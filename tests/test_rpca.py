@@ -6,8 +6,7 @@ import pytest
 
 import cfsubspace.experiment as experiment_mod
 import cfsubspace.rpca as rpca_mod
-from cfsubspace.channel import dft_columns, dft_matrix, network_supports, \
-    sample_channel
+from cfsubspace.channel import dft_columns, dft_matrix, network_supports
 from cfsubspace.experiment import ExperimentConfig, run_experiment
 from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
 from cfsubspace.hopping import SrsSchedule, allocate_squares, build_schedule
@@ -17,7 +16,7 @@ from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
                              power_efficiency, select_rank, subspace_estimates)
 from oracles import (admm_stopping_on_tol, colliders, estimated_covariance,
                      from_supports, make_support, numerical_rank, objective_trace,
-                     true_covariance)
+                     sample_channel, true_covariance)
 
 
 def planted_instance(rng, M=16, S=64, rank=2, n_outliers=3, outlier_norm=5.0):
@@ -150,6 +149,28 @@ class TestBatchedCollectSrs:
             ref = per_slot_srs(schedule, layout, supports, (l, k), 50.0, looped)
             assert Y.tobytes() == ref.tobytes()
             assert batched.bit_generator.state == looped.bit_generator.state
+
+
+class TestRpcaParams:
+    """The solver knobs are checked when made, with the config's type rules."""
+
+    @pytest.mark.parametrize("knobs,message", [
+        ({"max_iter": "abc"}, "max_iter must be an integer"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"rho": -1}, "rho must be positive"),
+        ({"tol": float("inf")}, "tol must be positive and finite"),
+        ({"rho": float("inf")}, "rho must be positive and finite"),
+    ])
+    def test_wrong_type_or_range_rejected(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            RpcaParams(**knobs)
+
+    def test_numbers_of_any_kind_accepted(self):
+        # numpy scalars become the Python numbers they equal
+        params = RpcaParams(max_iter=np.int64(50), tol=np.float64(1e-5), rho=2)
+        assert params == RpcaParams(max_iter=50, tol=1e-5, rho=2.0)
+        assert type(params.max_iter) is int and type(params.tol) is float
 
 
 class TestOutlierPursuit:
