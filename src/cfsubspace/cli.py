@@ -11,6 +11,7 @@ T=200, 2000 m area). Exit code 0 on success, 2 on validation or I/O errors.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiment import load_config, run_experiment, write_results
 
@@ -52,6 +53,12 @@ def main(argv=None) -> int:
         config = load_config(args.config, overrides)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"simulate: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    try:        # before the run, so a bad --out loses no layout
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"simulate: cannot create output directory {config.output_dir}: "
+              f"{exc}", file=sys.stderr)
         return 2
     print(f"running {config.n_layouts} layout(s), kinds={list(config.kinds)}, "
           f"seed={config.seed}")

@@ -330,15 +330,15 @@ def _replaced_together(out: Path):
 
 
 def write_results(result: ExperimentResult, output_dir,
-                  config: ExperimentConfig | None = None) -> dict:
-    """Write rates.csv, subspace.csv, summary.json and empirical CDF files.
+                  config: ExperimentConfig) -> dict:
+    """Write rates.csv, subspace.csv, summary.json, config.json and CDF files.
 
-    Returns the summary dictionary. Excluded UEs appear in rates.csv with
-    empty rate/se cells; empty record sets produce header-only CSVs and null
-    summary entries. Every file is written under a temporary name first and
-    all are renamed once all are written, so a failure part-way leaves the
-    files of the previous run in place; a completed run deletes the output
-    files of an earlier run that it did not write itself.
+    Returns the summary dictionary: one entry and one CDF per kind of
+    ``config.kinds``, null entries and header-only CSVs for empty record sets;
+    excluded UEs have empty rate/se cells in rates.csv. Every file is written
+    under a temporary name first and all are renamed once all are written, so
+    a failure part-way leaves the files of the previous run in place; a
+    completed run deletes the output files of an earlier run it did not write.
     """
     out = Path(output_dir)
     try:
@@ -360,12 +360,8 @@ def write_results(result: ExperimentResult, output_dir,
                               e.rank, int(e.converged), e.iterations]
                              for e in result.edge_records)
 
-        kinds = []
-        for r in result.rate_records:
-            if r.kind not in kinds:
-                kinds.append(r.kind)
         summary = {"kinds": {}, "subspace": None, "excluded_ue_records": 0}
-        for kind in kinds:
+        for kind in config.kinds:
             ses = [r.se for r in result.rate_records
                    if r.kind == kind and r.se is not None]
             summary["kinds"][kind] = {
@@ -397,8 +393,7 @@ def write_results(result: ExperimentResult, output_dir,
         with open_("summary.json") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if config is not None:
-            with open_("config.json") as fh:
-                json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        with open_("config.json") as fh:
+            json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
+            fh.write("\n")
         return summary

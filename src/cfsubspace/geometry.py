@@ -83,8 +83,7 @@ def los_probability(d2d):
     """
     d2d = np.asarray(d2d, dtype=float)
     decay = np.exp(-d2d / LOS_PROB_DECAY)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(d2d > 0, LOS_PROB_D0 / np.maximum(d2d, 1e-12), np.inf)
+    ratio = np.where(d2d > 0, LOS_PROB_D0 / np.maximum(d2d, 1e-12), np.inf)
     return np.minimum(ratio, 1.0) * (1.0 - decay) + decay
 
 

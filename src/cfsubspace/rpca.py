@@ -139,9 +139,7 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
     band = schedule.subcarriers
     S = band.shape[1]
     # terms[s, 0] is the desired UE; terms[s, 1 + i] marks collider i
-    terms = np.empty((S, band.shape[0] + 1), dtype=bool)
-    terms[:, 0] = True
-    terms[:, 1:] = (band == band[k]).T
+    terms = np.column_stack([np.ones(S, bool), (band == band[k]).T])
     terms[:, 1 + k] = False
     slot, col = terms.nonzero()                   # slot-major, desired first
     ue = np.where(col == 0, k, col - 1)
@@ -163,13 +161,9 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
         channels[group] = _channel_draws(dft_columns(M, indices), beta[group], z,
                                          start[group])
 
-    # add the colliders to their slot's desired channel one position at a time
-    first = (col == 0).nonzero()[0]
-    position = np.arange(len(ue)) - first[slot]
-    cols = channels[first]
-    for n in range(1, int(position.max(initial=0)) + 1):
-        at = (position == n).nonzero()[0]
-        cols[slot[at]] = cols[slot[at]] + channels[at]
+    # np.add.at adds repeated slots one at a time in index order: term order
+    cols = channels[col == 0]
+    np.add.at(cols, slot[col > 0], channels[col > 0])
     noise = (z[noise_at] + 1j * z[noise_at + M]) / np.sqrt(2.0 * snr)
     return np.ascontiguousarray((cols + noise).T)
 

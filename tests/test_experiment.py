@@ -386,6 +386,54 @@ class TestRunExperiment:
         assert proc.stdout.strip() == "False"
 
 
+class TestValidExtremes:
+    """Values at the edge of what the config accepts run to the end."""
+
+    @staticmethod
+    def _write(config, out):
+        write_results(run_experiment(config), out, config)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("overrides", [
+        dict(seed=10 ** 400),
+        dict(lam=1e300),
+        dict(lam=5e-324),
+        dict(eta=1e308),
+        dict(eta=0.0, Q=1),
+        dict(delta=1e-300),
+        dict(M=64, delta=2 * np.pi),
+        dict(T=10 ** 18),
+        dict(tau_p=50, T=51),
+        dict(K=1, N=2),
+        dict(L=1, M=1),
+        dict(S=1, N=2),
+        dict(N=2, S=40),
+        dict(Q=10 ** 18),
+        dict(area_side=1e50, eta=0.0),
+        dict(area_side=1e-100),
+        dict(N=3, K=60),
+        dict(M=1, kinds=("pp",)),
+    ])
+    def test_run_completes_with_sane_outputs(self, tmp_path, overrides):
+        cfg = ExperimentConfig(**{**dict(L=6, M=4, K=12, tau_p=3, N=5,
+                                         n_layouts=1, n_fading=2, seed=7),
+                                  **overrides})
+        files = self._write(cfg, tmp_path / "a")
+        for row in read_csv(tmp_path / "a" / "subspace.csv")[1:]:
+            assert 0.0 <= float(row[3]) <= 1.0 and 0.0 <= float(row[4]) <= 1.0
+        excluded = json.loads(files["summary.json"])["diagnostics"]["layouts"][0][
+            "excluded_ues"]
+        rows = read_csv(tmp_path / "a" / "rates.csv")[1:]
+        assert sorted(tuple(r[:3]) for r in rows) == sorted(
+            ("0", str(k), kind) for k in range(cfg.K) for kind in cfg.kinds)
+        for _, ue, _, rate, se in rows:
+            if int(ue) in excluded:
+                assert rate == se == ""
+            else:
+                assert 0.0 <= float(se) < np.inf
+        assert self._write(cfg, tmp_path / "b") == files
+
+
 class TestFailureContext:
     """A failing layout is re-raised naming the layout, seed and rpca edge."""
 
@@ -483,10 +531,17 @@ class TestWriteResults:
 
     def test_empty_records(self, tmp_path):
         from cfsubspace.experiment import ExperimentResult
-        summary = write_results(ExperimentResult([], [], {}), tmp_path)
+        cfg = tiny_config(kinds=("pp", "ideal"))
+        summary = write_results(ExperimentResult([], [], {}), tmp_path, cfg)
         assert read_csv(tmp_path / "rates.csv") == [["layout", "ue", "kind",
                                                      "rate", "se"]]
-        assert summary["kinds"] == {} and summary["subspace"] is None
+        null = {"mean_se": None, "median_se": None, "sum_se": None, "n_ues": 0}
+        assert summary["kinds"] == {"pp": null, "ideal": null}
+        assert summary["subspace"] is None
+        for kind in cfg.kinds:
+            assert read_csv(tmp_path / f"cdf_se_{kind}.csv") == [["value", "cdf"]]
+        assert json.loads((tmp_path / "config.json").read_text())["kinds"] == \
+            ["pp", "ideal"]
 
     @staticmethod
     def _snapshot(path):
@@ -531,12 +586,13 @@ class TestWriteResults:
         others = {name: b"kept" for name in ("notes.txt", "cdf_se_x.csv", "rates.csv~")}
         for name, data in others.items():
             (out / name).write_bytes(data)
-        result = run_experiment(tiny_config(kinds=("ideal",)))
-        write_results(result, out)
-        write_results(result, fresh)
+        second = tiny_config(kinds=("ideal",))
+        result = run_experiment(second)
+        write_results(result, out, second)
+        write_results(result, fresh, second)
         expected = self._snapshot(fresh)
         assert set(expected) == {"rates.csv", "subspace.csv", "summary.json",
-                                 "cdf_se_ideal.csv"}
+                                 "cdf_se_ideal.csv", "config.json"}
         assert self._snapshot(out) == {**expected, **others}
 
     @pytest.mark.parametrize("eta", [0.1, 30.0, 1e9])
@@ -578,6 +634,18 @@ class TestCli:
         code = cli_main(["--N", "20", "--out", str(tmp_path)])
         assert code == 2
         assert "prime" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_before_the_run(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("a regular file")
+        code = cli_main(["--L", "3", "--M", "4", "--K", "5", "--N", "5",
+                         "--tau-p", "3", "--area", "600", "--layouts", "2",
+                         "--fading", "1", "--out", str(afile / "sub")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "layout 1/" not in captured.out
+        assert "cannot create output directory" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -53,6 +53,11 @@ class TestPathloss:
         assert los_probability(10.0) == pytest.approx(1.0)
         assert los_probability(5000.0) < 0.01
 
+    def test_los_probability_never_divides_by_zero(self):
+        with np.errstate(divide="raise"):
+            p = los_probability([0.0, 1e-300, 1.0, 1e300])
+        assert p.tolist() == [1.0, 1.0, 1.0, 18.0 / 1e300]
+
     def test_zero_distance_clamped(self):
         ru = np.zeros((1, 2))
         ue = np.zeros((1, 2))  # co-located: 2-D distance clamps to 1 m
