@@ -83,8 +83,7 @@ def los_probability(d2d):
     """
     d2d = np.asarray(d2d, dtype=float)
     decay = np.exp(-d2d / LOS_PROB_DECAY)
-    ratio = np.where(d2d > 0, LOS_PROB_D0 / np.maximum(d2d, 1e-12), np.inf)
-    return np.minimum(ratio, 1.0) * (1.0 - decay) + decay
+    return np.minimum(LOS_PROB_D0 / np.maximum(d2d, 1e-12), 1.0) * (1.0 - decay) + decay
 
 
 def pathloss_db(d2d, los):
@@ -202,14 +201,13 @@ def assign_dmrs(graph: AssociationGraph, lsfc: np.ndarray, tau_p: int) -> np.nda
     order = np.argsort(-lsfc.max(axis=0), kind="stable")
     pilots = np.full(K, -1, dtype=int)
     load = np.zeros(tau_p, dtype=int)
-    slots = np.arange(tau_p)
     # held[t, l]: the largest gain at RU l of the UEs given pilot t so far
     held = np.zeros((tau_p, L))
     for k in order.tolist():
         # per pilot: the worst gain its users present at this cluster
         worst = np.maximum.reduce(held.take(graph.clusters[k], axis=1), axis=1,
                                   initial=0.0)
-        t_k = np.lexsort((slots, load, worst))[0]
+        t_k = np.lexsort((load, worst))[0]
         pilots[k] = t_k
         load[t_k] += 1
         np.maximum(held[t_k], gains[k], out=held[t_k])

@@ -221,7 +221,7 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
                       converged=converged, singular_values=sv, left_vectors=left)
 
 
-def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
+def _admm(Yn: np.ndarray, lam: float, params: RpcaParams):
     """ADMM on the normalized problem, from H = Yn and E = U = 0.
 
     The iteration runs on X = Yn^H, the (S, M) slot-by-antenna matrix with
@@ -234,8 +234,6 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
     where sv holds the last step's thresholded singular values of H and left
     the matching left singular vectors (unthresholded, those of H = Yn, when
     the certificate below ends the solve).
-    ``on_step`` is called with each (M, S) outlier iterate E_1, E_2, ... as
-    it is made; every step makes a fresh E.
 
     The E- and dual updates are over-relaxed: they read
     D = alpha (X - H) + (1 - alpha) E_prev, alpha = ``_RELAXATION``, in place
@@ -279,8 +277,6 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
             # the no-outlier certificate (above); the rows of W have norm
             # <= 1, also where rounding puts one a few ulp above
             E = np.zeros_like(X)
-            if on_step is not None:
-                on_step(E.conj().T)
             return X.conj().T, E.conj().T, sv, Vh.conj().T, 1, True
         sv -= 1.0 / rho
         np.maximum(sv, 0.0, out=sv)
@@ -298,8 +294,6 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
         E = np.multiply(G, row[:, None], out=G)
         R = np.subtract(D, E, out=D)
         U += R
-        if on_step is not None:
-            on_step(E.conj().T)
         e_change = _fro(E - E_prev)
         if e_change / norm < params.tol and \
                 _fro(H - H_prev) / norm < params.tol:
@@ -321,12 +315,12 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams, on_step=None):
     return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
 
 
-def _rank_of(sv: np.ndarray, rel_tol: float = 1e-6) -> int:
-    """How many of the descending singular values sv exceed rel_tol * sv[0]."""
+def _rank_of(sv: np.ndarray) -> int:
+    """How many of the descending singular values sv exceed 1e-6 * sv[0]."""
     top = sv[0]
     if top == 0:
         return 0
-    return int(np.count_nonzero(sv > rel_tol * top))
+    return int(np.count_nonzero(sv > 1e-6 * top))
 
 
 def _rank_zero_lambda(Y: np.ndarray) -> float:
@@ -420,7 +414,7 @@ def dft_project(basis: np.ndarray) -> np.ndarray:
     if r > M:
         raise ValueError("rank exceeds the number of DFT columns")
     proj = basis.conj().T @ dft_matrix(M)         # (r, M)
-    scores = np.real(np.sum(np.abs(proj) ** 2, axis=0))
+    scores = np.sum(np.abs(proj) ** 2, axis=0)
     return np.sort(np.argsort(-scores, kind="stable")[:r])
 
 

@@ -11,6 +11,7 @@ loop as it ran before it had the settled stop) or a builder of test inputs.
 """
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -287,8 +288,37 @@ def collision_slots(schedule, i: int, k: int) -> np.ndarray:
     return np.nonzero(schedule.subcarriers[i] == schedule.subcarriers[k])[0]
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-6) -> int:
-    return _rank_of(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+def check_collision_law(assignment, N: int, subcarriers: np.ndarray, case: str):
+    """Assert the collision law on the (K, S) subcarriers of a schedule built
+    from ``assignment`` on N squares: UEs on one square with distinct symbols
+    never share a subcarrier, UEs on distinct squares share one slot in every
+    N consecutive ones (at most one over the whole schedule when S < N), and
+    equal pairs share every slot. ``case`` names the schedule in a failure.
+
+    Returns the (K, K) masks of the pairs on one square with distinct
+    symbols, on distinct squares, and equal.
+    """
+    square, symbol = assignment.square_id, assignment.symbol_id
+    K, S = subcarriers.shape
+    same_square = square[:, None] == square[None, :]
+    same_symbol = symbol[:, None] == symbol[None, :]
+    one_square = same_square & ~same_symbol
+    equal = same_square & same_symbol & ~np.eye(K, dtype=bool)
+    hits = (subcarriers[:, None, :] == subcarriers[None, :, :]).astype(int)
+    assert np.all(hits[one_square] == 0), case
+    assert np.all(hits[equal] == 1), case
+    # shared slots per window of N consecutive slots; the whole schedule
+    # when S < N, which holds at most one
+    run = np.concatenate([np.zeros((K, K, 1), dtype=int), hits.cumsum(axis=2)],
+                         axis=2)
+    width = min(N, S)
+    cross = (run[..., width:] - run[..., :-width])[~same_square]
+    assert np.all(cross == 1 if S >= N else cross <= 1), case
+    return one_square, ~same_square, equal
+
+
+def numerical_rank(matrix: np.ndarray) -> int:
+    return _rank_of(np.linalg.svd(matrix, compute_uv=False))
 
 
 def objective_trace(Y: np.ndarray, lam: float, params) -> np.ndarray:
@@ -296,16 +326,20 @@ def objective_trace(Y: np.ndarray, lam: float, params) -> np.ndarray:
 
     The exact objective of the feasible pair (Yn - E_i, E_i) on the problem
     ``outlier_pursuit`` solves, Y normalized by its RMS column norm, with
-    E_0 = 0 and E_i the outlier iterate after i ADMM steps.
+    E_0 = 0 and E_i the outlier iterate after i ADMM steps. The solve runs
+    once for its step count n; E_i is then the outlier part of a solve capped
+    at ``max_iter`` = i, which stops after step i of the same deterministic
+    loop.
     """
     Yn = Y / (_fro(Y) / np.sqrt(Y.shape[1]))
-    outliers = [np.zeros_like(Yn)]
-    _admm(Yn, lam, params, outliers.append)
+    n = _admm(Yn, lam, params)[4]
+    outliers = [np.zeros_like(Yn)] + [
+        _admm(Yn, lam, replace(params, max_iter=i))[1] for i in range(1, n + 1)]
     return np.array([np.linalg.svd(Yn - E, compute_uv=False).sum()
                      + lam * _col_norms(E).sum() for E in outliers])
 
 
-def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params, on_step=None):
+def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params):
     """``rpca._admm`` as it was before the settled stop: the same over-relaxed
     steps and no-outlier certificate, stopping only when both the E- and the
     H-change fall below tol (or at max_iter)."""
@@ -321,8 +355,6 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params, on_step=None):
         W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
         if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
             E = np.zeros_like(X)
-            if on_step is not None:
-                on_step(E.conj().T)
             return X.conj().T, E.conj().T, sv, Vh.conj().T, 1, True
         sv -= 1.0 / rho
         np.maximum(sv, 0.0, out=sv)
@@ -340,8 +372,6 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params, on_step=None):
         E = np.multiply(G, row[:, None], out=G)
         R = np.subtract(D, E, out=D)
         U += R
-        if on_step is not None:
-            on_step(E.conj().T)
         e_change = _fro(E - E_prev)
         if e_change / norm < params.tol and \
                 _fro(H - H_prev) / norm < params.tol:

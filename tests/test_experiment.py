@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -21,7 +22,7 @@ from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    write_results)
 from cfsubspace.rpca import RpcaParams, SubspaceEstimate, outlier_pursuit_tuned, \
     power_efficiency
-from oracles import write_csv_rows_one_by_one
+from oracles import check_collision_law, write_csv_rows_one_by_one
 
 
 # the pathloss section of every config.json echoed before the model was fixed
@@ -386,52 +387,137 @@ class TestRunExperiment:
         assert proc.stdout.strip() == "False"
 
 
+# values at the edge of what the config accepts, on L=6, M=4, K=12,
+# tau_p=3, N=5 in TestValidExtremes and on drawn configs in TestConfigSweep
+VALID_EXTREMES = [
+    dict(seed=10 ** 400),
+    dict(lam=1e300),
+    dict(lam=5e-324),
+    dict(eta=1e308),
+    dict(eta=0.0, Q=1),
+    dict(delta=1e-300),
+    dict(M=64, delta=2 * np.pi),
+    dict(T=10 ** 18),
+    dict(tau_p=50, T=51),
+    dict(K=1, N=2),
+    dict(L=1, M=1),
+    dict(S=1, N=2),
+    dict(N=2, S=40),
+    dict(Q=10 ** 18),
+    dict(area_side=1e50, eta=0.0),
+    dict(area_side=1e-100),
+    dict(N=3, K=60),
+    dict(M=1, kinds=("pp",)),
+]
+
+
+def write_run(config, out):
+    """Run ``config``, write its results to ``out`` and return each file's bytes."""
+    write_results(run_experiment(config), out, config)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def check_sane_outputs(config, tmp_path):
+    """Run ``config`` twice and check what every accepted config must give:
+    PEs in [0, 1], one rates.csv row per layout, UE and kind, served SEs
+    finite and >= 0, empty cells for excluded UEs, and the same bytes on the
+    rerun. Returns the files of the first run."""
+    files = write_run(config, tmp_path / "a")
+    for row in read_csv(tmp_path / "a" / "subspace.csv")[1:]:
+        assert 0.0 <= float(row[3]) <= 1.0 and 0.0 <= float(row[4]) <= 1.0
+    excluded = {layout["layout"]: set(layout["excluded_ues"]) for layout in
+                json.loads(files["summary.json"])["diagnostics"]["layouts"]}
+    rows = read_csv(tmp_path / "a" / "rates.csv")[1:]
+    assert sorted(tuple(r[:3]) for r in rows) == sorted(
+        (str(i), str(k), kind) for i in range(config.n_layouts)
+        for k in range(config.K) for kind in config.kinds)
+    for layout, ue, _, rate, se in rows:
+        if int(ue) in excluded[int(layout)]:
+            assert rate == se == ""
+        else:
+            assert 0.0 <= float(se) < np.inf
+    assert write_run(config, tmp_path / "b") == files
+    return files
+
+
 class TestValidExtremes:
     """Values at the edge of what the config accepts run to the end."""
 
-    @staticmethod
-    def _write(config, out):
-        write_results(run_experiment(config), out, config)
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    @pytest.mark.parametrize("overrides", [
-        dict(seed=10 ** 400),
-        dict(lam=1e300),
-        dict(lam=5e-324),
-        dict(eta=1e308),
-        dict(eta=0.0, Q=1),
-        dict(delta=1e-300),
-        dict(M=64, delta=2 * np.pi),
-        dict(T=10 ** 18),
-        dict(tau_p=50, T=51),
-        dict(K=1, N=2),
-        dict(L=1, M=1),
-        dict(S=1, N=2),
-        dict(N=2, S=40),
-        dict(Q=10 ** 18),
-        dict(area_side=1e50, eta=0.0),
-        dict(area_side=1e-100),
-        dict(N=3, K=60),
-        dict(M=1, kinds=("pp",)),
-    ])
+    @pytest.mark.parametrize("overrides", VALID_EXTREMES)
     def test_run_completes_with_sane_outputs(self, tmp_path, overrides):
         cfg = ExperimentConfig(**{**dict(L=6, M=4, K=12, tau_p=3, N=5,
                                          n_layouts=1, n_fading=2, seed=7),
                                   **overrides})
-        files = self._write(cfg, tmp_path / "a")
-        for row in read_csv(tmp_path / "a" / "subspace.csv")[1:]:
-            assert 0.0 <= float(row[3]) <= 1.0 and 0.0 <= float(row[4]) <= 1.0
-        excluded = json.loads(files["summary.json"])["diagnostics"]["layouts"][0][
-            "excluded_ues"]
-        rows = read_csv(tmp_path / "a" / "rates.csv")[1:]
-        assert sorted(tuple(r[:3]) for r in rows) == sorted(
-            ("0", str(k), kind) for k in range(cfg.K) for kind in cfg.kinds)
-        for _, ue, _, rate, se in rows:
-            if int(ue) in excluded:
-                assert rate == se == ""
-            else:
-                assert 0.0 <= float(se) < np.inf
-        assert self._write(cfg, tmp_path / "b") == files
+        check_sane_outputs(cfg, tmp_path)
+
+
+def random_config(rng, **overrides) -> ExperimentConfig:
+    """A small valid config with every field drawn from ``rng``: one layout of
+    two fading draws and all four kinds, on one worker unless ``overrides``
+    say otherwise. About one config in five also takes one of
+    ``VALID_EXTREMES``."""
+    N = int(rng.choice([2, 3, 5, 7, 11, 13]))
+    L = int(rng.integers(1, 8))
+    tau_p = int(rng.integers(1, 13))
+    fields = dict(
+        L=L, M=int(rng.choice([1, 2, 3, 4, 8])), K=int(rng.integers(1, 40)),
+        tau_p=tau_p, T=tau_p + int(rng.integers(1, 200)), N=N,
+        S=int(rng.integers(1, 3 * N + 1)), Q=int(rng.integers(1, L + 2)),
+        eta=float(rng.choice([0.0, 0.5, 1.0, 5.0, 30.0])),
+        delta=float(rng.choice([1e-3, np.pi / 8, 1.0, 2 * np.pi])),
+        lam=float(rng.choice([1e-3, 0.1, 0.25, 0.9, 3.0])),
+        area_side=float(rng.choice([1.0, 50.0, 600.0, 2000.0, 1e5])),
+        seed=int(rng.integers(1 << 62)), n_layouts=1, n_fading=2,
+        kinds=("ideal", "sp", "pp", "pm"), workers=1, output_dir="unused")
+    if rng.random() < 0.2:
+        fields.update(VALID_EXTREMES[rng.integers(len(VALID_EXTREMES))])
+    return ExperimentConfig(**{**fields, **overrides})
+
+
+def config_json(config) -> str:
+    return json.dumps(dataclasses.asdict(config), sort_keys=True)
+
+
+class TestConfigSweep:
+    """Drawn configs keep the model's invariants end to end. Config i comes
+    from ``random_config`` seeded by (SEED, i); a failure names it as JSON."""
+
+    SEED = 2607
+
+    @pytest.mark.parametrize("index", range(60))
+    def test_invariants_hold(self, monkeypatch, tmp_path, index):
+        config = random_config(np.random.default_rng([self.SEED, index]))
+        build, built = experiment_mod.build_schedule, []
+
+        def recording(assignment, N, S):
+            built.append((assignment, N, S, build(assignment, N, S)))
+            return built[-1][3]
+
+        monkeypatch.setattr(experiment_mod, "build_schedule", recording)
+        try:
+            check_sane_outputs(config, tmp_path)
+            # the pipeline's own schedule, once per run of the layout
+            assert len(built) == 2 * ("pp" in config.kinds)
+            for assignment, N, S, schedule in built:
+                assert (N, S) == (config.N, config.S)
+                check_collision_law(assignment, N, schedule.subcarriers,
+                                    "pipeline schedule")
+        except Exception as exc:
+            raise AssertionError(f"config {config_json(config)}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+
+    @pytest.mark.parametrize("index, overrides", [
+        (1000, dict(delta=1.0, M=8)),        # mixed support sizes
+        (1001, dict()),
+    ])
+    def test_workers_give_equal_bytes(self, tmp_path, index, overrides):
+        config = random_config(np.random.default_rng([self.SEED, index]),
+                               n_layouts=2, **overrides)
+        runs = [write_run(dataclasses.replace(config, workers=workers),
+                          tmp_path / str(workers)) for workers in (1, 2)]
+        for files in runs:
+            del files["config.json"]              # echoes the worker count
+        assert runs[0] == runs[1], config_json(config)
 
 
 class TestFailureContext:

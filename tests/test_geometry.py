@@ -55,8 +55,8 @@ class TestPathloss:
 
     def test_los_probability_never_divides_by_zero(self):
         with np.errstate(divide="raise"):
-            p = los_probability([0.0, 1e-300, 1.0, 1e300])
-        assert p.tolist() == [1.0, 1.0, 1.0, 18.0 / 1e300]
+            p = los_probability([0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf])
+        assert p.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 18.0 / 1e300, 0.0]
 
     def test_zero_distance_clamped(self):
         ru = np.zeros((1, 2))

@@ -6,7 +6,8 @@ import pytest
 from cfsubspace.geometry import generate_layout, torus_distance
 from cfsubspace.hopping import (allocate_squares, build_schedule, default_cell_radius,
                                 mols_family, nearest_cells, reuse_color)
-from oracles import are_orthogonal, colliders, collision_slots, is_latin
+from oracles import (are_orthogonal, check_collision_law, colliders,
+                     collision_slots, is_latin)
 
 # reference pair of mutually orthogonal order-5 squares (rows = subcarriers,
 # columns = slots); the first two members of the N=5 family
@@ -379,25 +380,10 @@ class TestCollisionLaw:
                 area = float(rng.choice([1e-3, 1e3, 1e6]))
                 layout = generate_layout(1, K, area, seed=seed)
                 assignment = allocate_squares(layout, N)
-                square, symbol = assignment.square_id, assignment.symbol_id
-                same_square = square[:, None] == square[None, :]
-                same_symbol = symbol[:, None] == symbol[None, :]
-                one_square = same_square & ~same_symbol
-                equal = same_square & same_symbol & ~np.eye(K, dtype=bool)
-                seen["one square"] += one_square.any()
-                seen["cross"] += (~same_square).any()
-                seen["equal"] += equal.any()
                 for S in (1, N - 1, N, 2 * N + 3):
                     case = f"K={K}, N={N}, S={S}, area={area}, seed={seed}"
                     sub = build_schedule(assignment, N, S).subcarriers
-                    hits = (sub[:, None, :] == sub[None, :, :]).astype(int)
-                    assert np.all(hits[one_square] == 0), case
-                    assert np.all(hits[equal] == 1), case
-                    # shared slots per window of N consecutive slots; the
-                    # whole schedule when S < N, which holds at most one
-                    run = np.concatenate([np.zeros((K, K, 1), dtype=int),
-                                          hits.cumsum(axis=2)], axis=2)
-                    width = min(N, S)
-                    cross = (run[..., width:] - run[..., :-width])[~same_square]
-                    assert np.all(cross == 1 if S >= N else cross <= 1), case
+                    pairs = check_collision_law(assignment, N, sub, case)
+                for name, mask in zip(seen, pairs):
+                    seen[name] += mask.any()
         assert min(seen.values()) > 0, seen

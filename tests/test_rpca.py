@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -318,9 +319,10 @@ class TestLazyObjective:
         n = result.iterations
         assert n > 1
         assert len(calls) == n
-        # reading it replays the n steps, then takes one SVD per iterate
+        # reading it solves once (n steps), replays step i with a solve
+        # capped at i steps, then takes one SVD per iterate
         objective_trace(Y, 0.25, RpcaParams())
-        assert len(calls) == n + n + (n + 1)
+        assert len(calls) == n + n + n * (n + 1) // 2 + (n + 1)
 
 
 class TestLambdaTuning:
@@ -582,10 +584,11 @@ class TestFusedStep:
         moves = ""
         for Y, lam, params in cases:
             Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
-            steps = []
-            H, E, sv, left, iterations, converged = rpca_mod._admm(
-                Yn, lam, params, steps.append)
+            H, E, sv, left, iterations, converged = rpca_mod._admm(Yn, lam, params)
             ref = plain_admm(Yn, lam, params)
+            # step i's iterate is the outlier part of a solve capped at i steps
+            steps = [rpca_mod._admm(Yn, lam, replace(params, max_iter=i))[1]
+                     for i in range(1, iterations + 1)]
             for got, want in zip((H, E, sv, left), ref[:4]):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
