@@ -28,18 +28,21 @@ def pilot_book(tau_p: int, snr: float) -> np.ndarray:
 
 def dmrs_field(channels: np.ndarray, pilot_rows: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
-    """Pilot field at one RU: sum_i h_i phi_{t_i}^H plus unit-variance noise.
+    """Pilot fields at RUs: sum_i h_i phi_{t_i}^H plus unit-variance noise.
 
-    Returns the (M, tau_p) received field. ``channels`` holds the K local
-    channel vectors as rows (K, M); every UE in the network contributes,
-    associated with this RU or not. ``pilot_rows`` holds the conjugated
-    pilots phi_{t_i}^H as rows (K, tau_p), in :func:`ergodic_rates` built
-    and checked once per layout as ``pilot_book(tau_p, snr)[:, t].conj().T``.
+    ``channels`` holds one RU's K local channel vectors as rows (K, M), or a
+    stack of RUs (..., K, M); every UE in the network contributes, associated
+    with the RU or not. Returns the (..., M, tau_p) received fields, whose
+    noise is one Gaussian draw: RU by RU, real parts then imaginary parts,
+    so a stack gets the bits of one call per RU in stack order. ``pilot_rows``
+    holds the conjugated pilots phi_{t_i}^H as rows (K, tau_p), in
+    :func:`ergodic_rates` built and checked once per layout as
+    ``pilot_book(tau_p, snr)[:, t].conj().T``.
     """
-    M, tau_p = channels.shape[1], pilot_rows.shape[1]
-    z = rng.standard_normal((2, M, tau_p))     # real parts, then imaginary parts
-    field = channels.T @ pilot_rows
-    field += (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    M, tau_p = channels.shape[-1], pilot_rows.shape[1]
+    z = rng.standard_normal(channels.shape[:-2] + (2, M, tau_p))
+    field = channels.swapaxes(-1, -2) @ pilot_rows
+    field += (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
     return field
 
 

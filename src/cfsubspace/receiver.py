@@ -62,30 +62,41 @@ def cluster_combiner(desired_gains: np.ndarray, system: np.ndarray,
     its squared norm is sum_l |w_l|^2 ||v_l||^2 (``local_sq_norms`` holds
     the ||v_l||^2), and a zero combiner stays zero. Returns the (n_c,)
     weights; the combiner itself is never assembled.
+
+    A stack of one cluster size, (..., n_c) gains and norms with (..., n_c,
+    n_c) systems, is solved at once, as :func:`_cluster_sinrs` does per size
+    group. A stack holding a singular system is solved row by row, so only
+    that system gets the diagonal load and every other row keeps its bits.
     """
     try:
-        w = np.linalg.solve(system, desired_gains)
+        w = np.linalg.solve(system, desired_gains[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        if desired_gains.ndim > 1:
+            return np.array([cluster_combiner(*one) for one in
+                             zip(desired_gains, system, local_sq_norms)])
         w = np.linalg.solve(system + 1e-12 * np.eye(len(desired_gains)),
                             desired_gains)
-    nrm = np.sqrt(np.add.reduce((w.conj() * w).real * local_sq_norms))
-    if nrm > 0:
-        w /= nrm
-    return w
+    power = (w.conj() * w).real * local_sq_norms
+    nrm = np.sqrt(np.add.reduce(power, axis=-1, keepdims=True))
+    return np.divide(w, nrm, out=w, where=nrm > 0)
 
 
 def uplink_sinr(vector: np.ndarray, channel_matrix: np.ndarray, snr: float,
-                k: int) -> float:
+                k):
     """Exact uplink SINR of a unit-norm combiner against the true channels.
 
     Any common basis works: :func:`ergodic_rates` passes the cluster weights
     and the true channels seen through the cluster's local directions (row l
     is v_l^H H_l), whose product is the gain row of the assembled combiner.
+    One UE index ``k`` gives a float; a stack of (..., n) combiners against
+    (..., n, K) channels with (...,) UE indices ``k`` gives the (...,) SINRs,
+    one per combiner.
     """
-    power = np.abs(vector.conj() @ channel_matrix)
+    power = np.abs(vector.conj()[..., None, :] @ channel_matrix)[..., 0, :]
     power *= power
-    signal = power[k]
-    return float(signal / (1.0 / snr + (np.add.reduce(power) - signal)))
+    signal = np.take_along_axis(power, np.asarray(k)[..., None], axis=-1)[..., 0]
+    sinr = signal / (1.0 / snr + (np.add.reduce(power, axis=-1) - signal))
+    return sinr if np.ndim(k) else float(sinr)
 
 
 @dataclass
@@ -212,19 +223,18 @@ def _cluster_sinrs(edges: _EdgeLayout, est: np.ndarray, blocks: np.ndarray,
     """Exact SINR of every served UE under its cluster combiner; NaN elsewhere.
 
     Each UE's combiner is a weighting of its cluster's rows of the
-    :func:`_gain_tables`, so no dense (L*M,) combiner is ever formed. The
-    systems of a size group are built at once by :func:`_cluster_systems`;
-    each UE then makes one :func:`cluster_combiner` and one
-    :func:`uplink_sinr` call, on its rows of the true-gain table.
+    :func:`_gain_tables`, so no dense (L*M,) combiner is ever formed. Per
+    size group, :func:`_cluster_systems` builds the systems, one
+    :func:`cluster_combiner` call solves the stack and one
+    :func:`uplink_sinr` call scores it on the group's rows of the true-gain
+    table.
     """
     sq_norms, known, true = _gain_tables(edges, est, blocks, snr)
     out = np.full(blocks.shape[1], np.nan)
     for ues, rows in edges.groups:
         desired, systems = _cluster_systems(known, ues, rows, snr)
-        for k, gains, system, norms, true_rows in zip(
-                ues.tolist(), desired, systems, sq_norms[rows], true[rows]):
-            weights = cluster_combiner(gains, system, norms)
-            out[k] = uplink_sinr(weights, true_rows, snr, k)
+        weights = cluster_combiner(desired, systems, sq_norms[rows])
+        out[ues] = uplink_sinr(weights, true[rows], snr, ues)
     return out
 
 
@@ -249,7 +259,7 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
             raise ValueError(f"unknown estimator kind {kind!r}")
     if n_fading < 1:
         raise ValueError("n_fading must be >= 1")
-    L, K, M = layout.num_rus, layout.num_ues, supports.num_antennas
+    L, K = layout.num_rus, layout.num_ues
     need_dmrs = any(k != "ideal" for k in kind_list)
     if need_dmrs:
         if graph.dmrs_pilot is None:
@@ -284,10 +294,7 @@ def ergodic_rates(layout, graph, supports, snr: float, kinds, n_fading: int,
         ch_rng, pilot_rng = draw_rng.spawn(2)
         blocks = sampler.sample(ch_rng)
         if need_dmrs:
-            fields = np.empty((L, M, tau_p), dtype=complex)
-            for l in range(L):
-                fields[l] = dmrs_field(blocks[l], pilot_rows, pilot_rng)
-            pm = pm_estimate(fields, pilots, snr)
+            pm = pm_estimate(dmrs_field(blocks, pilot_rows, pilot_rng), pilots, snr)
         for kind in kind_list:
             if kind == "ideal":
                 gathered = blocks[np.arange(L)[:, None], edges.users]

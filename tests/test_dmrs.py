@@ -94,6 +94,20 @@ class TestDmrsFieldDraw:
             assert field.tobytes() == ref.tobytes()
             assert batched.bit_generator.state == looped.bit_generator.state
 
+    @pytest.mark.parametrize("L, K, M, tau_p", [(1, 7, 8, 5), (3, 1, 4, 3),
+                                                (40, 100, 16, 15)])
+    def test_stack_matches_per_ru_calls(self, L, K, M, tau_p):
+        rng = np.random.default_rng(L + K)
+        blocks = rng.standard_normal((L, K, M)) + 1j * rng.standard_normal((L, K, M))
+        rows = pilot_rows(tau_p, 2.5, rng.integers(tau_p, size=K))
+        stacked, looped = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(2):   # the second call starts from the moved state
+            fields = dmrs_field(blocks, rows, stacked)
+            ref = np.array([dmrs_field(block, rows, looped) for block in blocks])
+            assert fields.shape == (L, M, tau_p) and fields.flags.c_contiguous
+            assert fields.tobytes() == ref.tobytes()
+            assert stacked.bit_generator.state == looped.bit_generator.state
+
 
 class TestPmEstimate:
     def test_clean_pilot_recovers_channel(self):

@@ -585,3 +585,71 @@ class TestClusterSystems:
                     assert np.all(a == 0)
                 seen.append(k)
         assert sorted(seen) == served.tolist()
+
+
+def per_ue_sinrs(tables, groups, K, snr):
+    """Reference for ``_cluster_sinrs`` on the same tables: one
+    cluster_combiner and one uplink_sinr call per served UE."""
+    sq_norms, known, true = tables
+    sinr = np.full(K, np.nan)
+    for ues, rows in groups:
+        desired, systems = _cluster_systems(known, ues, rows, snr)
+        for k, a, system, r in zip(ues.tolist(), desired, systems, rows):
+            weights = cluster_combiner(a, system, sq_norms[r])
+            sinr[k] = uplink_sinr(weights, true[r], snr, k)
+    return sinr
+
+
+class TestStackedClusterSolve:
+    @pytest.mark.parametrize("kind", ["ideal", "pm"])
+    def test_bitwise_equal_to_per_ue_calls_at_paper_scale(self, kind):
+        L, M, K, tau_p = 40, 16, 100, 15
+        layout = generate_layout(L, K, 2000.0, seed=31)
+        snr = calibrate_snr(L, M, 2000.0)
+        graph = form_clusters(layout.lsfc, snr, M, Q=10)
+        graph.dmrs_pilot = assign_dmrs(graph, layout.lsfc, tau_p)
+        supports = network_supports(layout, np.pi / 8, M)
+        served = np.setdiff1d(np.arange(K), graph.orphan_ues)
+        edges = _EdgeLayout.build(graph, served)
+        assert len(edges.groups) > 5                 # many cluster sizes
+        rng = np.random.default_rng(32)
+        blocks = NetworkChannelSampler(layout, supports).sample(rng)
+        if kind == "ideal":
+            est = ideal_stack(edges, blocks)
+        else:
+            fields = dmrs_field(blocks, pilot_rows(tau_p, snr, graph.dmrs_pilot), rng)
+            pilots = pilot_book(tau_p, snr)[:, graph.dmrs_pilot[edges.users]]
+            est = np.where(edges.filled[:, None, :],
+                           pm_estimate(fields, pilots.transpose(1, 0, 2), snr), 0.0)
+        got = _cluster_sinrs(edges, est, blocks, snr)
+        want = per_ue_sinrs(_gain_tables(edges, est, blocks, snr), edges.groups, K, snr)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(np.isfinite(got[served]) & (got[served] > 0))
+
+    def test_singular_system_costs_only_its_row(self):
+        # with 1/snr = 0, UE 7's system G G^H has the zero row of an RU that
+        # knows no other UE's gain: the stacked solve fails, and the stack is
+        # solved row by row with that one system retried
+        rng = np.random.default_rng(33)
+        K, snr = 9, np.inf
+        ues = np.array([2, 7, 4])
+        rows = np.arange(6).reshape(3, 2)
+        known = rng.standard_normal((6, K)) + 1j * rng.standard_normal((6, K))
+        true = rng.standard_normal((6, K)) + 1j * rng.standard_normal((6, K))
+        known[rows[1, 0]] = 0.0
+        known[rows[1, 0], 7] = 0.8 - 0.3j
+        tables = (rng.uniform(0.5, 1.0, 6), known, true)
+        norms = tables[0][rows]
+        desired, systems = _cluster_systems(known, ues, rows, snr)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(systems, desired[..., None])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(systems[1], desired[1])
+        got = cluster_combiner(desired, systems, norms)
+        regular = [0, 2]
+        assert np.array_equal(got[regular], cluster_combiner(
+            desired[regular], systems[regular], norms[regular]))
+        assert np.array_equal(got[1], cluster_combiner(desired[1], systems[1], norms[1]))
+        sinr = uplink_sinr(got, true[rows], snr, ues)
+        assert np.all(np.isfinite(sinr) & (sinr > 0))
+        assert np.array_equal(sinr, per_ue_sinrs(tables, [(ues, rows)], K, snr)[ues])
