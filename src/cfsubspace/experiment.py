@@ -25,9 +25,15 @@ from .hopping import _is_prime, allocate_squares, build_schedule
 # mols_family is not called here; perfbench/tracing.py patches this name
 from .hopping import mols_family
 from .receiver import ESTIMATOR_KINDS, ergodic_rates
-# outlier_pursuit is not called here; perfbench/tracing.py patches this name
-from .rpca import collect_srs, outlier_pursuit, outlier_pursuit_tuned, \
-    power_efficiency, subspace_estimates
+from .rpca import _WORK_COUNTERS, _tuned_stack, collect_srs, power_efficiency, \
+    subspace_estimates
+# outlier_pursuit is not called here, and outlier_pursuit_tuned only to name a
+# failing edge; perfbench/tracing.py patches both names
+from .rpca import outlier_pursuit, outlier_pursuit_tuned
+
+# the most edges one stacked outlier-pursuit solve takes, so that a layout's
+# rpca memory is bounded by it and not by its edge count
+_RPCA_CHUNK = 256
 
 # every file write_results can write; a run removes those it did not write
 # this time, so that no file of an earlier run is left beside the new ones
@@ -193,6 +199,7 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
     edge_records = []
     estimated = None
     not_converged = 0
+    work = dict.fromkeys(_WORK_COUNTERS, 0)
     if "pp" in config.kinds:
         assignment = allocate_squares(layout, config.N)
         schedule = build_schedule(assignment, config.N, config.S)
@@ -200,22 +207,33 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
         # sorted(graph.edges) visits them; pairs that are not edges get none
         sizes = np.zeros((config.L, config.K), dtype=int)
         indices = []
-        for l, k in sorted(graph.edges):
-            where["edge"] = (l, k)
-            rng = stage_rng(config.seed, "srs", layout_id, l, k)
-            Y = collect_srs(schedule, layout, supports, (l, k), snr, rng)
-            res = outlier_pursuit_tuned(Y, config.lam)
-            not_converged += not res.converged
-            pca, idx = subspace_estimates(res.left_vectors, res.singular_values)
-            edge_records.append(EdgeRecord(
-                layout=layout_id, ru=l, ue=k,
-                pe_raw=power_efficiency(supports[l, k], pca),
-                # exact for two DFT index sets: the share of S_hat inside S
-                pe_pp=np.intersect1d(supports[l, k], idx).size / pca.rank,
-                rank=pca.rank, converged=res.converged,
-                iterations=res.iterations))
-            sizes[l, k] = pca.rank
-            indices.extend(idx.tolist())
+        edges = sorted(graph.edges)
+        for first in range(0, len(edges), _RPCA_CHUNK):
+            chunk = edges[first:first + _RPCA_CHUNK]
+            observed = []
+            for l, k in chunk:
+                where["edge"] = (l, k)
+                rng = stage_rng(config.seed, "srs", layout_id, l, k)
+                observed.append(collect_srs(schedule, layout, supports, (l, k), snr,
+                                            rng))
+            where.clear()
+            observed = np.stack(observed)
+            results, counts = _solve_chunk(chunk, observed, config.lam, where)
+            for key in _WORK_COUNTERS:
+                work[key] += counts[key]
+            for (l, k), res in zip(chunk, results):
+                where["edge"] = (l, k)
+                not_converged += not res.converged
+                pca, idx = subspace_estimates(res.left_vectors, res.singular_values)
+                edge_records.append(EdgeRecord(
+                    layout=layout_id, ru=l, ue=k,
+                    pe_raw=power_efficiency(supports[l, k], pca),
+                    # exact for two DFT index sets: the share of S_hat inside S
+                    pe_pp=np.intersect1d(supports[l, k], idx).size / pca.rank,
+                    rank=pca.rank, converged=res.converged,
+                    iterations=res.iterations))
+                sizes[l, k] = pca.rank
+                indices.extend(idx.tolist())
         where.clear()
         estimated = SupportTable(indices=np.array(indices, dtype=int), sizes=sizes,
                                  num_antennas=config.M)
@@ -233,8 +251,28 @@ def _layout_outputs(config: ExperimentConfig, layout_id: int, where: dict):
                 rate, se = None, None
             rate_records.append(RateRecord(layout_id, k, kind, rate, se))
     diag = {"layout": layout_id, "excluded_ues": sorted(excluded),
-            "edges": len(graph.edges), "rpca_not_converged": not_converged}
+            "edges": len(graph.edges), "rpca_not_converged": not_converged,
+            **{f"rpca_{key}": value for key, value in work.items()}}
     return rate_records, edge_records, diag
+
+
+def _solve_chunk(edges: list, observed: np.ndarray, lam: float, where: dict):
+    """The tuned outlier-pursuit results and work counts of a chunk of edges,
+    from one stacked solve of their (E, M, S) observations.
+
+    Should it raise, the chunk is solved again edge by edge with
+    ``where["edge"]`` set, so that the error names the first edge whose own
+    solve fails; if none does, the stacked solve's error is raised, naming
+    no edge.
+    """
+    try:
+        return _tuned_stack(observed, lam)
+    except Exception:
+        for edge, Y in zip(edges, observed):
+            where["edge"] = edge
+            outlier_pursuit_tuned(Y, lam)
+        where.clear()
+        raise
 
 
 def _progress_line(layout_id: int, n_layouts: int, diag: dict) -> str:

@@ -7,9 +7,11 @@ column-sparse (slots hit by a strong collider) by solving
     minimize ||H||_* + lambda * ||E||_{2,1}   s.t.   H + E = Y
 
 with ADMM: singular-value soft thresholding for H, column-wise l2 shrinkage
-for E and a running dual update for the coupling. The dominant left singular
-vectors of H, which the last ADMM step has already computed, give the
-subspace; an optional greedy projection snaps the basis onto DFT columns.
+for E and a running dual update for the coupling. The edges of a stack step
+through ADMM in lockstep, one stacked SVD per step, each with the bits of a
+solve of its own. The dominant left singular vectors of H, which the last
+ADMM step has already computed, give the subspace; an optional greedy
+projection snaps the basis onto DFT columns.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +43,8 @@ _RETUNE_FACTOR = 1.5
 # _SETTLED_STEPS steps and the E-change below _SETTLED_FACTOR * tol
 _SETTLED_STEPS = 10
 _SETTLED_FACTOR = 10.0
+# the work _tuned_stack counts (its docstring says what each is)
+_WORK_COUNTERS = ("solves", "admm_steps", "certificate_exits", "rank_zero_endings")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class RpcaResult:
         """Numerical rank of ``low_rank`` (singular values above 1e-6 of the
         largest), read from the singular values the solve already made
         instead of a fresh SVD."""
-        return _rank_of(self.singular_values)
+        return int(_rank_of(self.singular_values))
 
 
 @dataclass
@@ -177,13 +181,15 @@ def _fro(x: np.ndarray):
 
 
 def _col_norms(x: np.ndarray) -> np.ndarray:
-    """Column l2 norms, bitwise equal to np.linalg.norm(x, axis=0)."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+    """Column l2 norms of a matrix or of each matrix of a stack, bitwise equal
+    to np.linalg.norm(x, axis=-2)."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-2))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Row l2 norms, bitwise equal to np.linalg.norm(x, axis=1)."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+    """Row l2 norms of a matrix or of each matrix of a stack, bitwise equal to
+    np.linalg.norm(x, axis=-1)."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 def outlier_pursuit(Y: np.ndarray, lam: float,
@@ -199,41 +205,85 @@ def outlier_pursuit(Y: np.ndarray, lam: float,
     norm (the row norms of W in Y^H = W diag(s) Vh; so at every lambda >= 1)
     the exact answer (Y, 0) is returned, converged after one step: the
     mirror of the rank-zero screen of :func:`outlier_pursuit_tuned`.
+
+    This is the one-edge view of :func:`_solve_stack`, a stack of one.
     """
-    if not 0 < lam < np.inf:
-        raise ValueError("lam must be positive and finite")
+    return _solve_stack(Y[None], [lam], params)[0][0]
+
+
+def _solve_stack(Y: np.ndarray, lam, params: RpcaParams | None = None):
+    """:func:`outlier_pursuit` of every observation of the stack Y, (E, M, S),
+    each at its own lambda ``lam[i]``, in one lockstep ADMM run.
+
+    Returns one result per observation, bitwise that of its own solve, and
+    how many of the solves the step-1 certificate ended. An all-zero
+    observation is its own answer (H = E = 0, no step) and takes no part in
+    the ADMM run.
+    """
+    for value in lam:
+        if not 0 < value < np.inf:
+            raise ValueError("lam must be positive and finite")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
     if params is None:
         params = _DEFAULT_PARAMS
-    M, S = Y.shape
-    scale = _fro(Y) / np.sqrt(S)
-    if scale == 0:
-        return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True,
-                          np.zeros(min(M, S)), np.eye(M, min(M, S), dtype=Y.dtype))
-    H, E, sv, left, iterations, converged = _admm(Y / scale, lam, params)
-    sv = sv * scale
-    if sv[0] == 0:
-        # H = 0: the last step's vectors belong to Yn - E + U, not to H;
-        # take the identity columns an SVD of a zero matrix returns
-        left = np.eye(M, len(sv), dtype=H.dtype)
-    return RpcaResult(low_rank=H * scale, outliers=E * scale, iterations=iterations,
-                      converged=converged, singular_values=sv, left_vectors=left)
+    M, S = Y.shape[1:]
+    n = min(M, S)
+    scale = np.array([_fro(y) for y in Y]) / np.sqrt(S)
+    solved = np.flatnonzero(scale > 0)
+    certified = 0
+    if solved.size:
+        Yn = Y[solved]
+        Yn /= scale[solved, None, None]
+        H, E, sv, left, iterations, converged, certificate = _admm(
+            Yn, np.asarray(lam, dtype=float)[solved], params)
+        certified = int(certificate.sum())
+    results = []
+    j = 0
+    for y, s in zip(Y, scale):
+        if s == 0:
+            results.append(RpcaResult(np.zeros_like(y), np.zeros_like(y), 0, True,
+                                      np.zeros(n), np.eye(M, n, dtype=y.dtype)))
+            continue
+        values = sv[j] * s
+        # H = 0: the last step's vectors belong to Yn - E + U, not to H; take
+        # the identity columns an SVD of a zero matrix returns
+        vectors = left[j] if values[0] != 0 else np.eye(M, n, dtype=H[j].dtype)
+        results.append(RpcaResult(low_rank=H[j] * s, outliers=E[j] * s,
+                                  iterations=int(iterations[j]),
+                                  converged=bool(converged[j]),
+                                  singular_values=values, left_vectors=vectors))
+        j += 1
+    return results, certified
 
 
-def _admm(Yn: np.ndarray, lam: float, params: RpcaParams):
-    """ADMM on the normalized problem, from H = Yn and E = U = 0.
+def _admm(Yn: np.ndarray, lam: np.ndarray, params: RpcaParams):
+    """ADMM on a stack of normalized problems, Yn (E, M, S) with one lambda
+    per problem, each from H = Yn and E = U = 0; the problems step in
+    lockstep, and each gets the bits of a solve of its own.
 
-    The iteration runs on X = Yn^H, the (S, M) slot-by-antenna matrix with
+    The iteration runs on X = Yn^H, the (S, M) slot-by-antenna matrices with
     one SRS slot per row. Conjugate transposition keeps singular values and
     turns the column shrink on E into a row shrink, so the steps are those
     of the (M, S) problem; for S >= M the SVD of each step is then taken of
     a tall matrix, which LAPACK does faster than of the wide one.
 
-    Returns (H, E, sv, left, iterations, converged) with H and E as (M, S),
-    where sv holds the last step's thresholded singular values of H and left
-    the matching left singular vectors (unthresholded, those of H = Yn, when
-    the certificate below ends the solve).
+    Each step makes one ``np.linalg.svd`` of the (E', S, M) stack of the
+    problems still running, and every other array operation of the step
+    acts on that stack; a stacked SVD, product, elementwise update or
+    row-norm reduction gives each problem the bits of its own call. What a
+    problem decides for itself stays its own: its penalty rho and its
+    rescaling of U, its settled counter and read-out, the step-1
+    certificate and its stop. The Frobenius norms of the stop and balance
+    tests are one BLAS dot per problem (``_fro``), since a stacked
+    reduction would sum in another order and could move a stop. A problem
+    leaves the stack at its stop, and the run ends when none is left.
+
+    Returns (H, E, sv, left, iterations, converged, certified), one entry per
+    problem: H and E as (M, S) arrays, sv the last step's thresholded singular
+    values of H, left the matching left singular vectors (unthresholded,
+    those of H = Yn, when the certificate below ends the solve), the step
+    count, whether the solve converged and whether the certificate ended it.
 
     The E- and dual updates are over-relaxed: they read
     D = alpha (X - H) + (1 - alpha) E_prev, alpha = ``_RELAXATION``, in place
@@ -251,7 +301,9 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams):
     update: D serves both G = D + U and R = D - E, the thresholds are
     applied in place, and ||H - H_prev|| is only taken once the E-change
     already meets the tolerance (the test on the larger change is the test on
-    both).
+    both). A step's spent stacks are freed before the next SVD, and the
+    stacks are compacted one at a time, so that a solve holds about nine
+    arrays of the stack's size at its peak.
 
     Each step also reads out ``_rank_of(sv)`` and the gap-selected rank of
     ``sv``, what the estimates take from the solve. Once that pair has not
@@ -260,81 +312,126 @@ def _admm(Yn: np.ndarray, lam: float, params: RpcaParams):
     ``_SETTLED_FACTOR * tol``, the solve stops as converged, whatever the
     H-change.
     """
-    rho = params.rho
-    X = np.conj(Yn.T, order="C")
-    H = X
-    E = np.zeros_like(X)
-    U = np.zeros_like(X)
-    converged = False
-    norm = max(1.0, _fro(X))
-    r_max = max(1, min(X.shape) // 2)           # as in subspace_estimates
+    X = np.conj(Yn.transpose(0, 2, 1), order="C")
+    count, S, M = X.shape
+    n = min(S, M)
+    # each problem's (H, E, sv, left), recorded (conjugated, as they are
+    # returned) when it stops, so that the recorded outputs grow as the
+    # running stack shrinks
+    outputs = [None] * count
+    iterations = np.full(count, params.max_iter)
+    converged = np.zeros(count, dtype=bool)
+    certified = np.zeros(count, dtype=bool)
+    # the state of the problems still running, live[i] their positions
+    live = np.arange(count)
+    rho = np.full(count, float(params.rho))
+    norm = np.array([max(1.0, _fro(x)) for x in X])
+    readout = np.full((count, 2), -1)          # no read-out yet
+    settled = np.zeros(count, dtype=int)
+    H, E, U = X, np.zeros_like(X), np.zeros_like(X)
+    r_max = max(1, n // 2)                      # as in subspace_estimates
     settle_tol = _SETTLED_FACTOR * params.tol
-    readout, settled = None, 0
-    for iterations in range(1, params.max_iter + 1):
+
+    def leave(stop, H, E, sv, Vh, done=True):
+        """Record the problems ``stop`` marks, which end at this step."""
+        for j in np.flatnonzero(stop):
+            outputs[live[j]] = H[j].conj().T, E[j].conj().T, sv[j], Vh[j].conj().T
+        ids = live[stop]
+        iterations[ids] = step
+        converged[ids] = done
+
+    for step in range(1, params.max_iter + 1):
         H_prev, E_prev = H, E
         W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
-        if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
+        if step == 1:
             # the no-outlier certificate (above); the rows of W have norm
             # <= 1, also where rounding puts one a few ulp above
-            E = np.zeros_like(X)
-            return X.conj().T, E.conj().T, sv, Vh.conj().T, 1, True
-        sv -= 1.0 / rho
+            stop = (lam >= 1.0) | (_row_norms(W).max(axis=-1) <= lam)
+            if stop.any():
+                certified[live[stop]] = True
+                leave(stop, X, E, sv, Vh)
+                keep = ~stop
+                if not keep.any():
+                    break
+                live, X, W, sv, Vh, lam, rho, norm, readout, settled = (
+                    a[keep] for a in (live, X, W, sv, Vh, lam, rho, norm, readout,
+                                      settled))
+                E, U = np.zeros_like(X), np.zeros_like(X)
+                H_prev, E_prev = X, E
+        sv -= (1.0 / rho)[:, None]
         np.maximum(sv, 0.0, out=sv)
-        W *= sv
+        W *= sv[:, None, :]
         H = W @ Vh
+        del W
         D = X - H
         D *= _RELAXATION
         D += (1.0 - _RELAXATION) * E_prev
         G = D + U
         row = _row_norms(G)
         np.maximum(row, 1e-300, out=row)
-        np.divide(lam / rho, row, out=row)
+        np.divide((lam / rho)[:, None], row, out=row)
         np.subtract(1.0, row, out=row)
         np.maximum(row, 0.0, out=row)
-        E = np.multiply(G, row[:, None], out=G)
+        E = np.multiply(G, row[..., None], out=G)
         R = np.subtract(D, E, out=D)
         U += R
-        e_change = _fro(E - E_prev)
-        if e_change / norm < params.tol and \
-                _fro(H - H_prev) / norm < params.tol:
-            converged = True
-            break
-        previous, readout = readout, (_rank_of(sv), _gap_rank(sv, r_max))
-        settled = settled + 1 if readout == previous else 0
-        if settled >= _SETTLED_STEPS and e_change / norm < settle_tol:
-            converged = True
-            break
-        r_norm = _fro(R)
+        r_norm = np.array([_fro(x) for x in R])
+        e_change = np.array([_fro(e - e_prev) for e, e_prev in zip(E, E_prev)])
+        stop = e_change / norm < params.tol
+        for i in np.flatnonzero(stop):
+            stop[i] = _fro(H[i] - H_prev[i]) / norm[i] < params.tol
+        # the step's other stacks are spent: free them before the compaction
+        # and the next SVD, so that they add nothing to the peak memory
+        del H_prev, E_prev, D, R
+        current = np.stack([_rank_of(sv), _gap_rank(sv, r_max)], axis=1)
+        settled = np.where((current == readout).all(axis=1), settled + 1, 0)
+        readout = current
+        stop |= (settled >= _SETTLED_STEPS) & (e_change / norm < settle_tol)
+        if stop.any():
+            leave(stop, H, E, sv, Vh)
+            keep = ~stop
+            if not keep.any():
+                break
+            live, lam, rho, norm, readout, settled, e_change, r_norm = (
+                a[keep] for a in (live, lam, rho, norm, readout, settled,
+                                  e_change, r_norm))
+            # one stack at a time, so that one old stack is left beside its copy
+            X = X[keep]
+            H = H[keep]
+            E = E[keep]
+            U = U[keep]
         d_norm = rho * e_change
-        if r_norm > _RESIDUAL_RATIO * d_norm:
-            rho *= 2.0
-            U /= 2.0
-        elif d_norm > _RESIDUAL_RATIO * r_norm:
-            rho /= 2.0
-            U *= 2.0
-    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
+        factor = np.where(r_norm > _RESIDUAL_RATIO * d_norm, 2.0,
+                          np.where(d_norm > _RESIDUAL_RATIO * r_norm, 0.5, 1.0))
+        rho *= factor
+        U /= factor[:, None, None]
+    else:
+        # max_iter reached: the rest end here, not converged
+        leave(np.ones(len(live), dtype=bool), H, E, sv, Vh, done=False)
+    H, E, sv, left = zip(*outputs)
+    return H, E, sv, left, iterations, converged, certified
 
 
-def _rank_of(sv: np.ndarray) -> int:
-    """How many of the descending singular values sv exceed 1e-6 * sv[0]."""
-    top = sv[0]
-    if top == 0:
-        return 0
-    return int(np.count_nonzero(sv > 1e-6 * top))
+def _rank_of(sv: np.ndarray):
+    """How many of the descending singular values sv (..., n) exceed
+    1e-6 * sv[..., 0]: none when the largest is 0."""
+    return np.count_nonzero(sv > 1e-6 * sv[..., :1], axis=-1)
 
 
-def _rank_zero_lambda(Y: np.ndarray) -> float:
-    """Largest lambda, less a safety margin, at which H = 0 solves outlier pursuit.
+def _rank_zero_lambda(Y: np.ndarray):
+    """Largest lambda, less a safety margin, at which H = 0 solves outlier
+    pursuit, for Y or for each observation of a stack Y (..., M, S).
 
     (H, E) = (0, Y) is optimal iff lambda * ||Y~||_2 <= 1, where Y~ is Y with
     every nonzero column scaled to unit norm: lambda * Y~ is then a dual
     certificate (Xu, Caramanis & Sanghavi, 2010). Returns
-    (1 - margin) / ||Y~||_2, or inf when Y is zero.
+    (1 - margin) / ||Y~||_2, or inf when Y is zero; one stacked SVD.
     """
     norms = _col_norms(Y)
-    unit = Y / np.where(norms > 0, norms, 1.0)
-    sigma = np.linalg.svd(unit, compute_uv=False)[0]
-    return (1.0 - _RANK_ZERO_MARGIN) / sigma if sigma > 0 else np.inf
+    unit = Y / np.where(norms > 0, norms, 1.0)[..., None, :]
+    sigma = np.linalg.svd(unit, compute_uv=False)[..., 0]
+    return np.divide(1.0 - _RANK_ZERO_MARGIN, sigma, where=sigma > 0,
+                     out=np.full_like(sigma, np.inf))
 
 
 def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
@@ -357,12 +454,18 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
     0.999 lambda_0 or below, nor at ``tol`` = 1e-6). The screen then
     follows the optimum instead, and the loop differs from one that runs
     every solve (on none of the 581 captured pipeline edges among them).
-    Non-finite input is not screened, so that the solve rejects it. A
-    lambda the ladder comes back to (0.5625 -> 0.375 -> 0.5625) is not
-    solved again.
+    Non-finite input is rejected. A lambda the ladder comes back to
+    (0.5625 -> 0.375 -> 0.5625) is not solved again.
+
+    This is the one-edge view of :func:`_tuned_stack`, a stack of one.
     """
-    hi = max(1, Y.shape[0] // 2)
-    lam_zero = _rank_zero_lambda(Y) if np.all(np.isfinite(Y)) else 0.0
+    return _tuned_stack(Y[None], lam, params)[0][0]
+
+
+def _ladder(lam: float, lam_zero: float, hi: int):
+    """The lambda ladder of one edge (:func:`outlier_pursuit_tuned`): yields
+    each lambda it needs solved, is sent that solve's result, and returns
+    the result it ends on."""
     solved = {}
     for attempt in range(_MAX_RETRIES + 1):
         last = attempt == _MAX_RETRIES
@@ -370,7 +473,7 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
             lam = lam * _RETUNE_FACTOR  # rank zero without solving
             continue
         if lam not in solved:
-            solved[lam] = outlier_pursuit(Y, lam, params)
+            solved[lam] = yield lam
         result = solved[lam]
         if last:
             break
@@ -379,6 +482,46 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
             break
         lam = lam / _RETUNE_FACTOR if rank > hi else lam * _RETUNE_FACTOR
     return result
+
+
+def _tuned_stack(Y: np.ndarray, lam: float, params: RpcaParams | None = None):
+    """:func:`outlier_pursuit_tuned` of every observation of the stack Y,
+    (E, M, S), all from the same starting lambda.
+
+    The rank-zero screen is one stacked SVD. Then each round solves, in one
+    :func:`_solve_stack` call, every edge whose ladder wants a lambda it has
+    not solved yet; a ladder asks for at most one solve per attempt, so
+    there are at most ``_MAX_RETRIES + 1`` rounds. Returns the results,
+    bitwise those of one :func:`outlier_pursuit_tuned` call per observation,
+    and the work done: ``solves``, ``admm_steps`` (over every solve, not
+    only the last of an edge), ``certificate_exits`` (solves the step-1
+    certificate ended) and ``rank_zero_endings`` (edges whose result has
+    rank 0).
+    """
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y contains non-finite entries")
+    hi = max(1, Y.shape[1] // 2)
+    ladders = [_ladder(lam, lam_zero, hi) for lam_zero in _rank_zero_lambda(Y)]
+    wanted = {i: next(ladder) for i, ladder in enumerate(ladders)}
+    results = [None] * len(ladders)
+    work = dict.fromkeys(_WORK_COUNTERS, 0)
+    while wanted:
+        edges = list(wanted)
+        stack = Y if len(edges) == len(Y) else Y[edges]
+        solved, certified = _solve_stack(stack, [wanted[i] for i in edges], params)
+        work["solves"] += len(edges)
+        work["admm_steps"] += sum(result.iterations for result in solved)
+        work["certificate_exits"] += certified
+        for i, result in zip(edges, solved):
+            try:
+                wanted[i] = ladders[i].send(result)
+            except StopIteration as end:
+                del wanted[i]
+                results[i] = end.value
+    work["rank_zero_endings"] = sum(result.rank == 0 for result in results)
+    return results, work
 
 
 def select_rank(singular_values, r_max: int) -> int:
@@ -392,15 +535,16 @@ def select_rank(singular_values, r_max: int) -> int:
         raise ValueError("need at least one singular value")
     if np.any(sv < 0) or np.any(np.diff(sv) > 0):
         raise ValueError("singular values must be non-negative and descending")
-    return _gap_rank(sv, r_max)
+    return int(_gap_rank(sv, r_max))
 
 
-def _gap_rank(sv: np.ndarray, r_max: int) -> int:
-    """:func:`select_rank` of a descending float array, unchecked."""
-    upper = min(r_max, len(sv) - 1)
+def _gap_rank(sv: np.ndarray, r_max: int):
+    """:func:`select_rank` of a descending float array, or of each row of a
+    stack of them, unchecked."""
+    upper = min(r_max, sv.shape[-1] - 1)
     if upper < 1:
-        return 1
-    return int((sv[:upper] - sv[1:upper + 1]).argmax()) + 1
+        return np.ones(sv.shape[:-1], dtype=int)
+    return (sv[..., :upper] - sv[..., 1:upper + 1]).argmax(axis=-1) + 1
 
 
 def dft_project(basis: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ and colliders, the rank read from the last ADMM step, the per-RU gain
 tables, the per-UE clustering loop, the one-pair views of the support
 table, the channel draws and the LMMSE directions, and the support grid,
 DMRS assignment, LMMSE directions, uplink SINR and CSV rows as they were
-computed before the package made them with fewer temporaries, and the ADMM
-loop as it ran before it had the settled stop) or a builder of test inputs.
+computed before the package made them with fewer temporaries, the ADMM
+loop as it ran before it had the settled stop, and the outlier-pursuit solve
+and lambda ladder as they ran edge by edge before the edges stepped in
+lockstep) or a builder of test inputs.
 """
 
 import csv
@@ -20,8 +22,9 @@ from cfsubspace.channel import SupportTable, _support_table, dft_columns
 from cfsubspace.dmrs import pilot_book
 from cfsubspace.geometry import AssociationGraph
 from cfsubspace.receiver import _lmmse_directions
-from cfsubspace.rpca import _RELAXATION, _RESIDUAL_RATIO, _admm, _col_norms, _fro, \
-    _rank_of, _row_norms
+from cfsubspace.rpca import _DEFAULT_PARAMS, _MAX_RETRIES, _RANK_ZERO_MARGIN, \
+    _RELAXATION, _RESIDUAL_RATIO, _RETUNE_FACTOR, _SETTLED_FACTOR, _SETTLED_STEPS, \
+    RpcaParams, RpcaResult, _admm, _col_norms, _fro, _gap_rank, _rank_of, _row_norms
 
 
 def make_support(indices):
@@ -332,9 +335,9 @@ def objective_trace(Y: np.ndarray, lam: float, params) -> np.ndarray:
     loop.
     """
     Yn = Y / (_fro(Y) / np.sqrt(Y.shape[1]))
-    n = _admm(Yn, lam, params)[4]
+    n = admm_one(Yn, lam, params)[4]
     outliers = [np.zeros_like(Yn)] + [
-        _admm(Yn, lam, replace(params, max_iter=i))[1] for i in range(1, n + 1)]
+        admm_one(Yn, lam, replace(params, max_iter=i))[1] for i in range(1, n + 1)]
     return np.array([np.linalg.svd(Yn - E, compute_uv=False).sum()
                      + lam * _col_norms(E).sum() for E in outliers])
 
@@ -386,3 +389,140 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params):
             rho /= 2.0
             U *= 2.0
     return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
+
+
+def reference_outlier_pursuit(Y: np.ndarray, lam: float,
+                              params: RpcaParams | None = None) -> RpcaResult:
+    """``rpca.outlier_pursuit`` as it was solved edge by edge, before the
+    edges of a layout stepped through ADMM in lockstep: the reference the
+    stacked solver must match bit for bit."""
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y contains non-finite entries")
+    if params is None:
+        params = _DEFAULT_PARAMS
+    M, S = Y.shape
+    scale = _fro(Y) / np.sqrt(S)
+    if scale == 0:
+        return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True,
+                          np.zeros(min(M, S)), np.eye(M, min(M, S), dtype=Y.dtype))
+    H, E, sv, left, iterations, converged = reference_admm(Y / scale, lam, params)
+    sv = sv * scale
+    if sv[0] == 0:
+        # H = 0: the last step's vectors belong to Yn - E + U, not to H;
+        # take the identity columns an SVD of a zero matrix returns
+        left = np.eye(M, len(sv), dtype=H.dtype)
+    return RpcaResult(low_rank=H * scale, outliers=E * scale, iterations=iterations,
+                      converged=converged, singular_values=sv, left_vectors=left)
+
+
+def reference_admm(Yn: np.ndarray, lam: float, params: RpcaParams):
+    """``rpca._admm`` on one normalized problem, as it was before the stacked
+    solver: the same steps, certificate and stops, one SVD per step of this
+    problem alone. Returns (H, E, sv, left, iterations, converged)."""
+    rho = params.rho
+    X = np.conj(Yn.T, order="C")
+    H = X
+    E = np.zeros_like(X)
+    U = np.zeros_like(X)
+    converged = False
+    norm = max(1.0, _fro(X))
+    r_max = max(1, min(X.shape) // 2)           # as in subspace_estimates
+    settle_tol = _SETTLED_FACTOR * params.tol
+    readout, settled = None, 0
+    for iterations in range(1, params.max_iter + 1):
+        H_prev, E_prev = H, E
+        W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
+        if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
+            # the no-outlier certificate (rpca._admm); the rows of W have norm
+            # <= 1, also where rounding puts one a few ulp above
+            E = np.zeros_like(X)
+            return X.conj().T, E.conj().T, sv, Vh.conj().T, 1, True
+        sv -= 1.0 / rho
+        np.maximum(sv, 0.0, out=sv)
+        W *= sv
+        H = W @ Vh
+        D = X - H
+        D *= _RELAXATION
+        D += (1.0 - _RELAXATION) * E_prev
+        G = D + U
+        row = _row_norms(G)
+        np.maximum(row, 1e-300, out=row)
+        np.divide(lam / rho, row, out=row)
+        np.subtract(1.0, row, out=row)
+        np.maximum(row, 0.0, out=row)
+        E = np.multiply(G, row[:, None], out=G)
+        R = np.subtract(D, E, out=D)
+        U += R
+        e_change = _fro(E - E_prev)
+        if e_change / norm < params.tol and \
+                _fro(H - H_prev) / norm < params.tol:
+            converged = True
+            break
+        previous, readout = readout, (_rank_of(sv), _gap_rank(sv, r_max))
+        settled = settled + 1 if readout == previous else 0
+        if settled >= _SETTLED_STEPS and e_change / norm < settle_tol:
+            converged = True
+            break
+        r_norm = _fro(R)
+        d_norm = rho * e_change
+        if r_norm > _RESIDUAL_RATIO * d_norm:
+            rho *= 2.0
+            U /= 2.0
+        elif d_norm > _RESIDUAL_RATIO * r_norm:
+            rho /= 2.0
+            U *= 2.0
+    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
+
+
+def reference_rank_zero_lambda(Y: np.ndarray) -> float:
+    """``rpca._rank_zero_lambda`` of one observation, as the per-edge ladder
+    computed it: (1 - margin) / ||Y~||_2, or inf when Y is zero."""
+    norms = _col_norms(Y)
+    unit = Y / np.where(norms > 0, norms, 1.0)
+    sigma = np.linalg.svd(unit, compute_uv=False)[0]
+    return (1.0 - _RANK_ZERO_MARGIN) / sigma if sigma > 0 else np.inf
+
+
+def reference_tuned(Y: np.ndarray, lam: float,
+                    params: RpcaParams | None = None) -> RpcaResult:
+    """``rpca.outlier_pursuit_tuned`` as it ran edge by edge: the rank-zero
+    screen and lambda ladder of one edge, each solve a
+    :func:`reference_outlier_pursuit` call."""
+    hi = max(1, Y.shape[0] // 2)
+    lam_zero = reference_rank_zero_lambda(Y) if np.all(np.isfinite(Y)) else 0.0
+    solved = {}
+    for attempt in range(_MAX_RETRIES + 1):
+        last = attempt == _MAX_RETRIES
+        if lam <= lam_zero and not last:
+            lam = lam * _RETUNE_FACTOR  # rank zero without solving
+            continue
+        if lam not in solved:
+            solved[lam] = reference_outlier_pursuit(Y, lam, params)
+        result = solved[lam]
+        if last:
+            break
+        rank = result.rank
+        if 1 <= rank <= hi:
+            break
+        lam = lam / _RETUNE_FACTOR if rank > hi else lam * _RETUNE_FACTOR
+    return result
+
+
+def admm_one(Yn: np.ndarray, lam: float, params):
+    """``rpca._admm`` on one normalized problem, a stack of one: (H, E, sv,
+    left, iterations, converged) of that problem."""
+    H, E, sv, left, iterations, converged, _ = _admm(Yn[None], np.array([lam]), params)
+    return H[0], E[0], sv[0], left[0], int(iterations[0]), bool(converged[0])
+
+
+def stacked(admm):
+    """A one-problem ADMM loop ``admm(Yn, lam, params)`` run problem by
+    problem in ``rpca._admm``'s stacked signature. It reports no certificate
+    of its own, so a one-step converged solve counts as the certificate's."""
+    def run(Yn, lam, params):
+        solves = [admm(y, value, params) for y, value in zip(Yn, lam)]
+        H, E, sv, left, iterations, converged = (np.array(part) for part in zip(*solves))
+        return H, E, sv, left, iterations, converged, (iterations == 1) & converged
+    return run

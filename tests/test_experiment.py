@@ -22,7 +22,9 @@ from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    write_results)
 from cfsubspace.rpca import RpcaParams, SubspaceEstimate, outlier_pursuit_tuned, \
     power_efficiency
-from oracles import check_collision_law, write_csv_rows_one_by_one
+import oracles
+from oracles import check_collision_law, reference_outlier_pursuit, \
+    write_csv_rows_one_by_one
 
 
 # the pathloss section of every config.json echoed before the model was fixed
@@ -309,48 +311,54 @@ class TestRunExperiment:
         assert sorted(parallel) == serial
 
     def test_svds_per_edge_are_the_screen_and_the_steps(self, monkeypatch):
-        # per edge, the rank-zero screen takes one SVD and every ADMM step
-        # one; the ranks and the subspace estimates reuse the last step's
-        edges = []          # per edge: [SVDs, ADMM steps, solves, open]
-        svd, solve = np.linalg.svd, rpca_mod.outlier_pursuit
-        collect, estimates = experiment_mod.collect_srs, experiment_mod.subspace_estimates
+        # per edge, the rank-zero screen factors one matrix and every ADMM
+        # step one; the ranks and the subspace estimates reuse the last
+        # step's. The edges of a layout share the calls: one stacked screen
+        # per chunk of edges and one stacked SVD per lockstep step, which
+        # runs while any edge of its stack does
+        matrices, calls, observed, steps, lockstep = [0], [0], [], [], []
+        svd, admm, collect = np.linalg.svd, rpca_mod._admm, experiment_mod.collect_srs
 
-        def counted_svd(*args, **kwargs):
-            if edges and edges[-1][3]:
-                edges[-1][0] += 1
-            return svd(*args, **kwargs)
+        def counted_svd(a, *args, **kwargs):
+            calls[0] += 1
+            matrices[0] += math.prod(a.shape[:-2])
+            return svd(a, *args, **kwargs)
 
-        def opening_collect(*args, **kwargs):
-            edges.append([0, 0, 0, True])
-            return collect(*args, **kwargs)
+        def kept_collect(*args, **kwargs):
+            observed.append(collect(*args, **kwargs))
+            return observed[-1]
 
-        def counted_solve(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            edges[-1][1] += result.iterations
-            edges[-1][2] += 1
-            return result
-
-        def closing_estimates(*args, **kwargs):
-            result = estimates(*args, **kwargs)
-            edges[-1][3] = False
+        def counted_admm(*args, **kwargs):
+            result = admm(*args, **kwargs)
+            steps.extend(result[4].tolist())
+            lockstep.append(int(result[4].max()))
             return result
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(experiment_mod, "collect_srs", opening_collect)
-        monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted_solve)
-        monkeypatch.setattr(experiment_mod, "subspace_estimates", closing_estimates)
+        monkeypatch.setattr(experiment_mod, "collect_srs", kept_collect)
+        monkeypatch.setattr(rpca_mod, "_admm", counted_admm)
         # reduced networks: K = 40 UEs on N = 7 squares collide, and the
         # noise-only K = 25, N = 29 edges retune lambda
+        solves = edges = 0
         for K, N in [(40, 7), (25, 29)]:
-            edges.clear()
+            for log in (observed, steps, lockstep):
+                log.clear()
+            matrices[0] = calls[0] = 0
             cfg = ExperimentConfig(L=10, M=8, K=K, tau_p=5, N=N, n_layouts=1,
                                    n_fading=1, seed=3, kinds=("pp",))
             result = run_experiment(cfg)
-            assert len(edges) == len(result.edge_records) > 0
-            assert [svds for svds, *_ in edges] == \
-                [1 + steps for _, steps, *_ in edges]
+            assert len(observed) == len(result.edge_records) > 0
+            assert matrices[0] == len(observed) + sum(steps)
+            chunks = -(-len(observed) // experiment_mod._RPCA_CHUNK)
+            assert calls[0] == chunks + sum(lockstep)
+            # the steps are those of solving edge by edge
+            reference = reference_work(observed, cfg.lam)
+            assert (len(steps), sum(steps)) == \
+                (reference["solves"], reference["admm_steps"])
+            solves += len(steps)
+            edges += len(observed)
         # so some edges' steps span several solves
-        assert sum(solves for _, _, solves, _ in edges) > len(edges)
+        assert solves > edges
 
     @pytest.mark.parametrize("K,N", [(25, 29), (40, 7)])
     def test_default_tol_takes_fewer_steps(self, monkeypatch, K, N):
@@ -520,6 +528,72 @@ class TestConfigSweep:
         assert runs[0] == runs[1], config_json(config)
 
 
+def reference_work(observed, lam):
+    """The rpca work counters of a layout, from solving its observations
+    edge by edge with the reference ladder (``oracles.reference_tuned``). A
+    reference solve that converges after its first step is a certificate
+    exit: the tolerance stop cannot fire there at the default ``rho``."""
+    solves = []
+
+    def recording(Y, lam, params=None):
+        solves.append(reference_outlier_pursuit(Y, lam, params))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "reference_outlier_pursuit", recording)
+        results = [oracles.reference_tuned(Y, lam) for Y in observed]
+    return {"solves": len(solves),
+            "admm_steps": sum(r.iterations for r in solves),
+            "certificate_exits": sum(r.iterations == 1 and r.converged for r in solves),
+            "rank_zero_endings": sum(r.rank == 0 for r in results)}
+
+
+class TestRpcaWork:
+    """Each layout's diagnostics count its rpca work: solves, ADMM steps over
+    every solve, step-1 certificate exits and rank-zero endings."""
+
+    # per config, the counter it drives above zero, beside solves and steps
+    CONFIGS = {
+        "K=40/N=7 colliders": (dict(L=10, M=8, K=40, tau_p=5, N=7, seed=3), None),
+        "perfbench TINY": (dict(L=6, M=4, K=12, tau_p=3, N=5, seed=7), None),
+        "TINY at lambda 1": (dict(L=6, M=4, K=12, tau_p=3, N=5, seed=7, lam=1.0),
+                             "certificate_exits"),
+        "K=25/N=29 retunes": (dict(L=10, M=8, K=25, tau_p=5, N=29, seed=3),
+                              "rank_zero_endings"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_counts_equal_edge_by_edge_reference(self, monkeypatch, name):
+        observed, collect = [], experiment_mod.collect_srs
+
+        def kept(*args, **kwargs):
+            observed.append(collect(*args, **kwargs))
+            return observed[-1]
+
+        network, driven = self.CONFIGS[name]
+        settings = dict(network, n_layouts=2, n_fading=1, kinds=("pp",))
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment_mod, "collect_srs", kept)
+            diags = run_experiment(ExperimentConfig(**settings)).diagnostics["layouts"]
+        first = 0
+        for diag in diags:
+            edges = observed[first:first + diag["edges"]]
+            first += diag["edges"]
+            reference = reference_work(edges, settings.get("lam", 0.25))
+            assert {key: diag[f"rpca_{key}"] for key in reference} == reference
+            assert diag["rpca_solves"] >= diag["edges"] > 0
+            assert diag["rpca_admm_steps"] > 0
+        assert first == len(observed)
+        if driven:
+            assert sum(diag[f"rpca_{driven}"] for diag in diags) > 0
+        pool = run_experiment(ExperimentConfig(**settings, workers=2))
+        assert pool.diagnostics["layouts"] == diags
+
+    def test_no_rpca_work_without_pp(self):
+        diag = run_experiment(tiny_config(kinds=("ideal",))).diagnostics["layouts"][0]
+        assert [diag[f"rpca_{key}"] for key in rpca_mod._WORK_COUNTERS] == [0] * 4
+
+
 class TestFailureContext:
     """A failing layout is re-raised naming the layout, seed and rpca edge."""
 
@@ -547,6 +621,15 @@ class TestFailureContext:
                 raise FloatingPointError("boom")
             return solve(Y, lam, params)
 
+        stack = experiment_mod._tuned_stack
+
+        def failing_stack(Y, lam, params=None):
+            # the stacked solve of the chunk holding that edge fails too
+            if any(np.array_equal(y, observed[2]) for y in Y):
+                raise FloatingPointError("boom")
+            return stack(Y, lam, params)
+
+        monkeypatch.setattr(experiment_mod, "_tuned_stack", failing_stack)
         monkeypatch.setattr(experiment_mod, "outlier_pursuit_tuned", failing)
         with pytest.raises(RuntimeError) as info:
             run_experiment(tiny_config(kinds=("pp",), n_layouts=2, workers=workers))
@@ -554,6 +637,17 @@ class TestFailureContext:
         assert str(info.value) == (f"layout 0 (master seed 9, rpca edge {edge}) "
                                    f"failed: FloatingPointError: boom")
         assert info.value.__cause__ is not None
+
+    def test_stack_failure_no_edge_repeats_names_no_edge(self, monkeypatch):
+        # the edge-by-edge solves of the failed chunk all succeed, so the
+        # stacked solve's own error is raised, naming no edge
+        def failing_stack(Y, lam, params=None):
+            raise MemoryError("stack")
+
+        monkeypatch.setattr(experiment_mod, "_tuned_stack", failing_stack)
+        with pytest.raises(RuntimeError, match=r"^layout 0 \(master seed 9\) "
+                                               r"failed: MemoryError: stack$"):
+            run_experiment(tiny_config(kinds=("pp",), n_layouts=1))
 
     def test_pool_failure_cancels_layouts_not_started(self, monkeypatch, tmp_path):
         if multiprocessing.get_start_method() != "fork":

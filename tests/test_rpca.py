@@ -8,16 +8,17 @@ import pytest
 import cfsubspace.experiment as experiment_mod
 import cfsubspace.rpca as rpca_mod
 from cfsubspace.channel import dft_columns, dft_matrix, network_supports
-from cfsubspace.experiment import ExperimentConfig, run_experiment
+from cfsubspace.experiment import ExperimentConfig, run_experiment, write_results
 from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
 from cfsubspace.hopping import SrsSchedule, allocate_squares, build_schedule
 from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
                              _rank_zero_lambda, _row_norms, collect_srs, dft_project,
                              outlier_pursuit, outlier_pursuit_tuned,
                              power_efficiency, select_rank, subspace_estimates)
-from oracles import (admm_stopping_on_tol, colliders, estimated_covariance,
+from oracles import (admm_one, admm_stopping_on_tol, colliders, estimated_covariance,
                      from_supports, make_support, numerical_rank, objective_trace,
-                     sample_channel, true_covariance)
+                     reference_outlier_pursuit, reference_rank_zero_lambda,
+                     reference_tuned, sample_channel, stacked, true_covariance)
 
 
 def planted_instance(rng, M=16, S=64, rank=2, n_outliers=3, outlier_norm=5.0):
@@ -280,6 +281,15 @@ class TestNorms:
             assert _row_norms(view).tobytes() == \
                 np.linalg.norm(view, axis=1).tobytes()
 
+    @pytest.mark.parametrize("shape", [(5, 8, 29), (3, 29, 8), (4, 16, 19), (2, 1, 3)])
+    def test_stacked_norms_are_those_of_each_matrix(self, shape):
+        # the lockstep solver reduces a whole stack at once
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for norms in (_col_norms, _row_norms):
+            stack = norms(x)
+            assert stack.tobytes() == b"".join(norms(m).tobytes() for m in x)
+
 
 class TestLazyObjective:
     """The solve never computes its objective; the ``objective_trace``
@@ -359,14 +369,20 @@ def unscreened_tuned(Y, lam, params=None):
 
 @contextlib.contextmanager
 def recorded_lambdas():
-    """Yield the list of lambdas ``outlier_pursuit_tuned`` calls
-    ``outlier_pursuit`` with inside the block, in call order."""
-    calls, solve = [], rpca_mod.outlier_pursuit
-    rpca_mod.outlier_pursuit = lambda *args: calls.append(args[1]) or solve(*args)
+    """Yield the list of lambdas solved inside the block, in solve order: the
+    lambdas of every stacked solve (``rpca._solve_stack``), one per edge of
+    the stack, so one per solve of a one-edge ``outlier_pursuit_tuned``."""
+    calls, solve = [], rpca_mod._solve_stack
+
+    def recording(Y, lam, params=None):
+        calls.extend(lam)
+        return solve(Y, lam, params)
+
+    rpca_mod._solve_stack = recording
     try:
         yield calls
     finally:
-        rpca_mod.outlier_pursuit = solve
+        rpca_mod._solve_stack = solve
 
 
 def settled_lambda(Y, lam):
@@ -584,10 +600,10 @@ class TestFusedStep:
         moves = ""
         for Y, lam, params in cases:
             Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
-            H, E, sv, left, iterations, converged = rpca_mod._admm(Yn, lam, params)
+            H, E, sv, left, iterations, converged = admm_one(Yn, lam, params)
             ref = plain_admm(Yn, lam, params)
             # step i's iterate is the outlier part of a solve capped at i steps
-            steps = [rpca_mod._admm(Yn, lam, replace(params, max_iter=i))[1]
+            steps = [admm_one(Yn, lam, replace(params, max_iter=i))[1]
                      for i in range(1, iterations + 1)]
             for got, want in zip((H, E, sv, left), ref[:4]):
                 assert got.shape == want.shape
@@ -617,13 +633,13 @@ class TestSettledStop:
             Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
             norm = max(1.0, np.linalg.norm(Yn))
             for lam in (0.25, settled_lambda(Y, 0.25)):
-                *_, iterations, converged = rpca_mod._admm(Yn, lam, params)
+                *_, iterations, converged = admm_one(Yn, lam, params)
                 assert converged
                 # replay: step i of the solve is the last step of one capped at i
                 readouts, stop = [], None
                 H_prev, E_prev = Yn, np.zeros_like(Yn)
                 for i in range(1, iterations + 1):
-                    H, E, sv, *_ = rpca_mod._admm(Yn, lam, RpcaParams(max_iter=i))
+                    H, E, sv, *_ = admm_one(Yn, lam, RpcaParams(max_iter=i))
                     readouts.append((numerical_rank(H),
                                      select_rank(sv, max(1, len(sv) // 2))))
                     e_change = np.linalg.norm(E - E_prev) / norm
@@ -649,7 +665,7 @@ class TestSettledStop:
         monkeypatch.setattr(rpca_mod, "_SETTLED_STEPS", RpcaParams().max_iter + 1)
         got = [outlier_pursuit(Y, lam) for Y, lam in cases] + \
             [outlier_pursuit_tuned(Y, 0.25) for Y in inputs]
-        monkeypatch.setattr(rpca_mod, "_admm", admm_stopping_on_tol)
+        monkeypatch.setattr(rpca_mod, "_admm", stacked(admm_stopping_on_tol))
         want = [outlier_pursuit(Y, lam) for Y, lam in cases] + \
             [outlier_pursuit_tuned(Y, 0.25) for Y in inputs]
         for a, b in zip(got, want, strict=True):
@@ -843,16 +859,16 @@ class TestRankFromLastStep:
         # one SVD for the rank-zero screen and one per ADMM step: the rank
         # of each solve costs none
         svds, iterations = [], []
-        svd, solve = np.linalg.svd, rpca_mod.outlier_pursuit
+        svd, solve = np.linalg.svd, rpca_mod._solve_stack
 
         def counted_solve(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            iterations.append(result.iterations)
-            return result
+            results, certified = solve(*args, **kwargs)
+            iterations.extend(result.iterations for result in results)
+            return results, certified
 
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **kw: svds.append(1) or svd(*a, **kw))
-        monkeypatch.setattr(rpca_mod, "outlier_pursuit", counted_solve)
+        monkeypatch.setattr(rpca_mod, "_solve_stack", counted_solve)
         outlier_pursuit_tuned(noise_matrix(7), lam, params)
         assert len(svds) == 1 + sum(iterations)
 
@@ -902,6 +918,141 @@ class TestLeftVectorsFromLastStep:
                     seen.add((result.rank > 0, S < M))
         # nonzero and zero low-rank parts, on wide and tall inputs
         assert seen == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def assert_same_result(got, want):
+    """Every field of two ``RpcaResult``s bitwise equal, the arrays also
+    in shape and memory layout."""
+    for name in ("low_rank", "outliers", "singular_values", "left_vectors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.strides, a.dtype) == (b.shape, b.strides, b.dtype), name
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert (type(got.iterations), type(got.converged)) == (int, bool)
+
+
+def gate_set_observations(K, N):
+    """Per layout, the SRS observations of the K, N collider gate set
+    (L=10, M=8, tau_p=5, master seeds 3000-3007) in the pipeline's edge
+    order; they do not depend on the fading draws or the other kinds."""
+    layouts = []
+    collect = experiment_mod.collect_srs
+
+    def kept(*args):
+        layouts[-1].append(collect(*args))
+        return layouts[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment_mod, "collect_srs", kept)
+        for seed in range(3000, 3008):
+            layouts.append([])
+            run_experiment(ExperimentConfig(L=10, M=8, K=K, tau_p=5, N=N,
+                                            n_layouts=1, n_fading=1, seed=seed,
+                                            kinds=("pp",)))
+    return layouts
+
+
+class TestLockstep:
+    """The edges of a stack step through ADMM together, one stacked SVD per
+    step, and each gets every bit of its own edge-by-edge solve
+    (``oracles.reference_tuned`` and ``reference_outlier_pursuit``, the
+    solver as it ran before)."""
+
+    @pytest.mark.parametrize("K,N", [(40, 7), (50, 11)])
+    def test_gate_set_edges_equal_edge_by_edge_solves(self, K, N):
+        edges = 0
+        for observed in gate_set_observations(K, N):
+            results, work = rpca_mod._tuned_stack(np.stack(observed), 0.25)
+            for Y, result in zip(observed, results, strict=True):
+                assert_same_result(result, reference_tuned(Y, 0.25))
+            edges += len(observed)
+        assert edges > 300
+
+    def test_mixed_stack_equals_edge_by_edge_solves(self, monkeypatch):
+        # step-1 certificates at lambda >= 1 and just above the largest
+        # leverage, an all-zero observation, and solves that stop at
+        # different steps, some by the settled stop and some at tol
+        oscillating = pipeline_observation(monkeypatch, 1001, (0, 2))
+        rng = np.random.default_rng(120)
+        planted = planted_instance(rng, M=8, S=29, rank=2)[0]
+        noise = noise_matrix(9, M=8, S=29)
+        zero = np.zeros((8, 29), dtype=complex)
+        cases = [(noise, 1e6), (planted, max_leverage(planted) * (1 + 1e-9)),
+                 (oscillating, 0.5625), (oscillating, 0.375), (zero, 0.25),
+                 (planted, 0.25), (noise, 0.05), (noise, 0.58), (planted, 2.0),
+                 (oscillating, 1.0)]
+        Y = np.stack([Y for Y, _ in cases])
+        lams = [lam for _, lam in cases]
+        for params in (None, RpcaParams(max_iter=3), RpcaParams(tol=1e-6)):
+            results, certified = rpca_mod._solve_stack(Y, lams, params)
+            want = [reference_outlier_pursuit(y, lam, params) for y, lam in cases]
+            for got, ref in zip(results, want, strict=True):
+                assert_same_result(got, ref)
+            assert certified == sum(r.iterations == 1 and r.converged for r in want)
+            assert certified == 4
+            if params is None:
+                steps = [r.iterations for r in results]
+                assert 0 in steps and len(set(steps)) >= 5
+            if params == RpcaParams(max_iter=3):
+                assert not all(r.converged for r in results)
+
+    def test_ladders_of_a_stack_equal_edge_by_edge_ladders(self, monkeypatch):
+        # the oscillating ladder, ladders the rank-zero screen skips ahead,
+        # one that lands in the band at once, an all-zero observation, and
+        # ladders that keep solving above the band
+        oscillating = pipeline_observation(monkeypatch, 1001, (0, 2))
+        rng = np.random.default_rng(121)
+        observed = [oscillating, planted_instance(rng, M=8, S=29, rank=1)[0],
+                    noise_matrix(7, M=8, S=29), np.zeros((8, 29), dtype=complex),
+                    noise_matrix(11, M=8, S=29), oscillating * 1e-9]
+        for lam in (0.25, 0.05, 2.0):
+            with recorded_lambdas() as calls:
+                results, work = rpca_mod._tuned_stack(np.stack(observed), lam)
+            for Y, result in zip(observed, results, strict=True):
+                assert_same_result(result, reference_tuned(Y, lam))
+            with recorded_lambdas() as one_by_one:
+                for Y in observed:
+                    outlier_pursuit_tuned(Y, lam)
+            # the same solves, in rounds rather than edge by edge
+            assert sorted(calls) == sorted(one_by_one)
+            assert work["solves"] == len(calls)
+
+    def test_one_edge_views_are_stacks_of_one(self, monkeypatch):
+        stacks = []
+        solve = rpca_mod._solve_stack
+
+        def recording(Y, lam, params=None):
+            stacks.append(len(Y))
+            return solve(Y, lam, params)
+
+        monkeypatch.setattr(rpca_mod, "_solve_stack", recording)
+        Y = noise_matrix(7, M=8, S=29)
+        assert_same_result(outlier_pursuit(Y, 0.25),
+                           reference_outlier_pursuit(Y, 0.25))
+        assert_same_result(outlier_pursuit_tuned(Y, 2.0), reference_tuned(Y, 2.0))
+        assert stacks and set(stacks) == {1}
+
+    @pytest.mark.parametrize("Y", [noise_matrix(3, M=8, S=29),
+                                   np.zeros((4, 6), dtype=complex),
+                                   dft_matrix(8)[:, :5] * np.arange(1, 6)])
+    def test_stacked_screen_equals_edge_by_edge_screen(self, Y):
+        stack = np.stack([Y, 2 * Y, np.zeros_like(Y), Y[::-1]])
+        got = _rank_zero_lambda(stack)
+        want = [reference_rank_zero_lambda(y) for y in stack]
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunk_size_changes_no_output_byte(self, monkeypatch, tmp_path, chunk):
+        config = ExperimentConfig(L=10, M=8, K=40, tau_p=5, N=7, n_layouts=2,
+                                  n_fading=2, seed=3, kinds=("ideal", "pp"))
+        write_results(run_experiment(config), tmp_path / "default", config)
+        monkeypatch.setattr(experiment_mod, "_RPCA_CHUNK", chunk)
+        write_results(run_experiment(config), tmp_path / "chunked", config)
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert "subspace.csv" in names
+        for name in names:
+            assert (tmp_path / "chunked" / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes(), name
 
 
 class TestSelectRank:
