@@ -12,8 +12,8 @@ from .geometry import (AssociationGraph, Layout, assign_dmrs, calibrate_snr,
 from .hopping import (SrsSchedule, allocate_squares, build_schedule,
                       default_cell_radius, mols_family)
 from .receiver import RateReport, cluster_combiner, ergodic_rates, uplink_sinr
-from .rpca import (RpcaParams, RpcaResult, SubspaceEstimate, collect_srs,
-                   dft_project, outlier_pursuit, outlier_pursuit_tuned,
-                   power_efficiency, select_rank, subspace_estimates)
+from .rpca import (RpcaResult, SubspaceEstimate, collect_srs, dft_project,
+                   outlier_pursuit, outlier_pursuit_tuned, power_efficiency,
+                   select_rank, subspace_estimates)
 
 __version__ = "0.1.0"

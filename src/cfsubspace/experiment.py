@@ -11,14 +11,15 @@ import contextlib
 import csv
 import dataclasses
 import json
+import numbers
 import os
+import types
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._fields import check_field_types
 from .channel import SupportTable, network_supports
 from .geometry import assign_dmrs, calibrate_snr, form_clusters, generate_layout
 from .hopping import _is_prime, allocate_squares, build_schedule
@@ -40,6 +41,14 @@ _RPCA_CHUNK = 256
 _OUTPUT_FILES = frozenset({"rates.csv", "subspace.csv", "summary.json", "config.json",
                           "cdf_pe_raw.csv", "cdf_pe_pp.csv",
                           *(f"cdf_se_{kind}.csv" for kind in ESTIMATOR_KINDS)})
+
+# a config field's annotation -> (accepted class, wording for the error message)
+_ACCEPTED = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    tuple: (tuple, "a list"),
+}
 
 
 @dataclass
@@ -69,7 +78,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.kinds, list):
             self.kinds = tuple(self.kinds)
-        check_field_types(self)
+        _check_field_types(self)
         for name in ("L", "M", "K", "tau_p", "N", "Q", "T", "n_layouts",
                      "n_fading", "workers"):
             if getattr(self, name) < 1:
@@ -103,6 +112,28 @@ class ExperimentConfig:
             raise ValueError("kinds must name at least one estimator kind")
         if len(set(self.kinds)) < len(self.kinds):
             raise ValueError(f"kinds must not repeat a kind: {list(self.kinds)}")
+
+
+def _check_field_types(config: ExperimentConfig) -> None:
+    """Raise ValueError naming the first field of ``config`` whose value has
+    the wrong type for its annotation.
+
+    An ``int`` field takes any integer, a ``float`` field any real number, and
+    ``X | None`` also takes None. True and False are never numbers. A numpy
+    scalar that passes is replaced by the equal Python number, so that the
+    config computes and echoes to JSON as that number does.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        allowed = f.type.__args__ if isinstance(f.type, types.UnionType) else (f.type,)
+        if value is None and type(None) in allowed:
+            continue
+        cls, wording = _ACCEPTED[allowed[0]]
+        if isinstance(value, bool) or not isinstance(value, cls):
+            raise ValueError(f"{f.name} must be {wording}, "
+                             f"not {type(value).__name__} {value!r}")
+        if isinstance(value, np.generic):
+            setattr(config, f.name, value.item())
 
 
 @dataclass

@@ -213,8 +213,8 @@ def _cluster_systems(known: np.ndarray, ues: np.ndarray, rows: np.ndarray,
     desired = G[pick, :, ues]
     G[pick, :, ues] = 0.0
     systems = G @ G.conj().swapaxes(1, 2)
-    n = rows.shape[1]
-    systems.reshape(len(ues), n * n)[:, ::n + 1] += 1.0 / snr
+    d = np.arange(rows.shape[1])
+    systems[:, d, d] += 1.0 / snr
     return desired, systems
 
 

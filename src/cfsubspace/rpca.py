@@ -18,78 +18,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import check_field_types
 from .channel import _channel_draws, dft_columns, dft_matrix
 
+# the ADMM stop. A solve stops, converged, at the first step where the
+# changes of E and H over the step, relative to max(1, ||Y||_F) of the
+# normalized input, both fall below _TOL, or where the E-change falls below
+# _SETTLED_FACTOR * _TOL and the read-out the estimates take from H (its
+# numerical rank and gap-selected rank) has not changed over the last
+# _SETTLED_STEPS steps; at _MAX_ITER steps it stops, not converged. The
+# estimates read only the rank and the top-r DFT columns of H, which settle
+# long before the iterate does. 1e-4 is the loosest tolerance found that
+# keeps mean power efficiencies within 0.005 and median SE per kind within
+# 0.5 % of the 1e-6 solve on the reduced, collider-bearing and paper-config
+# inputs; at 3e-4 the K=40, N=7 median pp SE drops 3.1 %. Against the solve
+# without it, the settled stop takes ≈23 % fewer steps on the reduced inputs
+# within the same gate (the largest move is the K=50, N=11 mean pe_pp,
+# -0.0020). At 5 steps that mean falls 0.0051, and at a factor of 30 a solve
+# at a tolerance of 1e-6 is no longer within 1e-4 ||Y|| of a tight solve
+_TOL = 1e-4
+_MAX_ITER = 500
+_SETTLED_STEPS = 10
+_SETTLED_FACTOR = 10.0
+# the initial ADMM penalty; the residual balancing below moves it
+_RHO = 1.0
 # the adaptive penalty doubles or halves rho when one ADMM residual exceeds
 # the other by this factor (primal-dual residual balancing, Boyd et al. 2011,
 # section 3.4.1). 4 rebalances often enough to save about a quarter of the
-# steps; at 3 some collider-heavy solves no longer converge within max_iter
+# steps; at 3 some collider-heavy solves no longer converge within _MAX_ITER
 _RESIDUAL_RATIO = 4.0
 # over-relaxation (Boyd et al. 2011, section 3.4.3): the E- and dual updates
 # read alpha (X - H) + (1 - alpha) E_prev in place of X - H. 1.5 takes ≈22 %
-# fewer steps to the same optimum and 1.4 ≈20 %; at 1.8 the planted-outlier
+# fewer steps to the same optimum and 1.4 ≈20 %; on top of the settled stop
+# 1.5 lands within 1e-6 ||Y|| of the unrelaxed solve at a tolerance of 1e-9
+# and keeps the gate of _TOL (the largest moves are again the K=50, N=11 mean
+# pe_pp, -0.0020, and its median pp SE, -0.19 %). At 1.8 the planted-outlier
 # recovery of acceptance criterion 05 and the objective-descent test fail
 _RELAXATION = 1.5
 # lambda must sit this far (relative) below the rank-zero threshold before a
-# solve is skipped: close to the threshold ADMM can stop at tol with a tiny
+# solve is skipped: close to the threshold ADMM can stop at _TOL with a tiny
 # nonzero low-rank part
 _RANK_ZERO_MARGIN = 1e-3
 # the lambda retune loop runs at most _MAX_RETRIES + 1 solves and scales
 # lambda by _RETUNE_FACTOR between them
 _MAX_RETRIES = 5
 _RETUNE_FACTOR = 1.5
-# the settled stop (RpcaParams): the rank read-out unchanged over the last
-# _SETTLED_STEPS steps and the E-change below _SETTLED_FACTOR * tol
-_SETTLED_STEPS = 10
-_SETTLED_FACTOR = 10.0
 # the work _tuned_stack counts (its docstring says what each is)
 _WORK_COUNTERS = ("solves", "admm_steps", "certificate_exits", "rank_zero_endings")
-
-
-@dataclass(frozen=True)
-class RpcaParams:
-    """Solver knobs for :func:`outlier_pursuit`, checked once when made
-    (the ADMM loop relies on ``max_iter >= 1``) and immutable after.
-
-    ``tol`` bounds the change of E and H over one ADMM step, relative to
-    max(1, ||Y||_F) of the normalized input. The solve stops at the first
-    step where either both changes fall below ``tol``, or the E-change
-    falls below ``_SETTLED_FACTOR`` (10) times ``tol`` and the read-out the
-    estimates take from H (its numerical rank and gap-selected rank) has
-    not changed over the last ``_SETTLED_STEPS`` (10) steps. The estimates
-    read only the rank and the top-r DFT columns of H, which settle long
-    before the iterate does. 1e-4 is the loosest tolerance found that keeps
-    mean power efficiencies within 0.005 and median SE per kind within
-    0.5 % of the 1e-6 solve on the reduced, collider-bearing and
-    paper-config inputs; at 3e-4 the K=40, N=7 median pp SE drops 3.1 %.
-    Against the solve without it, the settled stop takes ≈23 % fewer steps
-    on the reduced inputs within the same gate (the largest move is the
-    K=50, N=11 mean pe_pp, -0.0020). At 5 steps that mean falls 0.0051,
-    and at a factor of 30 a solve at ``tol`` = 1e-6 is no longer within
-    1e-4 ||Y|| of a tight solve. The steps are over-relaxed
-    (``_RELAXATION`` = 1.5); on top of the settled stop that takes ≈22 %
-    fewer steps on the reduced inputs, lands within 1e-6 ||Y|| of the
-    unrelaxed solve at ``tol`` = 1e-9, and keeps the same gate (the largest
-    moves are again the K=50, N=11 mean pe_pp, -0.0020, and its median pp
-    SE, -0.19 %).
-    """
-
-    max_iter: int = 500
-    tol: float = 1e-4
-    rho: float = 1.0            # initial penalty, then residual-balanced
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        for name in ("tol", "rho"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-
-
-# checked once here, not on each of the dozens of solves of an edge set
-_DEFAULT_PARAMS = RpcaParams()
 
 
 @dataclass
@@ -192,51 +166,55 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
-def outlier_pursuit(Y: np.ndarray, lam: float,
-                    params: RpcaParams | None = None) -> RpcaResult:
+def outlier_pursuit(Y: np.ndarray, lam: float) -> RpcaResult:
     """Low-rank plus column-sparse decomposition of Y.
 
     The input is normalized by its RMS column norm (the solution scales
     linearly with Y, so this only conditions the iteration) and split by
     over-relaxed ADMM. Convergence is declared when the successive-iterate
-    Frobenius change drops below tol, or once the rank read-out has settled
-    (see :class:`RpcaParams`); hitting max_iter returns converged=False with
-    the last iterate. At a lambda no smaller than every column's leverage
-    norm (the row norms of W in Y^H = W diag(s) Vh; so at every lambda >= 1)
-    the exact answer (Y, 0) is returned, converged after one step: the
-    mirror of the rank-zero screen of :func:`outlier_pursuit_tuned`.
+    Frobenius change drops below ``_TOL``, or once the rank read-out has
+    settled (the comment on ``_TOL`` says when); hitting ``_MAX_ITER``
+    returns converged=False with the last iterate. At a lambda no smaller
+    than every column's leverage norm (the row norms of W in
+    Y^H = W diag(s) Vh; so at every lambda >= 1) the exact answer (Y, 0) is
+    returned, converged after one step: the mirror of the rank-zero screen
+    of :func:`outlier_pursuit_tuned`.
 
     This is the one-edge view of :func:`_solve_stack`, a stack of one.
+    Non-finite input and a lambda that is not positive and finite are
+    rejected.
     """
-    return _solve_stack(Y[None], [lam], params)[0][0]
+    _check_input(Y, lam)
+    return _solve_stack(Y[None], [lam])[0][0]
 
 
-def _solve_stack(Y: np.ndarray, lam, params: RpcaParams | None = None):
+def _check_input(Y: np.ndarray, lam: float) -> None:
+    """Reject a lambda that is not positive and finite, and non-finite Y."""
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y contains non-finite entries")
+
+
+def _solve_stack(Y: np.ndarray, lam):
     """:func:`outlier_pursuit` of every observation of the stack Y, (E, M, S),
     each at its own lambda ``lam[i]``, in one lockstep ADMM run.
 
     Returns one result per observation, bitwise that of its own solve, and
     how many of the solves the step-1 certificate ended. An all-zero
     observation is its own answer (H = E = 0, no step) and takes no part in
-    the ADMM run.
+    the ADMM run. The caller has checked the input (:func:`_check_input`).
     """
-    for value in lam:
-        if not 0 < value < np.inf:
-            raise ValueError("lam must be positive and finite")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y contains non-finite entries")
-    if params is None:
-        params = _DEFAULT_PARAMS
     M, S = Y.shape[1:]
     n = min(M, S)
     scale = np.array([_fro(y) for y in Y]) / np.sqrt(S)
     solved = np.flatnonzero(scale > 0)
     certified = 0
     if solved.size:
-        Yn = Y[solved]
-        Yn /= scale[solved, None, None]
+        # out of place: an integer Y divides into a new float stack
+        Yn = Y[solved] / scale[solved, None, None]
         H, E, sv, left, iterations, converged, certificate = _admm(
-            Yn, np.asarray(lam, dtype=float)[solved], params)
+            Yn, np.asarray(lam, dtype=float)[solved])
         certified = int(certificate.sum())
     results = []
     j = 0
@@ -257,7 +235,7 @@ def _solve_stack(Y: np.ndarray, lam, params: RpcaParams | None = None):
     return results, certified
 
 
-def _admm(Yn: np.ndarray, lam: np.ndarray, params: RpcaParams):
+def _admm(Yn: np.ndarray, lam: np.ndarray):
     """ADMM on a stack of normalized problems, Yn (E, M, S) with one lambda
     per problem, each from H = Yn and E = U = 0; the problems step in
     lockstep, and each gets the bits of a solve of its own.
@@ -309,7 +287,7 @@ def _admm(Yn: np.ndarray, lam: np.ndarray, params: RpcaParams):
     ``sv``, what the estimates take from the solve. Once that pair has not
     changed over the last ``_SETTLED_STEPS`` steps (it is the same at this
     step and the ``_SETTLED_STEPS`` before) and the E-change is below
-    ``_SETTLED_FACTOR * tol``, the solve stops as converged, whatever the
+    ``_SETTLED_FACTOR * _TOL``, the solve stops as converged, whatever the
     H-change.
     """
     X = np.conj(Yn.transpose(0, 2, 1), order="C")
@@ -319,18 +297,18 @@ def _admm(Yn: np.ndarray, lam: np.ndarray, params: RpcaParams):
     # returned) when it stops, so that the recorded outputs grow as the
     # running stack shrinks
     outputs = [None] * count
-    iterations = np.full(count, params.max_iter)
+    iterations = np.full(count, _MAX_ITER)
     converged = np.zeros(count, dtype=bool)
     certified = np.zeros(count, dtype=bool)
     # the state of the problems still running, live[i] their positions
     live = np.arange(count)
-    rho = np.full(count, float(params.rho))
+    rho = np.full(count, float(_RHO))
     norm = np.array([max(1.0, _fro(x)) for x in X])
     readout = np.full((count, 2), -1)          # no read-out yet
     settled = np.zeros(count, dtype=int)
     H, E, U = X, np.zeros_like(X), np.zeros_like(X)
     r_max = max(1, n // 2)                      # as in subspace_estimates
-    settle_tol = _SETTLED_FACTOR * params.tol
+    settle_tol = _SETTLED_FACTOR * _TOL
 
     def leave(stop, H, E, sv, Vh, done=True):
         """Record the problems ``stop`` marks, which end at this step."""
@@ -340,7 +318,7 @@ def _admm(Yn: np.ndarray, lam: np.ndarray, params: RpcaParams):
         iterations[ids] = step
         converged[ids] = done
 
-    for step in range(1, params.max_iter + 1):
+    for step in range(1, _MAX_ITER + 1):
         H_prev, E_prev = H, E
         W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
         if step == 1:
@@ -377,9 +355,9 @@ def _admm(Yn: np.ndarray, lam: np.ndarray, params: RpcaParams):
         U += R
         r_norm = np.array([_fro(x) for x in R])
         e_change = np.array([_fro(e - e_prev) for e, e_prev in zip(E, E_prev)])
-        stop = e_change / norm < params.tol
+        stop = e_change / norm < _TOL
         for i in np.flatnonzero(stop):
-            stop[i] = _fro(H[i] - H_prev[i]) / norm[i] < params.tol
+            stop[i] = _fro(H[i] - H_prev[i]) / norm[i] < _TOL
         # the step's other stacks are spent: free them before the compaction
         # and the next SVD, so that they add nothing to the peak memory
         del H_prev, E_prev, D, R
@@ -406,7 +384,7 @@ def _admm(Yn: np.ndarray, lam: np.ndarray, params: RpcaParams):
         rho *= factor
         U /= factor[:, None, None]
     else:
-        # max_iter reached: the rest end here, not converged
+        # _MAX_ITER reached: the rest end here, not converged
         leave(np.ones(len(live), dtype=bool), H, E, sv, Vh, done=False)
     H, E, sv, left = zip(*outputs)
     return H, E, sv, left, iterations, converged, certified
@@ -434,8 +412,7 @@ def _rank_zero_lambda(Y: np.ndarray):
                      out=np.full_like(sigma, np.inf))
 
 
-def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
-                          params: RpcaParams | None = None) -> RpcaResult:
+def outlier_pursuit_tuned(Y: np.ndarray, lam: float) -> RpcaResult:
     """Outlier pursuit with an empirical lambda adjustment loop.
 
     The target rank band is [1, max(1, M // 2)]. When the recovered low-rank
@@ -447,11 +424,11 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
     threshold 1/||Y~||, the optimum is H = 0, so while a retry is left such
     a solve is skipped and lambda raised as if it had run and found rank
     zero. The last allowed solve always runs. A solve that stops early can
-    leave H nonzero there: one cut at ``max_iter``, or, at the default
-    ``tol``, one whose settled stop fires while H still decays, which
-    happens within about 0.2 % below the threshold (rank 1, ||H|| up to
-    0.14 ||Y||, on 211 of 631 captured observations at lambda_0; on none at
-    0.999 lambda_0 or below, nor at ``tol`` = 1e-6). The screen then
+    leave H nonzero there: one cut at ``_MAX_ITER``, or, at ``_TOL`` =
+    1e-4, one whose settled stop fires while H still decays, which happens
+    within about 0.2 % below the threshold (rank 1, ||H|| up to 0.14 ||Y||,
+    on 211 of 631 captured observations at lambda_0; on none at
+    0.999 lambda_0 or below, nor at a tolerance of 1e-6). The screen then
     follows the optimum instead, and the loop differs from one that runs
     every solve (on none of the 581 captured pipeline edges among them).
     Non-finite input is rejected. A lambda the ladder comes back to
@@ -459,7 +436,7 @@ def outlier_pursuit_tuned(Y: np.ndarray, lam: float,
 
     This is the one-edge view of :func:`_tuned_stack`, a stack of one.
     """
-    return _tuned_stack(Y[None], lam, params)[0][0]
+    return _tuned_stack(Y[None], lam)[0][0]
 
 
 def _ladder(lam: float, lam_zero: float, hi: int):
@@ -484,7 +461,7 @@ def _ladder(lam: float, lam_zero: float, hi: int):
     return result
 
 
-def _tuned_stack(Y: np.ndarray, lam: float, params: RpcaParams | None = None):
+def _tuned_stack(Y: np.ndarray, lam: float):
     """:func:`outlier_pursuit_tuned` of every observation of the stack Y,
     (E, M, S), all from the same starting lambda.
 
@@ -496,12 +473,9 @@ def _tuned_stack(Y: np.ndarray, lam: float, params: RpcaParams | None = None):
     and the work done: ``solves``, ``admm_steps`` (over every solve, not
     only the last of an edge), ``certificate_exits`` (solves the step-1
     certificate ended) and ``rank_zero_endings`` (edges whose result has
-    rank 0).
+    rank 0). Its input is checked as :func:`outlier_pursuit` checks it.
     """
-    if not 0 < lam < np.inf:
-        raise ValueError("lam must be positive and finite")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y contains non-finite entries")
+    _check_input(Y, lam)
     hi = max(1, Y.shape[1] // 2)
     ladders = [_ladder(lam, lam_zero, hi) for lam_zero in _rank_zero_lambda(Y)]
     wanted = {i: next(ladder) for i, ladder in enumerate(ladders)}
@@ -510,7 +484,7 @@ def _tuned_stack(Y: np.ndarray, lam: float, params: RpcaParams | None = None):
     while wanted:
         edges = list(wanted)
         stack = Y if len(edges) == len(Y) else Y[edges]
-        solved, certified = _solve_stack(stack, [wanted[i] for i in edges], params)
+        solved, certified = _solve_stack(stack, [wanted[i] for i in edges])
         work["solves"] += len(edges)
         work["admm_steps"] += sum(result.iterations for result in solved)
         work["certificate_exits"] += certified

@@ -9,22 +9,24 @@ DMRS assignment, LMMSE directions, uplink SINR and CSV rows as they were
 computed before the package made them with fewer temporaries, the ADMM
 loop as it ran before it had the settled stop, and the outlier-pursuit solve
 and lambda ladder as they ran edge by edge before the edges stepped in
-lockstep) or a builder of test inputs.
+lockstep) or a builder of test inputs, or sets the solver's constants for
+a block of solves.
 """
 
+import contextlib
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import cfsubspace.rpca as rpca
 from cfsubspace.channel import SupportTable, _support_table, dft_columns
 from cfsubspace.dmrs import pilot_book
 from cfsubspace.geometry import AssociationGraph
 from cfsubspace.receiver import _lmmse_directions
-from cfsubspace.rpca import _DEFAULT_PARAMS, _MAX_RETRIES, _RANK_ZERO_MARGIN, \
-    _RELAXATION, _RESIDUAL_RATIO, _RETUNE_FACTOR, _SETTLED_FACTOR, _SETTLED_STEPS, \
-    RpcaParams, RpcaResult, _admm, _col_norms, _fro, _gap_rank, _rank_of, _row_norms
+from cfsubspace.rpca import RpcaResult, _admm, _col_norms, _fro, _gap_rank, _rank_of, \
+    _row_norms
 
 
 def make_support(indices):
@@ -324,36 +326,51 @@ def numerical_rank(matrix: np.ndarray) -> int:
     return _rank_of(np.linalg.svd(matrix, compute_uv=False))
 
 
-def objective_trace(Y: np.ndarray, lam: float, params) -> np.ndarray:
+@contextlib.contextmanager
+def solver_constants(tol=None, max_iter=None, rho=None):
+    """Run the block with the solver's stop tolerance, step cap and initial
+    penalty set to those given (``rpca._TOL``, ``_MAX_ITER``, ``_RHO``); the
+    others keep their values. Every solve inside reads them, the references
+    here included."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("_TOL", tol), ("_MAX_ITER", max_iter), ("_RHO", rho)):
+            if value is not None:
+                patch.setattr(rpca, name, value)
+        yield
+
+
+def objective_trace(Y: np.ndarray, lam: float) -> np.ndarray:
     """objective[i] = ||Yn - E_i||_* + lambda*||E_i||_{2,1}, i = 0..iterations.
 
     The exact objective of the feasible pair (Yn - E_i, E_i) on the problem
     ``outlier_pursuit`` solves, Y normalized by its RMS column norm, with
     E_0 = 0 and E_i the outlier iterate after i ADMM steps. The solve runs
     once for its step count n; E_i is then the outlier part of a solve capped
-    at ``max_iter`` = i, which stops after step i of the same deterministic
+    at ``_MAX_ITER`` = i, which stops after step i of the same deterministic
     loop.
     """
     Yn = Y / (_fro(Y) / np.sqrt(Y.shape[1]))
-    n = admm_one(Yn, lam, params)[4]
-    outliers = [np.zeros_like(Yn)] + [
-        admm_one(Yn, lam, replace(params, max_iter=i))[1] for i in range(1, n + 1)]
+    n = admm_one(Yn, lam)[4]
+    outliers = [np.zeros_like(Yn)]
+    for i in range(1, n + 1):
+        with solver_constants(max_iter=i):
+            outliers.append(admm_one(Yn, lam)[1])
     return np.array([np.linalg.svd(Yn - E, compute_uv=False).sum()
                      + lam * _col_norms(E).sum() for E in outliers])
 
 
-def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params):
+def admm_stopping_on_tol(Yn: np.ndarray, lam: float):
     """``rpca._admm`` as it was before the settled stop: the same over-relaxed
     steps and no-outlier certificate, stopping only when both the E- and the
-    H-change fall below tol (or at max_iter)."""
-    rho = params.rho
+    H-change fall below ``_TOL`` (or at ``_MAX_ITER``)."""
+    rho = rpca._RHO
     X = np.conj(Yn.T, order="C")
     H = X
     E = np.zeros_like(X)
     U = np.zeros_like(X)
     converged = False
     norm = max(1.0, _fro(X))
-    for iterations in range(1, params.max_iter + 1):
+    for iterations in range(1, rpca._MAX_ITER + 1):
         H_prev, E_prev = H, E
         W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
         if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
@@ -364,8 +381,8 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params):
         W *= sv
         H = W @ Vh
         D = X - H
-        D *= _RELAXATION
-        D += (1.0 - _RELAXATION) * E_prev
+        D *= rpca._RELAXATION
+        D += (1.0 - rpca._RELAXATION) * E_prev
         G = D + U
         row = _row_norms(G)
         np.maximum(row, 1e-300, out=row)
@@ -376,23 +393,22 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float, params):
         R = np.subtract(D, E, out=D)
         U += R
         e_change = _fro(E - E_prev)
-        if e_change / norm < params.tol and \
-                _fro(H - H_prev) / norm < params.tol:
+        if e_change / norm < rpca._TOL and \
+                _fro(H - H_prev) / norm < rpca._TOL:
             converged = True
             break
         r_norm = _fro(R)
         d_norm = rho * e_change
-        if r_norm > _RESIDUAL_RATIO * d_norm:
+        if r_norm > rpca._RESIDUAL_RATIO * d_norm:
             rho *= 2.0
             U /= 2.0
-        elif d_norm > _RESIDUAL_RATIO * r_norm:
+        elif d_norm > rpca._RESIDUAL_RATIO * r_norm:
             rho /= 2.0
             U *= 2.0
     return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
 
 
-def reference_outlier_pursuit(Y: np.ndarray, lam: float,
-                              params: RpcaParams | None = None) -> RpcaResult:
+def reference_outlier_pursuit(Y: np.ndarray, lam: float) -> RpcaResult:
     """``rpca.outlier_pursuit`` as it was solved edge by edge, before the
     edges of a layout stepped through ADMM in lockstep: the reference the
     stacked solver must match bit for bit."""
@@ -400,14 +416,12 @@ def reference_outlier_pursuit(Y: np.ndarray, lam: float,
         raise ValueError("lam must be positive and finite")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
-    if params is None:
-        params = _DEFAULT_PARAMS
     M, S = Y.shape
     scale = _fro(Y) / np.sqrt(S)
     if scale == 0:
         return RpcaResult(np.zeros_like(Y), np.zeros_like(Y), 0, True,
                           np.zeros(min(M, S)), np.eye(M, min(M, S), dtype=Y.dtype))
-    H, E, sv, left, iterations, converged = reference_admm(Y / scale, lam, params)
+    H, E, sv, left, iterations, converged = reference_admm(Y / scale, lam)
     sv = sv * scale
     if sv[0] == 0:
         # H = 0: the last step's vectors belong to Yn - E + U, not to H;
@@ -417,11 +431,11 @@ def reference_outlier_pursuit(Y: np.ndarray, lam: float,
                       converged=converged, singular_values=sv, left_vectors=left)
 
 
-def reference_admm(Yn: np.ndarray, lam: float, params: RpcaParams):
+def reference_admm(Yn: np.ndarray, lam: float):
     """``rpca._admm`` on one normalized problem, as it was before the stacked
     solver: the same steps, certificate and stops, one SVD per step of this
     problem alone. Returns (H, E, sv, left, iterations, converged)."""
-    rho = params.rho
+    rho = rpca._RHO
     X = np.conj(Yn.T, order="C")
     H = X
     E = np.zeros_like(X)
@@ -429,9 +443,9 @@ def reference_admm(Yn: np.ndarray, lam: float, params: RpcaParams):
     converged = False
     norm = max(1.0, _fro(X))
     r_max = max(1, min(X.shape) // 2)           # as in subspace_estimates
-    settle_tol = _SETTLED_FACTOR * params.tol
+    settle_tol = rpca._SETTLED_FACTOR * rpca._TOL
     readout, settled = None, 0
-    for iterations in range(1, params.max_iter + 1):
+    for iterations in range(1, rpca._MAX_ITER + 1):
         H_prev, E_prev = H, E
         W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
         if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
@@ -444,8 +458,8 @@ def reference_admm(Yn: np.ndarray, lam: float, params: RpcaParams):
         W *= sv
         H = W @ Vh
         D = X - H
-        D *= _RELAXATION
-        D += (1.0 - _RELAXATION) * E_prev
+        D *= rpca._RELAXATION
+        D += (1.0 - rpca._RELAXATION) * E_prev
         G = D + U
         row = _row_norms(G)
         np.maximum(row, 1e-300, out=row)
@@ -456,21 +470,21 @@ def reference_admm(Yn: np.ndarray, lam: float, params: RpcaParams):
         R = np.subtract(D, E, out=D)
         U += R
         e_change = _fro(E - E_prev)
-        if e_change / norm < params.tol and \
-                _fro(H - H_prev) / norm < params.tol:
+        if e_change / norm < rpca._TOL and \
+                _fro(H - H_prev) / norm < rpca._TOL:
             converged = True
             break
         previous, readout = readout, (_rank_of(sv), _gap_rank(sv, r_max))
         settled = settled + 1 if readout == previous else 0
-        if settled >= _SETTLED_STEPS and e_change / norm < settle_tol:
+        if settled >= rpca._SETTLED_STEPS and e_change / norm < settle_tol:
             converged = True
             break
         r_norm = _fro(R)
         d_norm = rho * e_change
-        if r_norm > _RESIDUAL_RATIO * d_norm:
+        if r_norm > rpca._RESIDUAL_RATIO * d_norm:
             rho *= 2.0
             U /= 2.0
-        elif d_norm > _RESIDUAL_RATIO * r_norm:
+        elif d_norm > rpca._RESIDUAL_RATIO * r_norm:
             rho /= 2.0
             U *= 2.0
     return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
@@ -482,47 +496,46 @@ def reference_rank_zero_lambda(Y: np.ndarray) -> float:
     norms = _col_norms(Y)
     unit = Y / np.where(norms > 0, norms, 1.0)
     sigma = np.linalg.svd(unit, compute_uv=False)[0]
-    return (1.0 - _RANK_ZERO_MARGIN) / sigma if sigma > 0 else np.inf
+    return (1.0 - rpca._RANK_ZERO_MARGIN) / sigma if sigma > 0 else np.inf
 
 
-def reference_tuned(Y: np.ndarray, lam: float,
-                    params: RpcaParams | None = None) -> RpcaResult:
+def reference_tuned(Y: np.ndarray, lam: float) -> RpcaResult:
     """``rpca.outlier_pursuit_tuned`` as it ran edge by edge: the rank-zero
     screen and lambda ladder of one edge, each solve a
     :func:`reference_outlier_pursuit` call."""
     hi = max(1, Y.shape[0] // 2)
     lam_zero = reference_rank_zero_lambda(Y) if np.all(np.isfinite(Y)) else 0.0
     solved = {}
-    for attempt in range(_MAX_RETRIES + 1):
-        last = attempt == _MAX_RETRIES
+    for attempt in range(rpca._MAX_RETRIES + 1):
+        last = attempt == rpca._MAX_RETRIES
         if lam <= lam_zero and not last:
-            lam = lam * _RETUNE_FACTOR  # rank zero without solving
+            lam = lam * rpca._RETUNE_FACTOR  # rank zero without solving
             continue
         if lam not in solved:
-            solved[lam] = reference_outlier_pursuit(Y, lam, params)
+            solved[lam] = reference_outlier_pursuit(Y, lam)
         result = solved[lam]
         if last:
             break
         rank = result.rank
         if 1 <= rank <= hi:
             break
-        lam = lam / _RETUNE_FACTOR if rank > hi else lam * _RETUNE_FACTOR
+        lam = lam / rpca._RETUNE_FACTOR if rank > hi else lam * rpca._RETUNE_FACTOR
     return result
 
 
-def admm_one(Yn: np.ndarray, lam: float, params):
+def admm_one(Yn: np.ndarray, lam: float):
     """``rpca._admm`` on one normalized problem, a stack of one: (H, E, sv,
     left, iterations, converged) of that problem."""
-    H, E, sv, left, iterations, converged, _ = _admm(Yn[None], np.array([lam]), params)
+    H, E, sv, left, iterations, converged, _ = _admm(Yn[None], np.array([lam]))
     return H[0], E[0], sv[0], left[0], int(iterations[0]), bool(converged[0])
 
 
 def stacked(admm):
-    """A one-problem ADMM loop ``admm(Yn, lam, params)`` run problem by
+    """A one-problem ADMM loop ``admm(Yn, lam)`` run problem by
     problem in ``rpca._admm``'s stacked signature. It reports no certificate
     of its own, so a one-step converged solve counts as the certificate's."""
-    def run(Yn, lam, params):
-        solves = [admm(y, value, params) for y, value in zip(Yn, lam)]
+    def run(Yn, lam):
+        solves = [admm(y, value) for y, value in zip(Yn, lam)]
         H, E, sv, left, iterations, converged = (np.array(part) for part in zip(*solves))
         return H, E, sv, left, iterations, converged, (iterations == 1) & converged
     return run

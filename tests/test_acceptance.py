@@ -13,7 +13,7 @@ import pytest
 from cfsubspace.channel import dft_columns, dft_matrix
 from cfsubspace.experiment import ExperimentConfig, run_experiment, write_results
 from cfsubspace.hopping import build_schedule, mols_family
-from cfsubspace.rpca import RpcaParams, outlier_pursuit
+from cfsubspace.rpca import _TOL, outlier_pursuit
 from oracles import (are_orthogonal, contamination_covariance, is_latin, local_lmmse,
                      make_support, objective_trace, sample_channel, true_covariance)
 
@@ -137,8 +137,7 @@ def test_criterion_05_outlier_pursuit_recovery():
     for j in out_idx:
         v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         Y[:, j] = v / np.linalg.norm(v) * 5.0
-    params = RpcaParams()
-    result = outlier_pursuit(Y, lam=0.25, params=params)
+    result = outlier_pursuit(Y, lam=0.25)
     assert result.converged
     col_norms = np.linalg.norm(result.outliers, axis=0)
     found = np.nonzero(col_norms > 1e-3 * np.linalg.norm(Y) / np.sqrt(S))[0]
@@ -147,9 +146,9 @@ def test_criterion_05_outlier_pursuit_recovery():
     angles = np.arccos(np.clip(np.linalg.svd(W[:, :rank].conj().T @ basis,
                                              compute_uv=False), 0, 1))
     assert angles.max() < 1e-2
-    objective = objective_trace(Y, 0.25, params)
+    objective = objective_trace(Y, 0.25)
     increases = np.diff(objective)
-    assert np.all(increases <= params.tol * objective[0])
+    assert np.all(increases <= _TOL * objective[0])
     _passed(5, f"planted outliers {out_idx.tolist()} exactly identified; "
                f"max principal angle {angles.max():.2e} < 1e-2; "
                f"objective non-increasing within tol")

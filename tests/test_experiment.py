@@ -20,10 +20,9 @@ from cfsubspace.cli import main as cli_main
 from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    load_config, run_experiment, stage_rng,
                                    write_results)
-from cfsubspace.rpca import RpcaParams, SubspaceEstimate, outlier_pursuit_tuned, \
-    power_efficiency
+from cfsubspace.rpca import SubspaceEstimate, outlier_pursuit_tuned, power_efficiency
 import oracles
-from oracles import check_collision_law, reference_outlier_pursuit, \
+from oracles import check_collision_law, reference_outlier_pursuit, solver_constants, \
     write_csv_rows_one_by_one
 
 
@@ -93,9 +92,9 @@ class TestConfig:
         ({"lam": True}, "lam must be a number"),
         ({"kinds": "pp"}, "kinds must be a list"),
         ({"output_dir": 3}, "output_dir must be a string"),
-        # the solver knobs are no config entries (TestRpcaParams in
-        # test_rpca.py checks them), so a solver section is an unknown key,
-        # the one an echoed config.json of an earlier run holds included
+        # the solver's tolerances are module constants of rpca.py, not
+        # config entries, so a solver section is an unknown key, the one an
+        # echoed config.json of an earlier run holds included
         ({"solver": ECHOED_SOLVER}, NO_SOLVER),
         ({"solver": {}}, NO_SOLVER),
         # area sides outside [1e-100, 1e50] m, where runs used to crash
@@ -378,8 +377,9 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert observed
         steps = []
-        for params in (RpcaParams(), RpcaParams(tol=1e-6)):
-            results = [outlier_pursuit_tuned(Y, cfg.lam, params) for Y in observed]
+        for tol in (None, 1e-6):
+            with solver_constants(tol=tol):
+                results = [outlier_pursuit_tuned(Y, cfg.lam) for Y in observed]
             assert all(r.converged for r in results)
             steps.append(np.mean([r.iterations for r in results]))
         assert steps[0] <= 0.7 * steps[1]
@@ -495,6 +495,26 @@ class TestConfigSweep:
     @pytest.mark.parametrize("index", range(60))
     def test_invariants_hold(self, monkeypatch, tmp_path, index):
         config = random_config(np.random.default_rng([self.SEED, index]))
+        self.check_invariants(config, monkeypatch, tmp_path)
+
+    # networks of the paper's size (L=40, M=16, Q=10) and beyond it in K:
+    # step-1 certificate exits at lambda 3 on 683 edges, full solves at
+    # S=14 and S=35, and rank-zero endings at lambda 1e-3 on 600 edges
+    @pytest.mark.parametrize("index, overrides", [
+        (2013, dict(L=40, K=300, M=16, Q=10)),
+        (2004, dict(L=40, K=100, M=16, Q=2)),
+        (2009, dict(L=40, K=100, M=8, Q=3)),
+        (2012, dict(L=30, K=300, M=8, Q=2)),
+    ])
+    def test_invariants_hold_on_large_networks(self, monkeypatch, tmp_path, index,
+                                               overrides):
+        config = random_config(np.random.default_rng([self.SEED, index]), **overrides)
+        self.check_invariants(config, monkeypatch, tmp_path)
+
+    @staticmethod
+    def check_invariants(config, monkeypatch, tmp_path):
+        """The invariants of ``check_sane_outputs``, and the collision law
+        on each schedule the pipeline builds; a failure names the config."""
         build, built = experiment_mod.build_schedule, []
 
         def recording(assignment, N, S):
@@ -535,8 +555,8 @@ def reference_work(observed, lam):
     exit: the tolerance stop cannot fire there at the default ``rho``."""
     solves = []
 
-    def recording(Y, lam, params=None):
-        solves.append(reference_outlier_pursuit(Y, lam, params))
+    def recording(Y, lam):
+        solves.append(reference_outlier_pursuit(Y, lam))
         return solves[-1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -614,20 +634,20 @@ class TestFailureContext:
             edges = run_experiment(tiny_config(kinds=("pp",), n_layouts=1)).edge_records
         solve = experiment_mod.outlier_pursuit_tuned
 
-        def failing(Y, lam, params=None):
+        def failing(Y, lam):
             # the third edge of layout 0 fails; layout 1, which a second pool
             # worker runs at the same time, does not
             if np.array_equal(Y, observed[2]):
                 raise FloatingPointError("boom")
-            return solve(Y, lam, params)
+            return solve(Y, lam)
 
         stack = experiment_mod._tuned_stack
 
-        def failing_stack(Y, lam, params=None):
+        def failing_stack(Y, lam):
             # the stacked solve of the chunk holding that edge fails too
             if any(np.array_equal(y, observed[2]) for y in Y):
                 raise FloatingPointError("boom")
-            return stack(Y, lam, params)
+            return stack(Y, lam)
 
         monkeypatch.setattr(experiment_mod, "_tuned_stack", failing_stack)
         monkeypatch.setattr(experiment_mod, "outlier_pursuit_tuned", failing)
@@ -641,7 +661,7 @@ class TestFailureContext:
     def test_stack_failure_no_edge_repeats_names_no_edge(self, monkeypatch):
         # the edge-by-edge solves of the failed chunk all succeed, so the
         # stacked solve's own error is raised, naming no edge
-        def failing_stack(Y, lam, params=None):
+        def failing_stack(Y, lam):
             raise MemoryError("stack")
 
         monkeypatch.setattr(experiment_mod, "_tuned_stack", failing_stack)

@@ -24,8 +24,8 @@ def test_public_names():
         # receiver
         "RateReport", "cluster_combiner", "ergodic_rates", "uplink_sinr",
         # rpca
-        "RpcaParams", "RpcaResult", "SubspaceEstimate", "collect_srs",
+        "RpcaResult", "SubspaceEstimate", "collect_srs",
         "dft_project", "outlier_pursuit", "outlier_pursuit_tuned",
         "power_efficiency", "select_rank", "subspace_estimates",
     }
-    assert len(names) == 42
+    assert len(names) == 41

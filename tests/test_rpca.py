@@ -1,5 +1,4 @@
 import contextlib
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,14 +10,15 @@ from cfsubspace.channel import dft_columns, dft_matrix, network_supports
 from cfsubspace.experiment import ExperimentConfig, run_experiment, write_results
 from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
 from cfsubspace.hopping import SrsSchedule, allocate_squares, build_schedule
-from cfsubspace.rpca import (RpcaParams, SubspaceEstimate, _col_norms, _fro,
+from cfsubspace.rpca import (SubspaceEstimate, _col_norms, _fro,
                              _rank_zero_lambda, _row_norms, collect_srs, dft_project,
                              outlier_pursuit, outlier_pursuit_tuned,
                              power_efficiency, select_rank, subspace_estimates)
 from oracles import (admm_one, admm_stopping_on_tol, colliders, estimated_covariance,
                      from_supports, make_support, numerical_rank, objective_trace,
                      reference_outlier_pursuit, reference_rank_zero_lambda,
-                     reference_tuned, sample_channel, stacked, true_covariance)
+                     reference_tuned, sample_channel, solver_constants, stacked,
+                     true_covariance)
 
 
 def planted_instance(rng, M=16, S=64, rank=2, n_outliers=3, outlier_norm=5.0):
@@ -153,28 +153,6 @@ class TestBatchedCollectSrs:
             assert batched.bit_generator.state == looped.bit_generator.state
 
 
-class TestRpcaParams:
-    """The solver knobs are checked when made, with the config's type rules."""
-
-    @pytest.mark.parametrize("knobs,message", [
-        ({"max_iter": "abc"}, "max_iter must be an integer"),
-        ({"max_iter": 0}, "max_iter must be >= 1"),
-        ({"tol": 0.0}, "tol must be positive"),
-        ({"rho": -1}, "rho must be positive"),
-        ({"tol": float("inf")}, "tol must be positive and finite"),
-        ({"rho": float("inf")}, "rho must be positive and finite"),
-    ])
-    def test_wrong_type_or_range_rejected(self, knobs, message):
-        with pytest.raises(ValueError, match=message):
-            RpcaParams(**knobs)
-
-    def test_numbers_of_any_kind_accepted(self):
-        # numpy scalars become the Python numbers they equal
-        params = RpcaParams(max_iter=np.int64(50), tol=np.float64(1e-5), rho=2)
-        assert params == RpcaParams(max_iter=50, tol=1e-5, rho=2.0)
-        assert type(params.max_iter) is int and type(params.tol) is float
-
-
 class TestOutlierPursuit:
     def test_exact_rank_one_no_outliers(self):
         # flat column weights keep the no-outlier solution exact at lambda=0.25
@@ -202,11 +180,10 @@ class TestOutlierPursuit:
 
     def test_objective_non_increasing_noiseless(self):
         rng = np.random.default_rng(2)
-        params = RpcaParams()
         for _ in range(5):
             Y, _, _ = planted_instance(rng)
-            objective = objective_trace(Y, 0.25, params)
-            slack = params.tol * objective[0]
+            objective = objective_trace(Y, 0.25)
+            slack = rpca_mod._TOL * objective[0]
             assert np.all(np.diff(objective) <= slack)
 
     def test_huge_lambda_disables_outliers(self):
@@ -240,7 +217,8 @@ class TestOutlierPursuit:
     def test_max_iter_reports_not_converged(self):
         rng = np.random.default_rng(5)
         Y, _, _ = planted_instance(rng)
-        result = outlier_pursuit(Y, lam=0.25, params=RpcaParams(max_iter=2))
+        with solver_constants(max_iter=2):
+            result = outlier_pursuit(Y, lam=0.25)
         assert not result.converged and result.iterations == 2
 
     @pytest.mark.parametrize("rank,n_out", [(1, 3), (2, 5), (3, 4), (4, 6)])
@@ -302,14 +280,15 @@ class TestLazyObjective:
         Y, _, _ = planted_instance(rng, M=8, S=24, rank=1, n_outliers=2)
         lam = 0.25
         result = outlier_pursuit(Y, lam)
-        objective = objective_trace(Y, lam, RpcaParams())
+        objective = objective_trace(Y, lam)
         assert objective.shape == (result.iterations + 1,)
         scale = np.linalg.norm(Y) / np.sqrt(Y.shape[1])
         Yn = Y / scale
         assert objective[0] == pytest.approx(
             np.linalg.svd(Yn, compute_uv=False).sum(), rel=1e-12)
         for i in range(1, result.iterations + 1):
-            E = outlier_pursuit(Y, lam, RpcaParams(max_iter=i)).outliers / scale
+            with solver_constants(max_iter=i):
+                E = outlier_pursuit(Y, lam).outliers / scale
             direct = (np.linalg.svd(Yn - E, compute_uv=False).sum()
                       + lam * np.linalg.norm(E, axis=0).sum())
             assert objective[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
@@ -331,7 +310,7 @@ class TestLazyObjective:
         assert len(calls) == n
         # reading it solves once (n steps), replays step i with a solve
         # capped at i steps, then takes one SVD per iterate
-        objective_trace(Y, 0.25, RpcaParams())
+        objective_trace(Y, 0.25)
         assert len(calls) == n + n + n * (n + 1) // 2 + (n + 1)
 
 
@@ -352,18 +331,18 @@ class TestLambdaTuning:
         assert numerical_rank(tuned.low_rank) >= 1
 
 
-def unscreened_tuned(Y, lam, params=None):
+def unscreened_tuned(Y, lam):
     """Reference: the lambda-retune loop with every solve run, rank band
     [1, max(1, M // 2)], 5 retries and factor 1.5. Returns the last solve's
     result and lambda."""
     hi = max(1, Y.shape[0] // 2)
-    result = outlier_pursuit(Y, lam, params)
+    result = outlier_pursuit(Y, lam)
     for _ in range(5):
         rank = numerical_rank(result.low_rank)
         if 1 <= rank <= hi:
             break
         lam = lam / 1.5 if rank > hi else lam * 1.5
-        result = outlier_pursuit(Y, lam, params)
+        result = outlier_pursuit(Y, lam)
     return result, lam
 
 
@@ -374,9 +353,9 @@ def recorded_lambdas():
     the stack, so one per solve of a one-edge ``outlier_pursuit_tuned``."""
     calls, solve = [], rpca_mod._solve_stack
 
-    def recording(Y, lam, params=None):
+    def recording(Y, lam):
         calls.extend(lam)
-        return solve(Y, lam, params)
+        return solve(Y, lam)
 
     rpca_mod._solve_stack = recording
     try:
@@ -404,17 +383,18 @@ class TestRankZeroScreen:
         planted, _, _ = planted_instance(rng, M=8, S=29, rank=1 + seed % 2)
         # at the former default tolerance, to which the 1e-4 bound on E - Y
         # was set
-        params = RpcaParams(tol=1e-6)
         for Y in (noise_matrix(seed), noise_matrix(seed, M=16, S=19), planted):
             lam_zero = _rank_zero_lambda(Y)
-            for lam in (lam_zero, 0.5 * lam_zero):
-                result = outlier_pursuit(Y, lam, params)
-                assert result.converged
-                assert not np.any(result.low_rank)
-                # E carries Y up to the stopping tolerance
-                assert np.linalg.norm(result.outliers - Y) < 1e-4 * np.linalg.norm(Y)
-            # the threshold is sharp: a little above it H = 0 is not optimal
-            above = outlier_pursuit(Y, 1.05 * lam_zero, params)
+            with solver_constants(tol=1e-6):
+                for lam in (lam_zero, 0.5 * lam_zero):
+                    result = outlier_pursuit(Y, lam)
+                    assert result.converged
+                    assert not np.any(result.low_rank)
+                    # E carries Y up to the stopping tolerance
+                    assert np.linalg.norm(result.outliers - Y) < \
+                        1e-4 * np.linalg.norm(Y)
+                # the threshold is sharp: a little above it H = 0 is not optimal
+                above = outlier_pursuit(Y, 1.05 * lam_zero)
             assert numerical_rank(above.low_rank) >= 1
 
     def test_threshold_of_special_inputs(self):
@@ -423,6 +403,7 @@ class TestRankZeroScreen:
         Y = dft_matrix(8)[:, :5] * np.arange(1, 6)
         assert _rank_zero_lambda(Y) == pytest.approx(1.0 - 1e-3)
 
+    # params: the solver constants of the solves (oracles.solver_constants)
     @pytest.mark.parametrize("case,Y,lam,params,solves", [
         ("rank 0, then 1", planted_instance(np.random.default_rng(8), M=8,
                                             S=29, rank=1)[0], 0.05, None, 1),
@@ -433,12 +414,13 @@ class TestRankZeroScreen:
         ("rank 0 inside the margin is solved", noise_matrix(7), 0.58, None, 2),
         ("all-zero input", np.zeros((8, 29), dtype=complex), 0.25, None, 1),
         ("rank 0 inside the margin, former tolerance", noise_matrix(7), 0.58,
-         RpcaParams(tol=1e-6), 2),
+         {"tol": 1e-6}, 2),
     ])
     def test_equals_unscreened_loop(self, case, Y, lam, params, solves):
-        reference, reference_lam = unscreened_tuned(Y, lam, params)
-        with recorded_lambdas() as calls:
-            screened = outlier_pursuit_tuned(Y, lam, params)
+        with solver_constants(**(params or {})):
+            reference, reference_lam = unscreened_tuned(Y, lam)
+            with recorded_lambdas() as calls:
+                screened = outlier_pursuit_tuned(Y, lam)
         assert len(calls) == solves
         assert reference_lam == calls[-1]
         for name in ("low_rank", "outliers"):
@@ -519,7 +501,7 @@ def real_observation(K, N, seed=3, L=10, M=8):
                        np.random.default_rng(seed))
 
 
-def plain_admm(Yn, lam, params):
+def plain_admm(Yn, lam):
     """Reference: the ADMM loop of ``rpca._admm`` on X = Yn^H, the (S, M)
     slot-by-antenna matrix, with a fresh array for every operation, the
     over-relaxed E- and dual updates, the no-outlier certificate at step 1,
@@ -532,11 +514,11 @@ def plain_admm(Yn, lam, params):
     step that changed rho.
     """
     X = np.ascontiguousarray(Yn.conj().T)
-    rho = params.rho
+    rho = rpca_mod._RHO
     H, E, U = X.copy(), np.zeros_like(X), np.zeros_like(X)
     converged, outliers, moves, readouts = False, [], "", []
     settled_steps, alpha = rpca_mod._SETTLED_STEPS, rpca_mod._RELAXATION
-    for iterations in range(1, params.max_iter + 1):
+    for iterations in range(1, rpca_mod._MAX_ITER + 1):
         H_prev, E_prev = H, E
         W, s, Vh = np.linalg.svd(X - E + U, full_matrices=False)
         # the rows of W have norm at most 1 (up to rounding)
@@ -554,7 +536,7 @@ def plain_admm(Yn, lam, params):
         outliers.append(E.conj().T.copy())
         e_change = np.linalg.norm(E - E_prev)
         change = max(np.linalg.norm(H - H_prev), e_change)
-        if change / max(1.0, np.linalg.norm(X)) < params.tol:
+        if change / max(1.0, np.linalg.norm(X)) < rpca_mod._TOL:
             converged = True
             break
         rank = int(np.sum(sv > 1e-6 * sv[0])) if sv[0] > 0 else 0
@@ -562,7 +544,7 @@ def plain_admm(Yn, lam, params):
         last = readouts[-settled_steps - 1:]
         if len(last) == settled_steps + 1 and len(set(last)) == 1 and \
                 e_change / max(1.0, np.linalg.norm(X)) < \
-                rpca_mod._SETTLED_FACTOR * params.tol:
+                rpca_mod._SETTLED_FACTOR * rpca_mod._TOL:
             converged = True
             break
         r_norm, d_norm = np.linalg.norm(R), rho * e_change
@@ -593,18 +575,21 @@ class TestFusedStep:
         planted = [planted_instance(rng)[0],
                    planted_instance(rng, M=8, S=29, rank=2)[0]]
         noise = [noise_matrix(3), noise_matrix(7), noise_matrix(8, M=16, S=19)]
-        cases = [(Y, lam, RpcaParams()) for Y in planted + noise
+        cases = [(Y, lam, {}) for Y in planted + noise
                  + collider_observations() for lam in (0.05, 0.25, 0.58, 2.0)]
-        cases += [(planted[0], 0.25, RpcaParams(rho=0.1, tol=1e-9)),
-                  (noise[0], 0.25, RpcaParams(rho=20.0, max_iter=7))]
+        cases += [(planted[0], 0.25, {"rho": 0.1, "tol": 1e-9}),
+                  (noise[0], 0.25, {"rho": 20.0, "max_iter": 7})]
         moves = ""
-        for Y, lam, params in cases:
+        for Y, lam, constants in cases:
             Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
-            H, E, sv, left, iterations, converged = admm_one(Yn, lam, params)
-            ref = plain_admm(Yn, lam, params)
-            # step i's iterate is the outlier part of a solve capped at i steps
-            steps = [admm_one(Yn, lam, replace(params, max_iter=i))[1]
-                     for i in range(1, iterations + 1)]
+            with solver_constants(**constants):
+                H, E, sv, left, iterations, converged = admm_one(Yn, lam)
+                ref = plain_admm(Yn, lam)
+                # step i's iterate is the outlier part of a solve capped at i steps
+                steps = []
+                for i in range(1, iterations + 1):
+                    with solver_constants(max_iter=i):
+                        steps.append(admm_one(Yn, lam)[1])
             for got, want in zip((H, E, sv, left), ref[:4]):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -627,29 +612,30 @@ class TestSettledStop:
 
     def test_stops_at_first_settled_step(self, monkeypatch):
         observations = sorted(pipeline_observations(monkeypatch, 1001).items())
-        params = RpcaParams()
+        tol = rpca_mod._TOL
         early = 0
         for _, Y in observations[:8]:
             Yn = Y / (np.linalg.norm(Y) / np.sqrt(Y.shape[1]))
             norm = max(1.0, np.linalg.norm(Yn))
             for lam in (0.25, settled_lambda(Y, 0.25)):
-                *_, iterations, converged = admm_one(Yn, lam, params)
+                *_, iterations, converged = admm_one(Yn, lam)
                 assert converged
                 # replay: step i of the solve is the last step of one capped at i
                 readouts, stop = [], None
                 H_prev, E_prev = Yn, np.zeros_like(Yn)
                 for i in range(1, iterations + 1):
-                    H, E, sv, *_ = admm_one(Yn, lam, RpcaParams(max_iter=i))
+                    with solver_constants(max_iter=i):
+                        H, E, sv, *_ = admm_one(Yn, lam)
                     readouts.append((numerical_rank(H),
                                      select_rank(sv, max(1, len(sv) // 2))))
                     e_change = np.linalg.norm(E - E_prev) / norm
                     h_change = np.linalg.norm(H - H_prev) / norm
                     H_prev, E_prev = H, E
-                    if max(e_change, h_change) < params.tol:
+                    if max(e_change, h_change) < tol:
                         stop = i
                         break
                     if i > 10 and len(set(readouts[-11:])) == 1 and \
-                            e_change < 10 * params.tol:
+                            e_change < 10 * tol:
                         stop = i
                         early += 1
                         break
@@ -662,7 +648,7 @@ class TestSettledStop:
             collider_observations()
         cases = [(Y, lam) for Y in inputs for lam in (0.05, 0.25, 0.58, 2.0)]
         settled = [outlier_pursuit(Y, lam) for Y, lam in cases]
-        monkeypatch.setattr(rpca_mod, "_SETTLED_STEPS", RpcaParams().max_iter + 1)
+        monkeypatch.setattr(rpca_mod, "_SETTLED_STEPS", rpca_mod._MAX_ITER + 1)
         got = [outlier_pursuit(Y, lam) for Y, lam in cases] + \
             [outlier_pursuit_tuned(Y, 0.25) for Y in inputs]
         monkeypatch.setattr(rpca_mod, "_admm", stacked(admm_stopping_on_tol))
@@ -720,12 +706,12 @@ class TestNoOutlierCertificate:
     def test_is_tight_for_full_row_rank(self):
         # with Y of full row rank the subgradient W Vh is unique, so just
         # below the largest leverage (Y, 0) is not optimal
-        tight = RpcaParams(tol=1e-10, max_iter=20000)
         cases = 0
         for Y in certificate_inputs():
             if np.linalg.matrix_rank(Y) < Y.shape[0]:
                 continue
-            result = outlier_pursuit(Y, 0.99 * max_leverage(Y), tight)
+            with solver_constants(tol=1e-10, max_iter=20000):
+                result = outlier_pursuit(Y, 0.99 * max_leverage(Y))
             assert result.converged and result.iterations > 1
             assert np.linalg.norm(result.outliers) > 1e-3 * np.linalg.norm(Y)
             cases += 1
@@ -739,29 +725,31 @@ class TestOverRelaxation:
     the benchmark's observations."""
 
     @staticmethod
-    def solves(observations, params):
+    def solves(observations, tol=None):
         """Per observation and lambda (0.25 and the one the retune loop
-        settles on), the solve at the solver's alpha and at alpha = 1."""
+        settles on), the solve at the solver's alpha and at alpha = 1, both
+        to the stop tolerance ``tol`` (``_TOL`` when None)."""
         pairs = []
         for Y in observations:
             for lam in (0.25, settled_lambda(Y, 0.25)):
-                relaxed = outlier_pursuit(Y, lam, params)
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(rpca_mod, "_RELAXATION", 1.0)
-                    plain = outlier_pursuit(Y, lam, params)
+                with solver_constants(tol=tol):
+                    relaxed = outlier_pursuit(Y, lam)
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(rpca_mod, "_RELAXATION", 1.0)
+                        plain = outlier_pursuit(Y, lam)
                 pairs.append((Y, relaxed, plain))
         return pairs
 
     def test_same_optimum_as_plain_loop(self, monkeypatch):
         observations = list(pipeline_observations(monkeypatch, 1001).values())
-        for Y, relaxed, plain in self.solves(observations, RpcaParams(tol=1e-9)):
+        for Y, relaxed, plain in self.solves(observations, tol=1e-9):
             assert relaxed.converged and plain.converged
             assert np.linalg.norm(relaxed.low_rank - plain.low_rank) <= \
                 1e-6 * np.linalg.norm(Y)
 
     def test_fewer_steps_than_plain_loop(self, monkeypatch):
         observations = list(pipeline_observations(monkeypatch, 1001).values())
-        pairs = self.solves(observations, RpcaParams())
+        pairs = self.solves(observations)
         assert all(relaxed.converged for _, relaxed, _ in pairs)
         relaxed = np.mean([r.iterations for _, r, _ in pairs])
         plain = np.mean([p.iterations for _, _, p in pairs])
@@ -787,10 +775,11 @@ class TestSolutionAccuracy:
     @pytest.mark.parametrize("ratio", [rpca_mod._RESIDUAL_RATIO, 10.0])
     def test_default_solve_near_tight_solve(self, monkeypatch, ratio):
         monkeypatch.setattr(rpca_mod, "_RESIDUAL_RATIO", ratio)
-        tight = RpcaParams(tol=1e-10, max_iter=20000)
         for Y, lam in accuracy_cases():
-            default = outlier_pursuit(Y, lam, RpcaParams(tol=1e-6))
-            reference = outlier_pursuit(Y, lam, tight)
+            with solver_constants(tol=1e-6):
+                default = outlier_pursuit(Y, lam)
+            with solver_constants(tol=1e-10, max_iter=20000):
+                reference = outlier_pursuit(Y, lam)
             assert default.converged and reference.converged
             assert default.rank >= 1
             distance = np.linalg.norm(default.low_rank - reference.low_rank)
@@ -817,13 +806,13 @@ class TestDefaultTolerance:
         planted.append(planted_instance(rng, M=8, S=29, rank=2)[0])
         noise = [noise_matrix(7), noise_matrix(8, M=16, S=19),
                  noise_matrix(9, M=8, S=29)]
-        tight = RpcaParams(tol=1e-10, max_iter=20000)
         ranks = set()
         for Y in planted + collider_observations() + noise:
             settled = settled_lambda(Y, 0.25)
             for lam in (0.05, 0.25, 0.58, 2.0, settled):
-                default, reference = outlier_pursuit(Y, lam), \
-                    outlier_pursuit(Y, lam, tight)
+                default = outlier_pursuit(Y, lam)
+                with solver_constants(tol=1e-10, max_iter=20000):
+                    reference = outlier_pursuit(Y, lam)
                 assert default.converged and reference.converged
                 assert default.rank == reference.rank
                 pca, idx = subspace_estimates(default.left_vectors,
@@ -846,15 +835,15 @@ class TestRankFromLastStep:
         ranks = set()
         for Y in inputs:
             for lam in (0.05, 0.25, 0.35, 0.5625, 2.0, 1e6):
-                for params in (RpcaParams(), RpcaParams(max_iter=1),
-                               RpcaParams(max_iter=2)):
-                    result = outlier_pursuit(Y, lam, params)
+                for max_iter in (None, 1, 2):
+                    with solver_constants(max_iter=max_iter):
+                        result = outlier_pursuit(Y, lam)
                     assert result.rank == numerical_rank(result.low_rank)
                     ranks.add(result.rank)
         assert {0, 1, 2, 3, 4} <= ranks
 
     @pytest.mark.parametrize("lam,params", [(2.0, None), (0.05, None), (0.58, None),
-                                            (0.58, RpcaParams(tol=1e-6))])
+                                            (0.58, {"tol": 1e-6})])
     def test_tuned_loop_takes_no_extra_svd(self, monkeypatch, lam, params):
         # one SVD for the rank-zero screen and one per ADMM step: the rank
         # of each solve costs none
@@ -869,7 +858,8 @@ class TestRankFromLastStep:
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **kw: svds.append(1) or svd(*a, **kw))
         monkeypatch.setattr(rpca_mod, "_solve_stack", counted_solve)
-        outlier_pursuit_tuned(noise_matrix(7), lam, params)
+        with solver_constants(**(params or {})):
+            outlier_pursuit_tuned(noise_matrix(7), lam)
         assert len(svds) == 1 + sum(iterations)
 
 
@@ -899,9 +889,9 @@ class TestLeftVectorsFromLastStep:
         for Y in inputs:
             M, S = Y.shape
             for lam in (0.05, 0.25, 0.58, 2.0):
-                for params in (RpcaParams(), RpcaParams(max_iter=1),
-                               RpcaParams(max_iter=2)):
-                    result = outlier_pursuit(Y, lam, params)
+                for max_iter in (None, 1, 2):
+                    with solver_constants(max_iter=max_iter):
+                        result = outlier_pursuit(Y, lam)
                     left = result.left_vectors
                     assert left.shape == (M, min(M, S))
                     assert np.allclose(left.conj().T @ left, np.eye(min(M, S)),
@@ -983,17 +973,18 @@ class TestLockstep:
                  (oscillating, 1.0)]
         Y = np.stack([Y for Y, _ in cases])
         lams = [lam for _, lam in cases]
-        for params in (None, RpcaParams(max_iter=3), RpcaParams(tol=1e-6)):
-            results, certified = rpca_mod._solve_stack(Y, lams, params)
-            want = [reference_outlier_pursuit(y, lam, params) for y, lam in cases]
+        for constants in ({}, {"max_iter": 3}, {"tol": 1e-6}):
+            with solver_constants(**constants):
+                results, certified = rpca_mod._solve_stack(Y, lams)
+                want = [reference_outlier_pursuit(y, lam) for y, lam in cases]
             for got, ref in zip(results, want, strict=True):
                 assert_same_result(got, ref)
             assert certified == sum(r.iterations == 1 and r.converged for r in want)
             assert certified == 4
-            if params is None:
+            if not constants:
                 steps = [r.iterations for r in results]
                 assert 0 in steps and len(set(steps)) >= 5
-            if params == RpcaParams(max_iter=3):
+            if constants == {"max_iter": 3}:
                 assert not all(r.converged for r in results)
 
     def test_ladders_of_a_stack_equal_edge_by_edge_ladders(self, monkeypatch):
@@ -1021,9 +1012,9 @@ class TestLockstep:
         stacks = []
         solve = rpca_mod._solve_stack
 
-        def recording(Y, lam, params=None):
+        def recording(Y, lam):
             stacks.append(len(Y))
-            return solve(Y, lam, params)
+            return solve(Y, lam)
 
         monkeypatch.setattr(rpca_mod, "_solve_stack", recording)
         Y = noise_matrix(7, M=8, S=29)
@@ -1031,6 +1022,18 @@ class TestLockstep:
                            reference_outlier_pursuit(Y, 0.25))
         assert_same_result(outlier_pursuit_tuned(Y, 2.0), reference_tuned(Y, 2.0))
         assert stacks and set(stacks) == {1}
+
+    def test_integer_observations_solve_as_edge_by_edge(self):
+        # an integer stack divides by its scales into a new float stack: in
+        # place, the float quotient cannot be cast back to the integer dtype
+        Y = np.random.default_rng(1).integers(-3, 4, (8, 29))
+        assert_same_result(outlier_pursuit(Y, 0.25), reference_outlier_pursuit(Y, 0.25))
+        assert_same_result(outlier_pursuit_tuned(Y, 0.25), reference_tuned(Y, 0.25))
+        observed = [Y, np.zeros_like(Y), 2 * Y]
+        results, _ = rpca_mod._tuned_stack(np.stack(observed), 0.25)
+        for y, result in zip(observed, results, strict=True):
+            assert_same_result(result, reference_tuned(y, 0.25))
+        assert [result.rank for result in results] == [1, 0, 1]
 
     @pytest.mark.parametrize("Y", [noise_matrix(3, M=8, S=29),
                                    np.zeros((4, 6), dtype=complex),
