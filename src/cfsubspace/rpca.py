@@ -7,11 +7,13 @@ column-sparse (slots hit by a strong collider) by solving
     minimize ||H||_* + lambda * ||E||_{2,1}   s.t.   H + E = Y
 
 with ADMM: singular-value soft thresholding for H, column-wise l2 shrinkage
-for E and a running dual update for the coupling. The edges of a stack step
-through ADMM in lockstep, one stacked SVD per step, each with the bits of a
-solve of its own. The dominant left singular vectors of H, which the last
-ADMM step has already computed, give the subspace; an optional greedy
-projection snaps the basis onto DFT columns.
+for E and a running dual update for the coupling. Each step thresholds
+through the M x M Gram matrix of its iterate, one Hermitian eigensolve in
+place of an SVD. The edges of a stack step through ADMM in lockstep, one
+stacked eigensolve per step, each with the bits of a solve of its own. The
+dominant left singular vectors of H, the Gram eigenvectors of the last ADMM
+step, give the subspace; an optional greedy projection snaps the basis onto
+DFT columns.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +76,10 @@ class RpcaResult:
     converged: bool
     # singular values of H_hat, descending, as the last ADMM step thresholded
     # them (times the input's scale), and the matching left singular vectors,
-    # (M, min(M, S)); the leading identity columns when H_hat = 0. A solve the
-    # no-outlier certificate ends (H_hat = Y) carries its step's singular
-    # values of Y unthresholded, which are those of H_hat
+    # (M, min(M, S)): the roots of the step's Gram eigenvalues and its
+    # eigenvectors (``_gram_svd``); the leading identity columns when
+    # H_hat = 0. A solve the no-outlier certificate ends (H_hat = Y) carries
+    # its step's singular values of Y unthresholded, which are those of H_hat
     singular_values: np.ndarray = field(repr=False)
     left_vectors: np.ndarray = field(repr=False)
 
@@ -147,11 +150,11 @@ def collect_srs(schedule, layout, supports, pair, snr: float,
 
 
 def _fro(x: np.ndarray):
-    """Frobenius norm, bitwise equal to np.linalg.norm(x) without its dispatch
-    (for real x the imaginary part adds an exact 0)."""
-    x = x.ravel(order="K")
-    re, im = x.real, x.imag
-    return np.sqrt(re.dot(re) + im.dot(im))
+    """Frobenius norm of a matrix, or of each matrix of a stack (..., M, S),
+    bitwise equal to np.linalg.norm(x, axis=(-2, -1)). A matrix of a
+    contiguous stack is one pairwise sum, as it is alone, so a stacked call
+    gives each matrix the bits of its own."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
 
 
 def _col_norms(x: np.ndarray) -> np.ndarray:
@@ -166,6 +169,56 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
+def _gram_svd(Z: np.ndarray):
+    """Thin SVD Z = W diag(sv) V^H of each matrix of the stack Z (..., S, M),
+    from one stacked ``eigh`` of the M x M Gram matrices Z^H Z.
+
+    Returns Z V (..., S, n), sv (..., n) and V (..., M, n): the n = min(S, M)
+    largest singular values, descending, and their right singular vectors.
+    sv is the root of the Gram eigenvalue. Squaring keeps the large singular
+    values to rounding but resolves none below about 1e-8 of the largest: an
+    eigenvalue at or below M eps times the largest (numpy's ``matrix_rank``
+    tolerance, applied to the Gram matrix) is rounding, and its sv is 0,
+    where an SVD gives a value within rounding of 0. W = Z V diag(1/sv) is
+    left unformed: :func:`_leverage` and :func:`_threshold` read Z V.
+    """
+    S, M = Z.shape[-2:]
+    n = min(S, M)
+    w, V = np.linalg.eigh(Z.conj().swapaxes(-1, -2) @ Z)
+    # eigh sorts ascending
+    w = w[..., ::-1][..., :n]
+    V = np.ascontiguousarray(V[..., ::-1][..., :n])
+    sv = np.sqrt(np.where(w > M * np.finfo(float).eps * w[..., :1], w, 0.0))
+    return Z @ V, sv, V
+
+
+def _leverage(ZV: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """Row norms of W = Z V diag(1/sv) from :func:`_gram_svd`, a column of W
+    taken as 0 where its singular value is 0: the leverage of Z less the
+    directions whose singular values, below sqrt(M eps) of the largest,
+    :func:`_gram_svd` gives as 0."""
+    W = np.divide(ZV, sv[..., None, :], out=np.zeros_like(ZV),
+                  where=sv[..., None, :] > 0)
+    return _row_norms(W)
+
+
+def _threshold(ZV: np.ndarray, sv: np.ndarray, V: np.ndarray, tau) -> np.ndarray:
+    """Singular-value soft threshold at tau > 0 (one per matrix of the stack)
+    of the Z that :func:`_gram_svd` factored: returns
+    H = Z V diag(max(0, 1 - tau / sv)) V^H and thresholds sv to
+    max(sv - tau, 0) in place. Scales ZV in place. The factor is taken as
+    1 - tau / max(sv, tau), which is 0 where sv <= tau, sv = 0 included,
+    without a division by 0."""
+    tau = np.asarray(tau)[..., None]
+    factor = np.maximum(sv, tau)
+    np.divide(tau, factor, out=factor)
+    np.subtract(1.0, factor, out=factor)
+    ZV *= factor[..., None, :]
+    sv -= tau
+    np.maximum(sv, 0.0, out=sv)
+    return ZV @ V.conj().swapaxes(-1, -2)
+
+
 def outlier_pursuit(Y: np.ndarray, lam: float) -> RpcaResult:
     """Low-rank plus column-sparse decomposition of Y.
 
@@ -176,9 +229,11 @@ def outlier_pursuit(Y: np.ndarray, lam: float) -> RpcaResult:
     settled (the comment on ``_TOL`` says when); hitting ``_MAX_ITER``
     returns converged=False with the last iterate. At a lambda no smaller
     than every column's leverage norm (the row norms of W in
-    Y^H = W diag(s) Vh; so at every lambda >= 1) the exact answer (Y, 0) is
+    Y^H = W diag(s) Vh; so at every lambda >= 1) the answer (Y, 0) is
     returned, converged after one step: the mirror of the rank-zero screen
-    of :func:`outlier_pursuit_tuned`.
+    of :func:`outlier_pursuit_tuned`. It is exact up to the singular values
+    below sqrt(M eps) of the largest, which the leverage leaves out
+    (:func:`_admm`).
 
     This is the one-edge view of :func:`_solve_stack`, a stack of one.
     Non-finite input and a lambda that is not positive and finite are
@@ -207,7 +262,7 @@ def _solve_stack(Y: np.ndarray, lam):
     """
     M, S = Y.shape[1:]
     n = min(M, S)
-    scale = np.array([_fro(y) for y in Y]) / np.sqrt(S)
+    scale = _fro(Y) / np.sqrt(S)
     solved = np.flatnonzero(scale > 0)
     certified = 0
     if solved.size:
@@ -243,19 +298,22 @@ def _admm(Yn: np.ndarray, lam: np.ndarray):
     The iteration runs on X = Yn^H, the (S, M) slot-by-antenna matrices with
     one SRS slot per row. Conjugate transposition keeps singular values and
     turns the column shrink on E into a row shrink, so the steps are those
-    of the (M, S) problem; for S >= M the SVD of each step is then taken of
-    a tall matrix, which LAPACK does faster than of the wide one.
+    of the (M, S) problem, whose left singular vectors are the right ones
+    of the (S, M) iterate.
 
-    Each step makes one ``np.linalg.svd`` of the (E', S, M) stack of the
-    problems still running, and every other array operation of the step
-    acts on that stack; a stacked SVD, product, elementwise update or
-    row-norm reduction gives each problem the bits of its own call. What a
-    problem decides for itself stays its own: its penalty rho and its
+    Each step factors the (E', S, M) stack Z = X - E + U of the problems
+    still running through one stacked ``np.linalg.eigh`` of their M x M
+    Gram matrices (:func:`_gram_svd`) and thresholds Z V (:func:`_threshold`).
+    The Gram matrix is M x M also where S < M, so that V stays orthonormal
+    without a fork on the orientation. Every other array operation of the
+    step acts on the stack; a stacked eigensolve, product, elementwise
+    update or norm reduction (the row norms of the shrink, and the
+    Frobenius norms of the stop and balance tests, one pairwise sum per
+    problem in ``_fro``) gives each problem the bits of its own call. What
+    a problem decides for itself stays its own: its penalty rho and its
     rescaling of U, its settled counter and read-out, the step-1
-    certificate and its stop. The Frobenius norms of the stop and balance
-    tests are one BLAS dot per problem (``_fro``), since a stacked
-    reduction would sum in another order and could move a stop. A problem
-    leaves the stack at its stop, and the run ends when none is left.
+    certificate and its stop. A problem leaves the stack at its stop, and
+    the run ends when none is left.
 
     Returns (H, E, sv, left, iterations, converged, certified), one entry per
     problem: H and E as (M, S) arrays, sv the last step's thresholded singular
@@ -267,21 +325,29 @@ def _admm(Yn: np.ndarray, lam: np.ndarray):
     D = alpha (X - H) + (1 - alpha) E_prev, alpha = ``_RELAXATION``, in place
     of X - H, so E shrinks the rows of G = D + U, U += R = D - E, and ||R||
     is the primal residual the penalty is balanced on. At step 1, where
-    E = U = 0, the SVD is of X = W diag(s) Vh itself. If every row of W has
-    norm <= lam (always at lam >= 1), W Vh is a subgradient of ||X||_* whose
-    row norms are all <= lam, so (H, E) = (X, 0) is optimal: the solve
-    returns it as converged, with s and Vh unthresholded, and takes no other
-    SVD. Without this exit the relaxed loop only nears that answer (at
-    lam = 1e6, to 1.7e-5 ||Y|| in 8 steps), where the unrelaxed one reached
-    it to rounding in 3.
+    E = U = 0, the step factors X = W diag(s) V^H itself. If every row of
+    W = X V diag(1/s) has norm <= lam (always at lam >= 1), W V^H is a
+    subgradient of ||X||_* whose row norms are all <= lam, so
+    (H, E) = (X, 0) is optimal: the solve returns it as converged, with s
+    and V unthresholded, and takes no other eigensolve. The certificate is
+    exact up to the singular values the factorisation gives as 0, those
+    below sqrt(M eps) of the largest (about 4e-8 of it at M = 8): their
+    columns of W are taken as 0, so W V^H is a subgradient of the X less
+    those directions, and (X, 0) is optimal to within 2 n sqrt(M eps) s_max
+    in the objective, where s_max is X's largest singular value (exactly
+    optimal where they are 0). Near a rank deficiency it can thus fire at a
+    lambda a little below the largest leverage of an SVD. Without this exit
+    the relaxed loop only nears that answer (at lam = 1e6, to 1.7e-5 ||Y||
+    in 8 steps), where the unrelaxed one reached it to rounding in 3.
 
     Each step reuses its buffers where that gives the same bits as the plain
-    update: D serves both G = D + U and R = D - E, the thresholds are
-    applied in place, and ||H - H_prev|| is only taken once the E-change
-    already meets the tolerance (the test on the larger change is the test on
-    both). A step's spent stacks are freed before the next SVD, and the
-    stacks are compacted one at a time, so that a solve holds about nine
-    arrays of the stack's size at its peak.
+    update: D serves G = D + U, R = D - E and then, R spent, the E- and
+    H-changes; the thresholds are applied in place, and ||H - H_prev|| is
+    only taken once some E-change already meets the tolerance (the test on
+    the larger change is the test on both). Z is freed once Z V is formed,
+    the step's spent stacks before the next eigensolve, and the stacks are
+    compacted one at a time, so that a solve holds about nine arrays of the
+    stack's size at its peak.
 
     Each step also reads out ``_rank_of(sv)`` and the gap-selected rank of
     ``sv``, what the estimates take from the solve. Once that pair has not
@@ -293,9 +359,9 @@ def _admm(Yn: np.ndarray, lam: np.ndarray):
     X = np.conj(Yn.transpose(0, 2, 1), order="C")
     count, S, M = X.shape
     n = min(S, M)
-    # each problem's (H, E, sv, left), recorded (conjugated, as they are
-    # returned) when it stops, so that the recorded outputs grow as the
-    # running stack shrinks
+    # each problem's (H, E, sv, left), recorded (H and E conjugate-
+    # transposed back, as they are returned) when it stops, so that the
+    # recorded outputs grow as the running stack shrinks
     outputs = [None] * count
     iterations = np.full(count, _MAX_ITER)
     converged = np.zeros(count, dtype=bool)
@@ -303,44 +369,44 @@ def _admm(Yn: np.ndarray, lam: np.ndarray):
     # the state of the problems still running, live[i] their positions
     live = np.arange(count)
     rho = np.full(count, float(_RHO))
-    norm = np.array([max(1.0, _fro(x)) for x in X])
+    norm = np.maximum(_fro(X), 1.0)
     readout = np.full((count, 2), -1)          # no read-out yet
     settled = np.zeros(count, dtype=int)
     H, E, U = X, np.zeros_like(X), np.zeros_like(X)
     r_max = max(1, n // 2)                      # as in subspace_estimates
     settle_tol = _SETTLED_FACTOR * _TOL
 
-    def leave(stop, H, E, sv, Vh, done=True):
+    def leave(stop, H, E, sv, V, done=True):
         """Record the problems ``stop`` marks, which end at this step."""
         for j in np.flatnonzero(stop):
-            outputs[live[j]] = H[j].conj().T, E[j].conj().T, sv[j], Vh[j].conj().T
+            outputs[live[j]] = H[j].conj().T, E[j].conj().T, sv[j], V[j].copy()
         ids = live[stop]
         iterations[ids] = step
         converged[ids] = done
 
     for step in range(1, _MAX_ITER + 1):
         H_prev, E_prev = H, E
-        W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
+        Z = X - E
+        Z += U
+        ZV, sv, V = _gram_svd(Z)
+        del Z
         if step == 1:
             # the no-outlier certificate (above); the rows of W have norm
             # <= 1, also where rounding puts one a few ulp above
-            stop = (lam >= 1.0) | (_row_norms(W).max(axis=-1) <= lam)
+            stop = (lam >= 1.0) | (_leverage(ZV, sv).max(axis=-1) <= lam)
             if stop.any():
                 certified[live[stop]] = True
-                leave(stop, X, E, sv, Vh)
+                leave(stop, X, E, sv, V)
                 keep = ~stop
                 if not keep.any():
                     break
-                live, X, W, sv, Vh, lam, rho, norm, readout, settled = (
-                    a[keep] for a in (live, X, W, sv, Vh, lam, rho, norm, readout,
+                live, X, ZV, sv, V, lam, rho, norm, readout, settled = (
+                    a[keep] for a in (live, X, ZV, sv, V, lam, rho, norm, readout,
                                       settled))
                 E, U = np.zeros_like(X), np.zeros_like(X)
                 H_prev, E_prev = X, E
-        sv -= (1.0 / rho)[:, None]
-        np.maximum(sv, 0.0, out=sv)
-        W *= sv[:, None, :]
-        H = W @ Vh
-        del W
+        H = _threshold(ZV, sv, V, 1.0 / rho)
+        del ZV
         D = X - H
         D *= _RELAXATION
         D += (1.0 - _RELAXATION) * E_prev
@@ -353,20 +419,22 @@ def _admm(Yn: np.ndarray, lam: np.ndarray):
         E = np.multiply(G, row[..., None], out=G)
         R = np.subtract(D, E, out=D)
         U += R
-        r_norm = np.array([_fro(x) for x in R])
-        e_change = np.array([_fro(e - e_prev) for e, e_prev in zip(E, E_prev)])
+        r_norm = _fro(R)
+        # R is spent: its buffer takes the changes of E and H
+        e_change = _fro(np.subtract(E, E_prev, out=D))
         stop = e_change / norm < _TOL
-        for i in np.flatnonzero(stop):
-            stop[i] = _fro(H[i] - H_prev[i]) / norm[i] < _TOL
+        if stop.any():
+            stop &= _fro(np.subtract(H, H_prev, out=D)) / norm < _TOL
         # the step's other stacks are spent: free them before the compaction
-        # and the next SVD, so that they add nothing to the peak memory
+        # and the next factorisation, so that they add nothing to the peak
+        # memory
         del H_prev, E_prev, D, R
         current = np.stack([_rank_of(sv), _gap_rank(sv, r_max)], axis=1)
         settled = np.where((current == readout).all(axis=1), settled + 1, 0)
         readout = current
         stop |= (settled >= _SETTLED_STEPS) & (e_change / norm < settle_tol)
         if stop.any():
-            leave(stop, H, E, sv, Vh)
+            leave(stop, H, E, sv, V)
             keep = ~stop
             if not keep.any():
                 break
@@ -385,7 +453,7 @@ def _admm(Yn: np.ndarray, lam: np.ndarray):
         U /= factor[:, None, None]
     else:
         # _MAX_ITER reached: the rest end here, not converged
-        leave(np.ones(len(live), dtype=bool), H, E, sv, Vh, done=False)
+        leave(np.ones(len(live), dtype=bool), H, E, sv, V, done=False)
     H, E, sv, left = zip(*outputs)
     return H, E, sv, left, iterations, converged, certified
 

@@ -10,11 +10,12 @@ computed before the package made them with fewer temporaries, the ADMM
 loop as it ran before it had the settled stop, and the outlier-pursuit solve
 and lambda ladder as they ran edge by edge before the edges stepped in
 lockstep) or a builder of test inputs, or sets the solver's constants for
-a block of solves.
+a block of solves, or counts the factorisations a block of code makes.
 """
 
 import contextlib
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,8 @@ from cfsubspace.channel import SupportTable, _support_table, dft_columns
 from cfsubspace.dmrs import pilot_book
 from cfsubspace.geometry import AssociationGraph
 from cfsubspace.receiver import _lmmse_directions
-from cfsubspace.rpca import RpcaResult, _admm, _col_norms, _fro, _gap_rank, _rank_of, \
-    _row_norms
+from cfsubspace.rpca import RpcaResult, _admm, _col_norms, _fro, _gap_rank, _gram_svd, \
+    _leverage, _rank_of, _row_norms, _threshold
 
 
 def make_support(indices):
@@ -339,6 +340,20 @@ def solver_constants(tol=None, max_iter=None, rho=None):
         yield
 
 
+def counted_factorisations(monkeypatch) -> list:
+    """A list that records, for each np.linalg.svd or np.linalg.eigh call from
+    here on and in call order, the pair (name, matrices): "svd" or "eigh",
+    and how many matrices the call factors (1 for a matrix, E for a stack of
+    E)."""
+    calls = []
+    for name in ("svd", "eigh"):
+        def counted(a, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, math.prod(np.shape(a)[:-2])))
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def objective_trace(Y: np.ndarray, lam: float) -> np.ndarray:
     """objective[i] = ||Yn - E_i||_* + lambda*||E_i||_{2,1}, i = 0..iterations.
 
@@ -372,14 +387,11 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float):
     norm = max(1.0, _fro(X))
     for iterations in range(1, rpca._MAX_ITER + 1):
         H_prev, E_prev = H, E
-        W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
-        if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
+        ZV, sv, V = _gram_svd(X - E + U)
+        if iterations == 1 and (lam >= 1.0 or _leverage(ZV, sv).max() <= lam):
             E = np.zeros_like(X)
-            return X.conj().T, E.conj().T, sv, Vh.conj().T, 1, True
-        sv -= 1.0 / rho
-        np.maximum(sv, 0.0, out=sv)
-        W *= sv
-        H = W @ Vh
+            return X.conj().T, E.conj().T, sv, V, 1, True
+        H = _threshold(ZV, sv, V, 1.0 / rho)
         D = X - H
         D *= rpca._RELAXATION
         D += (1.0 - rpca._RELAXATION) * E_prev
@@ -405,7 +417,7 @@ def admm_stopping_on_tol(Yn: np.ndarray, lam: float):
         elif d_norm > rpca._RESIDUAL_RATIO * r_norm:
             rho /= 2.0
             U *= 2.0
-    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
+    return H.conj().T, E.conj().T, sv, V, iterations, converged
 
 
 def reference_outlier_pursuit(Y: np.ndarray, lam: float) -> RpcaResult:
@@ -433,8 +445,9 @@ def reference_outlier_pursuit(Y: np.ndarray, lam: float) -> RpcaResult:
 
 def reference_admm(Yn: np.ndarray, lam: float):
     """``rpca._admm`` on one normalized problem, as it was before the stacked
-    solver: the same steps, certificate and stops, one SVD per step of this
-    problem alone. Returns (H, E, sv, left, iterations, converged)."""
+    solver: the same steps, certificate and stops, one Gram factorisation
+    (``rpca._gram_svd``) per step of this problem alone. Returns (H, E, sv,
+    left, iterations, converged)."""
     rho = rpca._RHO
     X = np.conj(Yn.T, order="C")
     H = X
@@ -447,16 +460,13 @@ def reference_admm(Yn: np.ndarray, lam: float):
     readout, settled = None, 0
     for iterations in range(1, rpca._MAX_ITER + 1):
         H_prev, E_prev = H, E
-        W, sv, Vh = np.linalg.svd(X - E + U, full_matrices=False)
-        if iterations == 1 and (lam >= 1.0 or _row_norms(W).max() <= lam):
+        ZV, sv, V = _gram_svd(X - E + U)
+        if iterations == 1 and (lam >= 1.0 or _leverage(ZV, sv).max() <= lam):
             # the no-outlier certificate (rpca._admm); the rows of W have norm
             # <= 1, also where rounding puts one a few ulp above
             E = np.zeros_like(X)
-            return X.conj().T, E.conj().T, sv, Vh.conj().T, 1, True
-        sv -= 1.0 / rho
-        np.maximum(sv, 0.0, out=sv)
-        W *= sv
-        H = W @ Vh
+            return X.conj().T, E.conj().T, sv, V, 1, True
+        H = _threshold(ZV, sv, V, 1.0 / rho)
         D = X - H
         D *= rpca._RELAXATION
         D += (1.0 - rpca._RELAXATION) * E_prev
@@ -487,7 +497,7 @@ def reference_admm(Yn: np.ndarray, lam: float):
         elif d_norm > rpca._RESIDUAL_RATIO * r_norm:
             rho /= 2.0
             U *= 2.0
-    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged
+    return H.conj().T, E.conj().T, sv, V, iterations, converged
 
 
 def reference_rank_zero_lambda(Y: np.ndarray) -> float:

@@ -22,8 +22,8 @@ from cfsubspace.experiment import (ExperimentConfig, config_from_dict,
                                    write_results)
 from cfsubspace.rpca import SubspaceEstimate, outlier_pursuit_tuned, power_efficiency
 import oracles
-from oracles import check_collision_law, reference_outlier_pursuit, solver_constants, \
-    write_csv_rows_one_by_one
+from oracles import check_collision_law, counted_factorisations, reference_outlier_pursuit, \
+    solver_constants, write_csv_rows_one_by_one
 
 
 # the pathloss section of every config.json echoed before the model was fixed
@@ -310,18 +310,14 @@ class TestRunExperiment:
         assert sorted(parallel) == serial
 
     def test_svds_per_edge_are_the_screen_and_the_steps(self, monkeypatch):
-        # per edge, the rank-zero screen factors one matrix and every ADMM
-        # step one; the ranks and the subspace estimates reuse the last
-        # step's. The edges of a layout share the calls: one stacked screen
-        # per chunk of edges and one stacked SVD per lockstep step, which
-        # runs while any edge of its stack does
-        matrices, calls, observed, steps, lockstep = [0], [0], [], [], []
-        svd, admm, collect = np.linalg.svd, rpca_mod._admm, experiment_mod.collect_srs
-
-        def counted_svd(a, *args, **kwargs):
-            calls[0] += 1
-            matrices[0] += math.prod(a.shape[:-2])
-            return svd(a, *args, **kwargs)
+        # per edge, the rank-zero screen factors one matrix (an SVD) and
+        # every ADMM step one (an eigh of its Gram matrix); the ranks and
+        # the subspace estimates reuse the last step's. The edges of a layout
+        # share the calls: one stacked screen per chunk of edges and one
+        # stacked eigh per lockstep step, which runs while any edge of its
+        # stack does
+        observed, steps, lockstep = [], [], []
+        admm, collect = rpca_mod._admm, experiment_mod.collect_srs
 
         def kept_collect(*args, **kwargs):
             observed.append(collect(*args, **kwargs))
@@ -333,23 +329,25 @@ class TestRunExperiment:
             lockstep.append(int(result[4].max()))
             return result
 
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        calls = counted_factorisations(monkeypatch)
         monkeypatch.setattr(experiment_mod, "collect_srs", kept_collect)
         monkeypatch.setattr(rpca_mod, "_admm", counted_admm)
         # reduced networks: K = 40 UEs on N = 7 squares collide, and the
         # noise-only K = 25, N = 29 edges retune lambda
         solves = edges = 0
         for K, N in [(40, 7), (25, 29)]:
-            for log in (observed, steps, lockstep):
+            for log in (observed, steps, lockstep, calls):
                 log.clear()
-            matrices[0] = calls[0] = 0
             cfg = ExperimentConfig(L=10, M=8, K=K, tau_p=5, N=N, n_layouts=1,
                                    n_fading=1, seed=3, kinds=("pp",))
             result = run_experiment(cfg)
             assert len(observed) == len(result.edge_records) > 0
-            assert matrices[0] == len(observed) + sum(steps)
             chunks = -(-len(observed) // experiment_mod._RPCA_CHUNK)
-            assert calls[0] == chunks + sum(lockstep)
+            # (calls, matrices) of each factorisation
+            for name, want in (("svd", (chunks, len(observed))),
+                               ("eigh", (sum(lockstep), sum(steps)))):
+                sizes = [m for called, m in calls if called == name]
+                assert (len(sizes), sum(sizes)) == want
             # the steps are those of solving edge by edge
             reference = reference_work(observed, cfg.lam)
             assert (len(steps), sum(steps)) == \

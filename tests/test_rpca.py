@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,15 +11,15 @@ from cfsubspace.channel import dft_columns, dft_matrix, network_supports
 from cfsubspace.experiment import ExperimentConfig, run_experiment, write_results
 from cfsubspace.geometry import calibrate_snr, form_clusters, generate_layout
 from cfsubspace.hopping import SrsSchedule, allocate_squares, build_schedule
-from cfsubspace.rpca import (SubspaceEstimate, _col_norms, _fro,
-                             _rank_zero_lambda, _row_norms, collect_srs, dft_project,
-                             outlier_pursuit, outlier_pursuit_tuned,
+from cfsubspace.rpca import (SubspaceEstimate, _col_norms, _fro, _gram_svd, _leverage,
+                             _rank_zero_lambda, _row_norms, _threshold, collect_srs,
+                             dft_project, outlier_pursuit, outlier_pursuit_tuned,
                              power_efficiency, select_rank, subspace_estimates)
-from oracles import (admm_one, admm_stopping_on_tol, colliders, estimated_covariance,
-                     from_supports, make_support, numerical_rank, objective_trace,
-                     reference_outlier_pursuit, reference_rank_zero_lambda,
-                     reference_tuned, sample_channel, solver_constants, stacked,
-                     true_covariance)
+from oracles import (admm_one, admm_stopping_on_tol, colliders, counted_factorisations,
+                     estimated_covariance, from_supports, make_support, numerical_rank,
+                     objective_trace, reference_outlier_pursuit,
+                     reference_rank_zero_lambda, reference_tuned, sample_channel,
+                     solver_constants, stacked, true_covariance)
 
 
 def planted_instance(rng, M=16, S=64, rank=2, n_outliers=3, outlier_norm=5.0):
@@ -235,13 +236,16 @@ class TestNorms:
     """The solver's norm helpers must match numpy's to the last bit, so that
     the iterates and the outputs built from them do not move."""
 
-    @pytest.mark.parametrize("shape", [(8, 29), (16, 64), (29, 8), (5,), (1, 1)])
+    @pytest.mark.parametrize("shape", [(8, 29), (16, 64), (29, 8), (5, 1), (1, 1)])
     def test_fro_matches_numpy_bitwise(self, shape):
+        # numpy's Frobenius norm of a matrix stack, which reduces each
+        # matrix in one pairwise sum
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         # transposed, strided and reversed views are not C-contiguous
         for view in (x, x.T, x[::2], x[..., ::-1], x * 1e-150, x.real):
-            assert _fro(view).tobytes() == np.linalg.norm(view).tobytes()
+            assert _fro(view).tobytes() == \
+                np.linalg.norm(view, axis=(-2, -1)).tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 29), (16, 64), (3, 1)])
     def test_col_norms_match_numpy_bitwise(self, shape):
@@ -264,9 +268,81 @@ class TestNorms:
         # the lockstep solver reduces a whole stack at once
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for norms in (_col_norms, _row_norms):
+        for norms in (_col_norms, _row_norms, _fro):
             stack = norms(x)
             assert stack.tobytes() == b"".join(norms(m).tobytes() for m in x)
+
+
+def gram_route_stacks():
+    """Named (E, S, M) stacks as the ADMM step factors them: tall, wide and
+    square, rank-deficient (repeated columns), near rank-deficient (low rank
+    plus noise whose singular values fall below, or near, the Gram route's
+    cut at sqrt(M eps) of the largest), all-zero, and zero beside nonzero;
+    each with the bound, relative to the largest, on the error of its
+    singular values."""
+    rng = np.random.default_rng(130)
+
+    def noise(E, S, M):
+        return rng.standard_normal((E, S, M)) + 1j * rng.standard_normal((E, S, M))
+
+    def repeated(Z, rank):
+        return np.ascontiguousarray(Z[..., np.arange(Z.shape[-1]) % rank])
+
+    def near(E, S, M, rank, level):
+        return noise(E, S, rank) @ noise(E, rank, M) + level * noise(E, S, M)
+
+    def cut(M):
+        return np.sqrt(M * np.finfo(float).eps)
+
+    shapes = [(29, 8), (19, 16), (7, 8), (8, 16), (8, 8), (16, 16)]
+    return [(f"{S}x{M}", noise(4, S, M), 1e-11) for S, M in shapes] + [
+        ("29x8-rank3", repeated(noise(3, 29, 8), 3), 1e-11),
+        ("19x16-rank6", repeated(noise(3, 19, 16), 6), 1e-11),
+        ("8x16-rank5", repeated(noise(3, 8, 16), 5), 1e-11),
+        ("8x8-rank4", repeated(noise(3, 8, 8), 4), 1e-11),
+        ("29x8-rank3-noise1e-10", near(3, 29, 8, 3, 1e-10), cut(8)),
+        ("29x8-rank3-noise1e-7", near(3, 29, 8, 3, 1e-7), cut(8)),
+        ("19x16-rank6-noise1e-7", near(3, 19, 16, 6, 1e-7), cut(16)),
+        ("29x8-zero", np.zeros((2, 29, 8), dtype=complex), 1e-11),
+        ("7x8-zero", np.zeros((2, 7, 8), dtype=complex), 1e-11),
+        ("19x16-one-zero", np.concatenate([noise(2, 19, 16), np.zeros((1, 19, 16))]),
+         1e-11)]
+
+
+class TestGramRoute:
+    """Each ADMM step factors Z through its M x M Gram matrix (``_gram_svd``)
+    and thresholds Z V (``_threshold``) in place of an SVD of Z: within
+    rounding of the SVD route on every shape the solver meets, also where Z
+    is rank-deficient or zero, and without a floating-point warning. A
+    singular value below sqrt(M eps) of the largest is not resolved: the
+    route gives it as 0 or within that bound."""
+
+    @pytest.mark.parametrize("Z,sv_tol", [pytest.param(Z, tol, id=name)
+                                          for name, Z, tol in gram_route_stacks()])
+    def test_matches_the_svd_route(self, Z, sv_tol):
+        W, s, Vh = np.linalg.svd(Z, full_matrices=False)
+        largest = s[:, :1]
+        norm = np.linalg.norm(Z, axis=(-2, -1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ZV, sv, V = _gram_svd(Z)
+            leverage = _leverage(ZV, sv)
+            for rel in (1e-3, 0.1, 0.5):
+                # the solver's thresholds 1 / rho are positive
+                tau = rel * np.where(largest > 0, largest, 1.0)[:, 0]
+                thresholded = sv.copy()
+                H = _threshold(ZV.copy(), thresholded, V, tau)
+                want_sv = np.maximum(s - tau[:, None], 0.0)
+                want = (W * want_sv[:, None, :]) @ Vh
+                assert np.all(np.linalg.norm(H - want, axis=(-2, -1)) <= 1e-13 * norm)
+                assert np.all(np.abs(thresholded - want_sv) <= 1e-11 * largest)
+        n = min(Z.shape[1:])
+        assert sv.shape == (len(Z), n) and V.shape == (len(Z), Z.shape[2], n)
+        assert np.all(np.abs(sv - s) <= sv_tol * largest)
+        assert np.abs(V.conj().swapaxes(1, 2) @ V - np.eye(n)).max() <= 1e-12
+        # the no-outlier certificate fires wherever the SVD's does
+        assert np.all(leverage.max(axis=1) <=
+                      np.linalg.norm(W, axis=2).max(axis=1) * (1 + 1e-9))
 
 
 class TestLazyObjective:
@@ -294,24 +370,19 @@ class TestLazyObjective:
             assert objective[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_one_svd_per_iteration_unless_objective_read(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls = counted_factorisations(monkeypatch)
         rng = np.random.default_rng(17)
         Y, _, _ = planted_instance(rng, M=8, S=29)
         result = outlier_pursuit(Y, 0.25)
         n = result.iterations
         assert n > 1
-        assert len(calls) == n
+        assert calls == [("eigh", 1)] * n
         # reading it solves once (n steps), replays step i with a solve
         # capped at i steps, then takes one SVD per iterate
         objective_trace(Y, 0.25)
-        assert len(calls) == n + n + n * (n + 1) // 2 + (n + 1)
+        names = [name for name, _ in calls]
+        assert names.count("eigh") == n + n + n * (n + 1) // 2
+        assert names.count("svd") == n + 1
 
 
 class TestLambdaTuning:
@@ -503,10 +574,12 @@ def real_observation(K, N, seed=3, L=10, M=8):
 
 def plain_admm(Yn, lam):
     """Reference: the ADMM loop of ``rpca._admm`` on X = Yn^H, the (S, M)
-    slot-by-antenna matrix, with a fresh array for every operation, the
-    over-relaxed E- and dual updates, the no-outlier certificate at step 1,
-    the convergence test on the larger change and the settled stop on the
-    list of every step's read-out (numerical rank, gap-selected rank).
+    slot-by-antenna matrix, each step factored by ``rpca._gram_svd`` and
+    each Frobenius norm taken by ``rpca._fro``, with a fresh array for every
+    other operation, the over-relaxed E- and dual updates, the no-outlier
+    certificate at step 1, the convergence test on the larger change and
+    the settled stop on the list of every step's read-out (numerical rank,
+    gap-selected rank).
 
     Returns (H, E, thresholded singular values, left singular vectors of H,
     iterations, converged, E iterates, penalty moves), with H, E and the
@@ -520,13 +593,15 @@ def plain_admm(Yn, lam):
     settled_steps, alpha = rpca_mod._SETTLED_STEPS, rpca_mod._RELAXATION
     for iterations in range(1, rpca_mod._MAX_ITER + 1):
         H_prev, E_prev = H, E
-        W, s, Vh = np.linalg.svd(X - E + U, full_matrices=False)
-        # the rows of W have norm at most 1 (up to rounding)
-        if iterations == 1 and min(np.linalg.norm(W, axis=1).max(), 1.0) <= lam:
+        ZV, s, V = _gram_svd(X - E + U)
+        # the rows of W = Z V diag(1/s) have norm at most 1 (up to rounding)
+        if iterations == 1 and min(_leverage(ZV, s).max(), 1.0) <= lam:
             E = np.zeros_like(X)
-            return X.conj().T, E.conj().T, s, Vh.conj().T, 1, True, [E.conj().T], moves
+            return X.conj().T, E.conj().T, s, V, 1, True, [E.conj().T], moves
         sv = np.maximum(s - 1.0 / rho, 0.0)
-        H = (W * sv) @ Vh
+        # H = W diag(sv) V^H = Z V diag(1 - tau / s) V^H, 0 where s is 0
+        factor = np.where(s > 0, 1.0 - (1.0 / rho) / np.where(s > 0, s, 1.0), 0.0)
+        H = (ZV * np.maximum(factor, 0.0)) @ V.conj().T
         D = alpha * (X - H) + (1.0 - alpha) * E_prev
         G = D + U
         shrink = 1.0 - (lam / rho) / np.maximum(np.linalg.norm(G, axis=1), 1e-300)
@@ -534,25 +609,25 @@ def plain_admm(Yn, lam):
         R = D - E
         U = U + R
         outliers.append(E.conj().T.copy())
-        e_change = np.linalg.norm(E - E_prev)
-        change = max(np.linalg.norm(H - H_prev), e_change)
-        if change / max(1.0, np.linalg.norm(X)) < rpca_mod._TOL:
+        e_change = _fro(E - E_prev)
+        change = max(_fro(H - H_prev), e_change)
+        if change / max(1.0, _fro(X)) < rpca_mod._TOL:
             converged = True
             break
         rank = int(np.sum(sv > 1e-6 * sv[0])) if sv[0] > 0 else 0
         readouts.append((rank, select_rank(sv, max(1, len(sv) // 2))))
         last = readouts[-settled_steps - 1:]
         if len(last) == settled_steps + 1 and len(set(last)) == 1 and \
-                e_change / max(1.0, np.linalg.norm(X)) < \
+                e_change / max(1.0, _fro(X)) < \
                 rpca_mod._SETTLED_FACTOR * rpca_mod._TOL:
             converged = True
             break
-        r_norm, d_norm = np.linalg.norm(R), rho * e_change
+        r_norm, d_norm = _fro(R), rho * e_change
         if r_norm > rpca_mod._RESIDUAL_RATIO * d_norm:
             rho, U, moves = rho * 2.0, U / 2.0, moves + "+"
         elif d_norm > rpca_mod._RESIDUAL_RATIO * r_norm:
             rho, U, moves = rho / 2.0, U * 2.0, moves + "-"
-    return H.conj().T, E.conj().T, sv, Vh.conj().T, iterations, converged, outliers, moves
+    return H.conj().T, E.conj().T, sv, V, iterations, converged, outliers, moves
 
 
 def collider_observations():
@@ -683,16 +758,15 @@ class TestNoOutlierCertificate:
     solve returns it after that one step."""
 
     def test_fires_at_the_largest_leverage(self, monkeypatch):
-        svds, svd = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+        svd = np.linalg.svd
+        calls = counted_factorisations(monkeypatch)
         inputs = certificate_inputs()
         thresholds = [max_leverage(Y) for Y in inputs]
         for Y, threshold in zip(inputs, thresholds):
             for lam in (threshold * (1 + 1e-9), 1.0, 1e6):
-                del svds[:]
+                del calls[:]
                 result = outlier_pursuit(Y, lam)
-                assert len(svds) == 1
+                assert calls == [("eigh", 1)]
                 assert (result.iterations, result.converged) == (1, True)
                 assert not np.any(result.outliers)
                 assert np.linalg.norm(result.low_rank - Y) <= 1e-12 * np.linalg.norm(Y)
@@ -845,22 +919,21 @@ class TestRankFromLastStep:
     @pytest.mark.parametrize("lam,params", [(2.0, None), (0.05, None), (0.58, None),
                                             (0.58, {"tol": 1e-6})])
     def test_tuned_loop_takes_no_extra_svd(self, monkeypatch, lam, params):
-        # one SVD for the rank-zero screen and one per ADMM step: the rank
-        # of each solve costs none
-        svds, iterations = [], []
-        svd, solve = np.linalg.svd, rpca_mod._solve_stack
+        # one SVD for the rank-zero screen and one eigh per ADMM step: the
+        # rank of each solve costs none
+        iterations = []
+        solve = rpca_mod._solve_stack
 
         def counted_solve(*args, **kwargs):
             results, certified = solve(*args, **kwargs)
             iterations.extend(result.iterations for result in results)
             return results, certified
 
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+        calls = counted_factorisations(monkeypatch)
         monkeypatch.setattr(rpca_mod, "_solve_stack", counted_solve)
         with solver_constants(**(params or {})):
             outlier_pursuit_tuned(noise_matrix(7), lam)
-        assert len(svds) == 1 + sum(iterations)
+        assert [name for name, _ in calls] == ["svd"] + ["eigh"] * sum(iterations)
 
 
 def largest_angle_sine(basis_a, basis_b):
